@@ -3,8 +3,10 @@ solver validation.
 
 Trials are grouped into fixed-size batches; batch b draws its randomness
 from SeedSequence(seed, spawn_key=(b,)), so every trial's randomness is a
-deterministic function of (seed, trial index) and reports are identical
-for any worker count.  Aggregation is pure counting, hence
+deterministic function of (seed, batch size, trial index) and reports are
+identical for any worker count.  A batch is sampled in one O(items) draw
+and reduced as one disjoint union; only trials with a nonempty core
+become Python objects.  Aggregation is pure counting, hence
 order-independent.  Per-trial solver budget failures are recorded, never
 fatal.
 """
@@ -29,13 +31,11 @@ from .catalog import (
     is_muf,
 )
 from .isomorph import canonical_key, count_copies
-from .predictor import core_type_distribution
-from .reduction import _k_core_raw, _pure_literal_raw
+from .predictor import EVENT_FLAGS, core_type_distribution
+from .reduction import _k_core_batch, _pure_literal_batch
 from .sampling import (
-    DENSE_CANDIDATE_LIMIT,
-    candidate_clauses,
-    candidate_edges,
     params_from_alpha,
+    sample_batch,
     unrank_clauses,
     unrank_combinations,
 )
@@ -125,6 +125,7 @@ class ExperimentReport:
     agreement_rate: float | None = None
     mismatches: int | None = None
     witness_failures: int | None = None
+    sanity_checks: int | None = None
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -155,58 +156,35 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sampling inside a batch
+# sampling and reduction of a whole batch
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(batch_index,)))
 
 
-def _batch_samples(params, rng, count: int):
-    """Yield per-trial sorted candidate index arrays for one batch.
-
-    The dense path consumes one uniform per candidate in trial order; the
-    row chunking below only bounds memory and never changes the stream.
-    """
-    m_total = params.candidate_count
-    if m_total <= DENSE_CANDIDATE_LIMIT:
-        rows_per_chunk = max(1, 4_000_000 // m_total)
-        done = 0
-        while done < count:
-            chunk = min(rows_per_chunk, count - done)
-            u = rng.random((chunk, m_total))
-            hits = u < params.p
-            for i in range(chunk):
-                yield np.flatnonzero(hits[i])
-            done += chunk
-    else:
-        for _ in range(count):
-            m = int(rng.binomial(m_total, params.p))
-            chosen: set[int] = set()
-            while len(chosen) < m:
-                draw = rng.integers(0, m_total, size=m - len(chosen))
-                chosen.update(int(x) for x in draw)
-            yield np.fromiter(sorted(chosen), dtype=np.int64, count=m)
+def _batch_items(config: ExperimentConfig, model_kind: str, batch_index: int, count: int):
+    """(owner trial, item rows) of one batch: clause rows of signed literals
+    or edge rows of vertices, sorted by trial."""
+    params = params_from_alpha(config.n, config.r, config.alpha, model_kind)
+    trial, index = sample_batch(params, _batch_rng(config.seed, batch_index), count)
+    decode = unrank_clauses if model_kind == "sat" else unrank_combinations
+    return trial, decode(index, config.n, config.r)
 
 
-def _clause_decoder(params):
-    if params.candidate_count <= DENSE_CANDIDATE_LIMIT:
-        table = candidate_clauses(params.n, params.r)
-        return lambda idx: [table[i] for i in idx]
-    return lambda idx: unrank_clauses(idx, params.n, params.r)
-
-
-def _edge_decoder(params):
-    if params.candidate_count <= DENSE_CANDIDATE_LIMIT:
-        table = candidate_edges(params.n, params.r)
-        return lambda idx: [table[i] for i in idx]
-    return lambda idx: [tuple(int(v) for v in row)
-                        for row in unrank_combinations(idx, params.n, params.r)]
+def _per_trial(trial: np.ndarray, rows: np.ndarray, count: int) -> list[list[tuple]]:
+    """The item tuples of each of ``count`` trials, from rows sorted by trial."""
+    bounds = np.searchsorted(trial, np.arange(count + 1)).tolist()
+    items = [tuple(row) for row in rows.tolist()]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
 # core classification for the census
 
-_KEY_MEMO: dict = {}
+@lru_cache(maxsize=4096)  # far above the distinct small cores a census process meets
+def _memo_key(kind: str, order: int, items: tuple) -> bytes:
+    """Canonical key of a dense core, memoized for the life of the process."""
+    return canonical_key(Formula(order, items) if kind == "sat" else Hypergraph(order, items))
 
 
 def _classify_core(kind: str, core_items, max_order: int):
@@ -217,23 +195,16 @@ def _classify_core(kind: str, core_items, max_order: int):
         dense, _ = induced_hypergraph(core_items)
     if dense.order > max_order:
         return "large", dense
-    memo_key = (kind, dense.order,
-                tuple(sorted(cl.literals for cl in dense.clauses)) if kind == "sat"
-                else tuple(sorted(dense.edges)))
-    key = _KEY_MEMO.get(memo_key)
-    if key is None:
-        key = canonical_key(dense)
-        _KEY_MEMO[memo_key] = key
-    return key, dense
+    items = tuple(sorted(cl.literals for cl in dense.clauses)) if kind == "sat" \
+        else tuple(sorted(dense.edges))
+    return _memo_key(kind, dense.order, items), dense
 
 
 # ---------------------------------------------------------------------------
 # rate / census engine
 
 def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: bool):
-    model_kind = "sat" if config.kind in ("pl-fail", "unsat") else "hypergraph"
-    params = params_from_alpha(config.n, config.r, config.alpha, model_kind)
-    rng = _batch_rng(config.seed, batch_index)
+    model_kind, flag = EVENT_FLAGS[config.kind]
     failures = budget = 0
     census_counts: Counter = Counter()
     other = large = excluded = 0
@@ -243,20 +214,17 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
     max_order = catalog.max_order() if (census and catalog) else 0
     low_entries = ()
     if census and catalog and config.exclude_below_excess is not None:
-        flag = {"pl-fail": "mff", "unsat": "muf", "kcore": "minimal_k_dense",
-                "noncolorable": "min_non_k_colorable"}[config.kind]
         low_entries = tuple(e.structure for e in catalog.with_flag(flag)
                             if e.excess < config.exclude_below_excess)
-    decode = _clause_decoder(params) if model_kind == "sat" else _edge_decoder(params)
-    for trial_offset, idx in enumerate(_batch_samples(params, rng, count)):
-        items = decode(idx)
-        if model_kind == "sat":
-            core_idx, _, _ = _pure_literal_raw(items)
-        else:
-            core_idx, _, _ = _k_core_raw(config.n, items, config.k)
-        if not core_idx:
+    trial, items = _batch_items(config, model_kind, batch_index, count)
+    if model_kind == "sat":
+        alive = _pure_literal_batch(items, trial, config.n)
+    else:
+        alive = _k_core_batch(items, trial, config.n, config.k)
+    # only the rows of nonempty cores become Python tuples
+    for core_items in _per_trial(trial[alive], items[alive], count):
+        if not core_items:
             continue
-        core_items = [items[i] for i in core_idx]
         failed = True
         dense = None
         if config.kind in ("unsat", "noncolorable"):
@@ -280,8 +248,7 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
             continue
         failures += 1
         if census:
-            key, dense = _classify_core("sat" if model_kind == "sat" else "hypergraph",
-                                        core_items, max_order)
+            key, dense = _classify_core(model_kind, core_items, max_order)
             if failures % 100 == 1:  # 1% sanity sample: cores really are cores
                 ok = is_full(dense) if model_kind == "sat" else is_k_dense(dense, config.k)
                 if not ok:
@@ -333,8 +300,7 @@ def _prediction(config: ExperimentConfig, catalog: Catalog | None):
         return None, None
     if config.alpha <= 0:
         return 0.0, None
-    flag = {"pl-fail": "mff", "unsat": "muf", "kcore": "minimal_k_dense",
-            "noncolorable": "min_non_k_colorable"}[config.kind]
+    _, flag = EVENT_FLAGS[config.kind]
     entries = catalog.with_flag(flag)
     if not entries:
         return None, None
@@ -367,7 +333,7 @@ def _assemble_rate_report(config, results, census: bool, t0: float,
         predicted=predicted,
         ratio=(rate / predicted) if predicted else None,
         budget_exceeded=budget,
-        elapsed_seconds=time.time() - t0,
+        elapsed_seconds=time.perf_counter() - t0,
     )
     if census:
         counts: Counter = Counter()
@@ -377,6 +343,7 @@ def _assemble_rate_report(config, results, census: bool, t0: float,
         report.other_count = sum(r["other"] for r in results)
         report.large_core_count = sum(r["large"] for r in results)
         report.census_excluded = sum(r["excluded"] for r in results)
+        report.sanity_checks = sum(r["sanity"] for r in results)
         report.predicted_census = predicted_census
         classified = failures - report.census_excluded
         if classified > 0 and predicted_census is not None:
@@ -395,7 +362,7 @@ def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
     """Sample, reduce, and count nonempty cores (plus a solver pass for the
     unsatisfiability / non-colorability kinds)."""
     config.validate(RATE_KINDS)
-    t0 = time.time()
+    t0 = time.perf_counter()
     catalog = config.catalog or _auto_catalog(config)
     predicted, _ = _prediction(config, catalog)
     results = _run_batches(config, _rate_worker_plain,
@@ -410,7 +377,7 @@ def run_core_census(config: ExperimentConfig) -> ExperimentReport:
         config = replace(config, catalog=_auto_catalog(config))
     if config.catalog is None:
         raise ValueError("core census needs a catalog")
-    t0 = time.time()
+    t0 = time.perf_counter()
     predicted, predicted_census = _prediction(config, config.catalog)
     results = _run_batches(config, _rate_worker_census,
                            _split_batches(config.trials, config.batch_size))
@@ -471,12 +438,8 @@ def _oracle_colorable(edges, n: int, k: int) -> bool:
 
 def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
     model_kind = "sat" if config.kind == "sat" else "hypergraph"
-    params = params_from_alpha(config.n, config.r, config.alpha, model_kind)
-    rng = _batch_rng(config.seed, batch_index)
-    decode = _clause_decoder(params) if model_kind == "sat" else _edge_decoder(params)
     agree = mismatch = witness_bad = budget = 0
-    for idx in _batch_samples(params, rng, count):
-        items = decode(idx)
+    for items in _per_trial(*_batch_items(config, model_kind, batch_index, count), count):
         try:
             if config.kind == "sat":
                 formula = Formula(config.n, items)
@@ -519,7 +482,7 @@ def run_solver_validation(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"oracle capped at n <= {_SAT_ORACLE_MAX_N}")
     if config.kind == "coloring" and config.n > _COLOR_ORACLE_MAX_N:
         raise ValueError(f"coloring oracle capped at n <= {_COLOR_ORACLE_MAX_N}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = _run_batches(config, _validate_batch,
                            _split_batches(config.trials, config.batch_size))
     agree = sum(r["agree"] for r in results)
@@ -538,7 +501,7 @@ def run_solver_validation(config: ExperimentConfig) -> ExperimentReport:
         predicted=None,
         ratio=None,
         budget_exceeded=budget,
-        elapsed_seconds=time.time() - t0,
+        elapsed_seconds=time.perf_counter() - t0,
         agreement_rate=(agree / compared) if compared else None,
         mismatches=mismatch,
         witness_failures=witness_bad,

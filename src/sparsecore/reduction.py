@@ -6,12 +6,18 @@ each eliminated literal True, and a proper coloring extends through a peel
 trace because every peeled vertex had at most k-1 incident edges when it
 was removed.  The surviving core is relabeled densely; the trace keeps the
 original labels.
+
+The batched reducers at the end find only the cores, with no trace, of
+many instances at once: the core of a disjoint union is the union of the
+cores of its parts, whatever the elimination order.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from .structures import Clause, Formula, Hypergraph, induced_formula, induced_hypergraph
 
@@ -209,3 +215,59 @@ def k_core(graph: Hypergraph, k: int) -> tuple[Hypergraph, PeelTrace]:
     assert list(support) == core_vertices
     trace = PeelTrace(order=graph.order, k=k, rounds=rounds, core_vertices=tuple(core_vertices))
     return core, trace
+
+
+# ---------------------------------------------------------------------------
+# batched cores of a disjoint union
+
+def _union_ids(owner: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Dense ids 0..V-1 of the (owner, label) pairs, labels in 1..n.
+
+    Variables of different instances are kept apart by the offset
+    ``owner * n``; only the V pairs present get an id, so memory follows
+    the number of items, not the number of instances times n.
+    """
+    keys = (owner[:, None] * n + (labels - 1)).ravel()
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids.reshape(labels.shape)
+
+
+def _peel_union(codes: np.ndarray, partner, threshold: int) -> np.ndarray:
+    """Alive mask after deleting, round by round, every row holding a code
+    whose partner code occurs fewer than ``threshold`` times among live rows."""
+    live = np.arange(len(codes))
+    count = np.bincount(codes.ravel(), minlength=int(codes.max(initial=0)) + 2)
+    while len(live):
+        rows = codes[live]
+        keep = (count[partner(rows)] >= threshold).all(axis=1)
+        if keep.all():
+            break
+        np.subtract.at(count, rows[~keep].ravel(), 1)
+        live = live[keep]
+    alive = np.zeros(len(codes), dtype=bool)
+    alive[live] = True
+    return alive
+
+
+def _pure_literal_batch(clauses: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of ``clauses`` (signed literals on 1..n; row i belongs to
+    formula ``owner[i]``) lie in the pure-literal core of their formula.
+
+    A clause dies when one of its literals has no live complement.
+    """
+    codes = 2 * _union_ids(owner, np.abs(clauses), n) + (clauses < 0)
+    return _peel_union(codes, lambda rows: rows ^ 1, 1)
+
+
+def _k_core_batch(edges: np.ndarray, owner: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Which rows of ``edges`` (vertices 1..n; row i belongs to hypergraph
+    ``owner[i]``) lie in the k-core of their hypergraph.
+
+    An edge dies when one of its vertices has live degree below k.
+    """
+    return _peel_union(_union_ids(owner, edges, n), lambda rows: rows, k)

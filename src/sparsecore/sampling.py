@@ -6,8 +6,10 @@ enumerated in a fixed lexicographic order: variable r-sets ascending, then
 sign patterns by bit pattern (bit j set = variable j negated).  The dense
 sampler draws one uniform per candidate, so two samples sharing a seed are
 coupled monotonically across p.  Above ``DENSE_CANDIDATE_LIMIT`` candidates
-a sparse sampler draws a Binomial count and distinct uniform indices
-instead; it is equally seed-deterministic but not coupled across p.
+``sample_formula`` / ``sample_hypergraph`` switch to ``sample_batch``, the
+O(m) sampler the Monte Carlo harness uses at every size: a Binomial count
+and distinct uniform indices per sample.  It is equally seed-deterministic
+but not coupled across p.
 """
 
 from __future__ import annotations
@@ -109,18 +111,17 @@ def unrank_combination(index: int, n: int, r: int) -> tuple[int, ...]:
     return tuple(int(v) for v in unrank_combinations([index], n, r)[0])
 
 
-def unrank_clauses(indices, n: int, r: int) -> list[tuple[int, ...]]:
-    """Candidate clauses at the given indices, in the fixed dense order."""
+def unrank_clauses(indices, n: int, r: int) -> np.ndarray:
+    """Candidate clauses at the given indices, in the fixed dense order, as
+    rows of signed literals."""
     indices = np.asarray(indices, dtype=np.int64)
     combos = unrank_combinations(indices >> r, n, r)
     bits = indices & (2 ** r - 1)
-    signs = 1 - 2 * ((bits[:, None] >> np.arange(r)) & 1)
-    signed = combos * signs
-    return [tuple(int(l) for l in row) for row in signed]
+    return combos * (1 - 2 * ((bits[:, None] >> np.arange(r)) & 1))
 
 
 def unrank_clause(index: int, n: int, r: int) -> tuple[int, ...]:
-    return unrank_clauses([index], n, r)[0]
+    return tuple(unrank_clauses([index], n, r)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +131,41 @@ def _rng(seed: int, *spawn: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=spawn))
 
 
+def sample_batch(params: ModelParams, rng: np.random.Generator,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` independent samples in O(total items), consuming the given stream.
+
+    Returns (trial, index): trial t keeps a Binomial(candidates, p) number
+    of distinct uniform candidate indices, and the pairs come sorted by
+    trial, then index.  Indices are drawn keyed ``trial * candidates +
+    index``, duplicates are dropped after a sort, and only the shortfall
+    is drawn again, so the kept set of each trial is a uniform subset of
+    its size.
+    """
+    m_total = params.candidate_count
+    if count * m_total >= 2 ** 63:
+        raise ValueError(f"{count} samples of {m_total} candidates overflow int64 keys")
+    want = rng.binomial(m_total, params.p, size=count)
+    keys = np.empty(0, dtype=np.int64)
+    short = want
+    while (total := int(short.sum())) > 0:
+        owner = np.repeat(np.arange(count, dtype=np.int64), short)
+        keys = np.concatenate([keys, owner * m_total + rng.integers(0, m_total, size=total)])
+        keys.sort()
+        fresh = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        short = want - np.bincount(keys // m_total, minlength=count)
+    return keys // m_total, keys % m_total
+
+
 def sample_indices(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """Sorted candidate indices of one sample, consuming the given stream."""
     m_total = params.candidate_count
     if m_total <= DENSE_CANDIDATE_LIMIT:
         u = rng.random(m_total)
         return np.flatnonzero(u < params.p)
-    count = int(rng.binomial(m_total, params.p))
-    chosen: set[int] = set()
-    while len(chosen) < count:
-        draw = rng.integers(0, m_total, size=count - len(chosen))
-        chosen.update(int(x) for x in draw)
-    return np.array(sorted(chosen), dtype=np.int64)
+    return sample_batch(params, rng, 1)[1]
 
 
 def sample_formula(params: ModelParams, seed: int) -> Formula:
@@ -149,25 +173,14 @@ def sample_formula(params: ModelParams, seed: int) -> Formula:
     if params.kind != FORMULA:
         raise ValueError("params are not for the formula model")
     idx = sample_indices(params, _rng(seed))
-    if params.candidate_count <= DENSE_CANDIDATE_LIMIT:
-        table = candidate_clauses(params.n, params.r)
-        clauses = [table[i] for i in idx]
-    else:
-        clauses = unrank_clauses(idx, params.n, params.r)
-    return Formula(params.n, clauses)
+    return Formula(params.n, unrank_clauses(idx, params.n, params.r).tolist())
 
 
 def sample_hypergraph(params: ModelParams, seed: int) -> Hypergraph:
     if params.kind != HYPERGRAPH:
         raise ValueError("params are not for the hypergraph model")
     idx = sample_indices(params, _rng(seed))
-    if params.candidate_count <= DENSE_CANDIDATE_LIMIT:
-        table = candidate_edges(params.n, params.r)
-        edges = [table[i] for i in idx]
-    else:
-        edges = [tuple(int(v) for v in row)
-                 for row in unrank_combinations(idx, params.n, params.r)]
-    return Hypergraph(params.n, edges)
+    return Hypergraph(params.n, unrank_combinations(idx, params.n, params.r).tolist())
 
 
 # ---------------------------------------------------------------------------

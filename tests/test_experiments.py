@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sparsecore import (
@@ -7,6 +9,8 @@ from sparsecore import (
     run_solver_validation,
     wilson_interval,
 )
+from sparsecore import experiments
+from sparsecore.sampling import candidate_clauses
 
 
 def test_wilson_interval_behaviour():
@@ -40,6 +44,8 @@ def test_census_identical_across_worker_counts(full_catalog_r3):
     two = run_core_census(ExperimentConfig(**base, workers=2))
     assert one.census == two.census
     assert (one.other_count, one.large_core_count) == (two.other_count, two.large_core_count)
+    assert one.failures > 0 and one.sanity_checks >= 1
+    assert one.sanity_checks == two.sanity_checks
 
 
 def test_failure_rate_monotone_in_alpha():
@@ -59,6 +65,7 @@ def test_census_counts_add_up(full_catalog_r3):
     total = sum(report.census.values()) + report.other_count + \
         report.large_core_count + report.census_excluded
     assert total == report.failures
+    assert report.sanity_checks >= 1
     assert set(report.census) <= {e.iso_key.decode() for e in full_catalog_r3.entries}
     assert report.predicted_census is not None
     assert sum(report.predicted_census.values()) == pytest.approx(1.0)
@@ -84,6 +91,7 @@ def test_kcore_census_matches_expectations(dense_catalog_k3):
     assert report.failures > 0
     k4_key = dense_catalog_k3.entries[0].iso_key.decode()
     assert report.census.get(k4_key, 0) > 0
+    assert report.sanity_checks >= 1
     assert report.predicted is not None and report.ratio is not None
 
 
@@ -129,6 +137,19 @@ def test_report_serialization(full_catalog_r3, tmp_path):
     data = report.to_json_dict()
     assert data["format_version"] == 1
     assert "config" in data and data["config"]["n"] == 20
+    assert data["sanity_checks"] == report.sanity_checks
     csv = report.to_csv()
     assert csv.startswith("config,statistic,value")
     assert "rate," in csv
+    assert f"sanity_checks,{report.sanity_checks}" in csv
+
+
+def test_key_memo_is_bounded():
+    memo = experiments._memo_key
+    cap = memo.cache_info().maxsize
+    assert cap is not None and cap >= 1000  # room for every small core of a census process
+    memo.cache_clear()
+    for clauses in itertools.islice(itertools.combinations(candidate_clauses(4, 3), 3),
+                                    cap + 50):
+        memo("sat", 4, clauses)
+    assert memo.cache_info().currsize == cap

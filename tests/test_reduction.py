@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sparsecore import (
@@ -12,6 +13,8 @@ from sparsecore import (
     k_core,
     pure_literal_core,
 )
+from sparsecore.reduction import _k_core_batch, _k_core_raw, _pure_literal_batch, _pure_literal_raw
+from sparsecore.sampling import params_from_alpha, sample_batch, unrank_clauses, unrank_combinations
 from sparsecore.solver import proper_coloring
 
 from oracle_utils import random_formula, random_hypergraph, random_pure_literal_core
@@ -164,3 +167,41 @@ def test_coloring_lift_is_proper():
         coloring = trace.extend_coloring(())
         assert proper_coloring(graph, coloring)
         assert all(1 <= c <= 3 for c in coloring)
+
+
+def _batch_against_raw(kind, n, r, alpha, k=None, trials=400, seed=0):
+    """Batched cores equal the per-trial reducer's, trial by trial; returns
+    the number of nonempty cores."""
+    params = params_from_alpha(n, r, alpha, kind)
+    trial, index = sample_batch(params, np.random.default_rng(seed), trials)
+    if kind == "sat":
+        rows = unrank_clauses(index, n, r)
+        alive = _pure_literal_batch(rows, trial, n)
+    else:
+        rows = unrank_combinations(index, n, r)
+        alive = _k_core_batch(rows, trial, n, k)
+    bounds = np.searchsorted(trial, np.arange(trials + 1))
+    nonempty = 0
+    for a, b in zip(bounds, bounds[1:]):
+        items = [tuple(row) for row in rows[a:b].tolist()]
+        expected = _pure_literal_raw(items)[0] if kind == "sat" else _k_core_raw(n, items, k)[0]
+        assert np.flatnonzero(alive[a:b]).tolist() == expected
+        nonempty += bool(expected)
+    return nonempty
+
+
+@pytest.mark.parametrize("n,alpha", [(20, 1.2), (30, 0.8), (30, 1.5)])
+def test_batched_pure_literal_matches_per_trial(n, alpha):
+    assert _batch_against_raw("sat", n, 3, alpha) > 0
+
+
+@pytest.mark.parametrize("n,r,k,alpha", [(25, 2, 3, 3.0), (20, 3, 2, 5.0)])
+def test_batched_k_core_matches_per_trial(n, r, k, alpha):
+    assert _batch_against_raw("hypergraph", n, r, alpha, k) > 0
+
+
+def test_batched_reducers_on_an_empty_batch():
+    empty = np.empty((0, 3), dtype=np.int64)
+    owner = np.empty(0, dtype=np.int64)
+    assert _pure_literal_batch(empty, owner, 5).shape == (0,)
+    assert _k_core_batch(empty, owner, 5, 2).shape == (0,)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from sparsecore import params_from_alpha, pure_literal_threshold, sample_formula, sample_hypergraph
+from sparsecore.experiments import _batch_rng
 from sparsecore.sampling import (
     DENSE_CANDIDATE_LIMIT,
     candidate_clauses,
     pure_literal_objective,
+    sample_batch,
     unrank_clause,
+    unrank_clauses,
     unrank_combination,
 )
 
@@ -87,10 +90,35 @@ def test_sparse_sampler_mean_and_validity():
     assert abs(np.mean(sizes) - mean) < 4 * se
 
 
+@pytest.mark.parametrize("n,r,kind,alpha", [(30, 3, "sat", 0.8), (80, 3, "sat", 1.0),
+                                             (40, 2, "hypergraph", 1.5)])
+def test_batch_sampler_distinct_sorted_binomial(n, r, kind, alpha):
+    params = params_from_alpha(n, r, alpha, kind)
+    trials = 2000
+    trial, index = sample_batch(params, _batch_rng(7, 0), trials)
+    assert index.min() >= 0 and index.max() < params.candidate_count
+    # sorted by trial, then index, with no index twice in a trial
+    assert np.all(np.diff(trial * params.candidate_count + index) > 0)
+    sizes = np.bincount(trial, minlength=trials)
+    mean = params.candidate_count * params.p
+    se = math.sqrt(mean * (1 - params.p) / trials)
+    assert abs(sizes.mean() - mean) < 4 * se
+
+
+def test_batch_sampler_depends_on_seed_and_batch_only():
+    params = params_from_alpha(30, 3, 0.8, "sat")
+    first = sample_batch(params, _batch_rng(3, 5), 300)
+    again = sample_batch(params, _batch_rng(3, 5), 300)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    other = sample_batch(params, _batch_rng(3, 6), 300)
+    assert not np.array_equal(first[1], other[1])
+
+
 def test_unranking_matches_dense_order():
     table = candidate_clauses(9, 3)
     for index in (0, 1, 7, 8, 100, len(table) - 1):
         assert unrank_clause(index, 9, 3) == table[index]
+    assert unrank_clauses(range(len(table)), 9, 3).tolist() == [list(c) for c in table]
     combos = [unrank_combination(i, 6, 3) for i in range(math.comb(6, 3))]
     assert combos == sorted(combos) and len(set(combos)) == len(combos)
 
