@@ -275,7 +275,6 @@ def _enumerate_cell(kind, r, k, t, e):
     labeled canonically and using all t variables/vertices.
     """
     signed = kind == "sat"
-    base = 2 * t if signed else t
     if signed:
         raw = candidate_clauses(t, r)
         rows = [tuple(2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in lits) for lits in raw]
@@ -288,7 +287,7 @@ def _enumerate_cell(kind, r, k, t, e):
         need_units = lambda u: u
     covers = [frozenset(row) for row in rows]
     group = (2 ** t if signed else 1) * factorial(t)
-    packed = [isomorph._pack_row(row, base) for row in rows]
+    packed = [isomorph._pack_row(row) for row in rows]
     seen: set[tuple[int, ...]] = set()
     classes = []
     for ids in _covering_sets(covers, units, need_units, e, r):
@@ -298,13 +297,9 @@ def _enumerate_cell(kind, r, k, t, e):
         orbit = isomorph._orbit_rows(t, [rows[i] for i in ids], signed)
         seen.update(map(tuple, orbit.tolist()))
         aut = group // len(orbit)
-        encoding = isomorph._decode_orbit_row(orbit[0], base, r)
+        encoding = isomorph._decode_orbit_row(orbit[0])
         iso_key = isomorph._render("F" if signed else "G", t, 0, encoding)
-        if signed:
-            structure = Formula(t, [isomorph._ids_to_clause(cl) for cl in encoding])
-        else:
-            structure = Hypergraph(t, [tuple(sorted(v + 1 for v in cl)) for cl in encoding])
-        classes.append((structure, aut, iso_key))
+        classes.append((isomorph._from_encoding(t, encoding, signed), aut, iso_key))
     return classes
 
 

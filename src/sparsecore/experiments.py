@@ -187,17 +187,26 @@ def _memo_key(kind: str, order: int, items: tuple) -> bytes:
     return canonical_key(Formula(order, items) if kind == "sat" else Hypergraph(order, items))
 
 
-def _classify_core(kind: str, core_items, max_order: int):
-    """(iso key or None, dense structure) for a core given by raw items."""
+def _dense_core(kind: str, core_items):
+    """A core given by raw items, relabeled onto 1..order."""
     if kind == "sat":
-        dense, _ = induced_formula(Clause(c) for c in core_items)
-    else:
-        dense, _ = induced_hypergraph(core_items)
-    if dense.order > max_order:
-        return "large", dense
+        return induced_formula(Clause(c) for c in core_items)[0]
+    return induced_hypergraph(core_items)[0]
+
+
+def _classify_core(kind: str, core_items, max_order: int, shapes, dense=None):
+    """Census bucket of a raw core: "large" above ``max_order``, None when no
+    catalog class has its (order, size), else its iso key from ``dense``."""
+    order = len({abs(v) for item in core_items for v in item})
+    if order > max_order:
+        return "large"
+    if (order, len(core_items)) not in shapes:
+        return None
+    if dense is None:
+        dense = _dense_core(kind, core_items)
     items = tuple(sorted(cl.literals for cl in dense.clauses)) if kind == "sat" \
         else tuple(sorted(dense.edges))
-    return _memo_key(kind, dense.order, items), dense
+    return _memo_key(kind, order, items)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +221,7 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
     catalog = config.catalog
     known = catalog.by_key() if (census and catalog) else {}
     max_order = catalog.max_order() if (census and catalog) else 0
+    shapes = {(e.order, e.size) for e in catalog.entries} if (census and catalog) else set()
     low_entries = ()
     if census and catalog and config.exclude_below_excess is not None:
         low_entries = tuple(e.structure for e in catalog.with_flag(flag)
@@ -229,14 +239,13 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
         dense = None
         if config.kind in ("unsat", "noncolorable"):
             try:
+                dense = _dense_core(model_kind, core_items)
                 if config.kind == "unsat":
-                    dense, _ = induced_formula(Clause(c) for c in core_items)
                     if dense.order > config.sat_core_budget:
                         raise BudgetExceededError(str(dense.order))
                     lits = [cl.literals for cl in dense.sorted_clauses()]
                     failed = least_satisfying(lits, dense.order) is None
                 else:
-                    dense, _ = induced_hypergraph(core_items)
                     if config.k ** dense.order > config.coloring_budget:
                         raise BudgetExceededError(str(dense.order))
                     failed = least_coloring(list(dense.sorted_edges()), dense.order,
@@ -248,8 +257,10 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
             continue
         failures += 1
         if census:
-            key, dense = _classify_core(model_kind, core_items, max_order)
-            if failures % 100 == 1:  # 1% sanity sample: cores really are cores
+            check = failures % 100 == 1  # 1% sanity sample: cores really are cores
+            if dense is None and (check or low_entries):
+                dense = _dense_core(model_kind, core_items)
+            if check:
                 ok = is_full(dense) if model_kind == "sat" else is_k_dense(dense, config.k)
                 if not ok:
                     raise RuntimeError("reduction produced a non-core structure")
@@ -257,6 +268,7 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
             if low_entries and any(count_copies(b, dense) > 0 for b in low_entries):
                 excluded += 1
                 continue
+            key = _classify_core(model_kind, core_items, max_order, shapes, dense)
             if key == "large":
                 large += 1
             elif key in known:
@@ -352,8 +364,8 @@ def _assemble_rate_report(config, results, census: bool, t0: float,
             pred = dict(predicted_census)
             pred["__other__"] = 0.0
             keys = set(emp) | set(pred)
-            report.tv_distance = 0.5 * sum(
-                abs(emp.get(k, 0.0) - pred.get(k, 0.0)) for k in keys
+            report.tv_distance = 0.5 * math.fsum(
+                abs(emp.get(k, 0.0) - pred.get(k, 0.0)) for k in sorted(keys)
             )
     return report
 

@@ -5,15 +5,16 @@ variables and optionally swap a variable's two literals: a group of size
 2^t * t! on support size t); hypergraphs under vertex permutations.  Keys
 are exact: equal keys iff isomorphic.
 
-Two engines compute the same canonical form.  For small supports the full
-orbit of the labeled structure is enumerated with numpy (which also gives
-the automorphism count via orbit-stabilizer and, for enumeration, the set
-of all labeled images).  Above the orbit limit a pruned branch-and-bound
-search over label assignments is used.  Both minimize the same encoding:
-clauses written as descending literal-id tuples, listed in ascending
-order.  Isolated variables are split off first; they only contribute a
-count to the key and a factorial (times 2^m for formulas) to the
-automorphism count.
+Two engines compute the same canonical form.  For small supports every
+group element's image of the labeled structure is formed with numpy, as
+rows of clause bitmasks; the least row is the canonical form, the number
+of elements reaching it is the automorphism count, and the distinct rows
+are the labeled images used by enumeration.  Above the orbit limit a
+pruned branch-and-bound search over label assignments is used.  Both
+minimize the same encoding: clauses written as descending literal-id
+tuples, listed in ascending order.  Isolated variables are split off
+first; they only contribute a count to the key and a factorial (times
+2^m for formulas) to the automorphism count.
 """
 
 from __future__ import annotations
@@ -58,18 +59,11 @@ def _hypergraph_rows(graph: Hypergraph) -> tuple[int, list[tuple[int, ...]], int
     return dense.order, rows, graph.order - dense.order
 
 
-def _desc_clause(ids) -> tuple[int, ...]:
-    return tuple(sorted(ids, reverse=True))
-
-
-def _encode_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(_desc_clause(r) for r in rows))
-
-
 # ---------------------------------------------------------------------------
-# orbit engine
+# orbit engine.  A clause is the bitmask of its literal ids (sum of 1 << id);
+# for sets of one width, bitmask order is the order of descending id tuples,
+# so the least sorted row of clause masks is the least encoding.
 
-@lru_cache(maxsize=None)
 def _signed_lit_maps(t: int) -> np.ndarray:
     """(2^t * t!, 2t) array: image of each literal id under each group element."""
     perms = np.array(list(itertools.permutations(range(t))), dtype=np.int8)
@@ -82,41 +76,54 @@ def _signed_lit_maps(t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _perm_maps(t: int) -> np.ndarray:
-    """(t!, t) array: image of each vertex id under each permutation."""
-    return np.array(list(itertools.permutations(range(t))), dtype=np.int8)
+def _bit_table(t: int, signed: bool) -> np.ndarray:
+    """(group size, ids) array: bit of each id's image under each group element."""
+    maps = _signed_lit_maps(t) if signed else \
+        np.array(list(itertools.permutations(range(t))), dtype=np.int8)
+    dtype = np.min_scalar_type((1 << maps.shape[1]) - 1)  # unsigned, holds any clause mask
+    return np.left_shift(1, maps.astype(dtype), dtype=dtype)
+
+
+def _orbit_masks(t: int, rows: list[tuple[int, ...]], signed: bool) -> np.ndarray:
+    """(group size, clauses) array: each clause's image mask under each group element."""
+    table = _bit_table(t, signed)
+    cols = np.array(rows, dtype=np.int64).T
+    masks = table[:, cols[0]]
+    for col in cols[1:]:
+        masks |= table[:, col]
+    return masks
 
 
 def _orbit_rows(t: int, rows: list[tuple[int, ...]], signed: bool) -> np.ndarray:
-    """Distinct labeled images as packed int64 rows, sorted; one row per image."""
-    r = len(rows[0])
-    base = 2 * t if signed else t
-    maps = _signed_lit_maps(t) if signed else _perm_maps(t)
-    mapped = maps[:, np.array(rows, dtype=np.int64)]          # (G, e, r)
-    mapped = np.sort(mapped, axis=2)[:, :, ::-1]              # descending literals
-    weights = base ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    keys = mapped.astype(np.int64) @ weights                  # (G, e)
-    keys.sort(axis=1)
-    return np.unique(keys, axis=0)
+    """Distinct labeled images as sorted rows of clause masks, sorted; one row per image."""
+    masks = _orbit_masks(t, rows, signed)
+    masks.sort(axis=1)
+    return np.unique(masks, axis=0)
 
 
-def _pack_row(ids, base: int) -> int:
-    key = 0
-    for l in _desc_clause(ids):
-        key = key * base + l
-    return key
+def _least_image(t: int, rows: list[tuple[int, ...]], signed: bool):
+    """(least orbit row, number of group elements mapping onto it).
+
+    Only the rows holding the least clause are sorted, then narrowed
+    column by column; the survivors form a coset of the automorphism group.
+    """
+    masks = _orbit_masks(t, rows, signed)
+    low = masks.min(axis=1)
+    masks = masks[low == low.min()]
+    masks.sort(axis=1)
+    for j in range(1, masks.shape[1]):
+        masks = masks[masks[:, j] == masks[:, j].min()]
+    return masks[0], len(masks)
 
 
-def _unpack_row(key: int, base: int, r: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(r):
-        key, l = divmod(key, base)
-        out.append(l)
-    return tuple(reversed(out))  # descending literal ids
+def _pack_row(ids) -> int:
+    return sum(1 << l for l in ids)
 
 
-def _decode_orbit_row(row, base: int, r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_unpack_row(int(k), base, r) for k in row)
+def _decode_orbit_row(row) -> tuple[tuple[int, ...], ...]:
+    """Clause masks back to descending literal-id tuples."""
+    return tuple(tuple(l for l in range(m.bit_length() - 1, -1, -1) if m >> l & 1)
+                 for m in map(int, row))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +142,6 @@ def _canonical_dfs(t: int, rows: list[tuple[int, ...]], signed: bool):
         for v, _ in lits:
             by_var[v].append(ci)
     flips = (0, 1) if signed else (0,)
-    e_total = len(rows)
     best: list[tuple[int, ...]] | None = None
     best_count = 0
     label = [-1] * t
@@ -147,7 +153,7 @@ def _canonical_dfs(t: int, rows: list[tuple[int, ...]], signed: bool):
             ids = [2 * label[v] + (s ^ flip[v]) for v, s in clause_lits[ci]]
         else:
             ids = [label[v] for v, _ in clause_lits[ci]]
-        return _desc_clause(ids)
+        return tuple(sorted(ids, reverse=True))
 
     def rec(step: int, stream: list):
         nonlocal best, best_count
@@ -207,14 +213,9 @@ def _support_canonical(t, rows, signed, orbit_max):
     """(encoding, support automorphism count) for a structure with no isolates."""
     if t == 0:
         return (), 1
-    widths = {len(r) for r in rows}
-    if t <= orbit_max and len(widths) == 1:
-        r = widths.pop()
-        base = 2 * t if signed else t
-        uniq = _orbit_rows(t, rows, signed)
-        group = (2 ** t if signed else 1) * factorial(t)
-        aut = group // len(uniq)
-        return _decode_orbit_row(uniq[0], base, r), aut
+    if t <= orbit_max and len({len(r) for r in rows}) == 1:
+        row, aut = _least_image(t, rows, signed)
+        return _decode_orbit_row(row), aut
     return _canonical_dfs(t, rows, signed)
 
 
@@ -223,41 +224,33 @@ def _render(kind: str, t: int, isolated: int, encoding) -> bytes:
     return f"{kind}|{t}|{isolated}|{body}".encode("ascii")
 
 
-def canonical_key(structure, order_cap: int = DEFAULT_ORDER_CAP) -> bytes:
-    """Deterministic key equal for two structures iff they are isomorphic."""
+def _parts(structure, action: str, order_cap: int | None = None):
+    """(key letter, support size, rows, isolated count, signed, orbit limit)."""
     if isinstance(structure, Formula):
-        kind, parts, signed, omax = "F", _formula_rows(structure), True, _FORMULA_ORBIT_MAX
+        parts = ("F", *_formula_rows(structure), True, _FORMULA_ORBIT_MAX)
     elif isinstance(structure, Hypergraph):
-        kind, parts, signed, omax = "G", _hypergraph_rows(structure), False, _HYPERGRAPH_ORBIT_MAX
+        parts = ("G", *_hypergraph_rows(structure), False, _HYPERGRAPH_ORBIT_MAX)
     else:
-        raise TypeError(f"cannot canonicalize {type(structure).__name__}")
-    t, rows, isolated = parts
-    if structure.order > order_cap:
+        raise TypeError(f"cannot {action} {type(structure).__name__}")
+    if order_cap is not None and structure.order > order_cap:
         raise BudgetExceededError(
             f"order {structure.order} exceeds canonicalization cap {order_cap}"
         )
+    return parts
+
+
+def canonical_key(structure, order_cap: int = DEFAULT_ORDER_CAP) -> bytes:
+    """Deterministic key equal for two structures iff they are isomorphic."""
+    kind, t, rows, isolated, signed, omax = _parts(structure, "canonicalize", order_cap)
     encoding, _ = _support_canonical(t, rows, signed, omax)
     return _render(kind, t, isolated, encoding)
 
 
 def automorphism_count(structure, order_cap: int = DEFAULT_ORDER_CAP) -> int:
     """Size of the automorphism group (signed permutations for formulas)."""
-    if isinstance(structure, Formula):
-        t, rows, isolated = _formula_rows(structure)
-        signed, omax = True, _FORMULA_ORBIT_MAX
-        iso_factor = 2 ** isolated * factorial(isolated)
-    elif isinstance(structure, Hypergraph):
-        t, rows, isolated = _hypergraph_rows(structure)
-        signed, omax = False, _HYPERGRAPH_ORBIT_MAX
-        iso_factor = factorial(isolated)
-    else:
-        raise TypeError(f"cannot count automorphisms of {type(structure).__name__}")
-    if structure.order > order_cap:
-        raise BudgetExceededError(
-            f"order {structure.order} exceeds canonicalization cap {order_cap}"
-        )
+    _, t, rows, isolated, signed, omax = _parts(structure, "count automorphisms of", order_cap)
     _, aut = _support_canonical(t, rows, signed, omax)
-    return aut * iso_factor
+    return aut * (2 ** isolated if signed else 1) * factorial(isolated)
 
 
 def distinct_relabelings(structure):
@@ -266,37 +259,25 @@ def distinct_relabelings(structure):
     Requires no isolated variables and a support within the orbit limit.
     The list has length group_size / automorphism_count.
     """
-    if isinstance(structure, Formula):
-        t, rows, isolated = _formula_rows(structure)
-        signed, omax = True, _FORMULA_ORBIT_MAX
-    elif isinstance(structure, Hypergraph):
-        t, rows, isolated = _hypergraph_rows(structure)
-        signed, omax = False, _HYPERGRAPH_ORBIT_MAX
-    else:
-        raise TypeError(f"cannot relabel {type(structure).__name__}")
+    _, t, rows, isolated, signed, omax = _parts(structure, "relabel")
     if isolated:
         raise ValueError("structure has isolated variables")
     if t == 0:
         return [structure]
     if t > omax:
         raise BudgetExceededError(f"support {t} exceeds orbit limit {omax}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if len({len(r) for r in rows}) != 1:
         raise ValueError("mixed clause widths")
-    r = widths.pop()
-    base = 2 * t if signed else t
-    out = []
-    for row in _orbit_rows(t, rows, signed):
-        clause_rows = _decode_orbit_row(row, base, r)
-        if signed:
-            out.append(Formula(t, [_ids_to_clause(cl) for cl in clause_rows]))
-        else:
-            out.append(Hypergraph(t, [tuple(sorted(l + 1 for l in cl)) for cl in clause_rows]))
-    return out
+    return [_from_encoding(t, _decode_orbit_row(row), signed)
+            for row in _orbit_rows(t, rows, signed)]
 
 
-def _ids_to_clause(ids) -> Clause:
-    return Clause(tuple((l // 2 + 1) * (1 if l % 2 == 0 else -1) for l in ids))
+def _from_encoding(t: int, encoding, signed: bool):
+    """The structure on 1..t whose clauses are the given literal-id tuples."""
+    if signed:
+        return Formula(t, [Clause(tuple((l // 2 + 1) * (1 - 2 * (l % 2)) for l in cl))
+                           for cl in encoding])
+    return Hypergraph(t, [tuple(sorted(l + 1 for l in cl)) for cl in encoding])
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ from sparsecore.structures import full_excess_bound
 
 from oracle_utils import signed_images
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20260810
 
 

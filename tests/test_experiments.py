@@ -1,15 +1,29 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from sparsecore import (
+    Clause,
     ExperimentConfig,
+    canonical_key,
+    count_copies,
+    filter_minimal_full,
+    induced_formula,
+    induced_hypergraph,
     run_core_census,
     run_failure_probability,
     run_solver_validation,
     wilson_interval,
 )
 from sparsecore import experiments
+from sparsecore.predictor import EVENT_FLAGS
+from sparsecore.reduction import _k_core_batch, _pure_literal_batch
 from sparsecore.sampling import candidate_clauses
 
 
@@ -153,3 +167,89 @@ def test_key_memo_is_bounded():
                                     cap + 50):
         memo("sat", 4, clauses)
     assert memo.cache_info().currsize == cap
+
+
+def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> Counter:
+    """Census tally of one batch with every failing core built densely and
+    keyed, checking ``_classify_core``'s bucket core by core on the way."""
+    model_kind, flag = EVENT_FLAGS[config.kind]
+    catalog = config.catalog
+    known, max_order = catalog.by_key(), catalog.max_order()
+    shapes = {(e.order, e.size) for e in catalog.entries}
+    low = [e.structure for e in catalog.with_flag(flag)
+           if config.exclude_below_excess is not None and e.excess < config.exclude_below_excess]
+    trial, items = experiments._batch_items(config, model_kind, batch_index, count)
+    if model_kind == "sat":
+        alive = _pure_literal_batch(items, trial, config.n)
+    else:
+        alive = _k_core_batch(items, trial, config.n, config.k)
+    tally = Counter()
+    for core_items in experiments._per_trial(trial[alive], items[alive], count):
+        if not core_items:
+            continue
+        tally["failures"] += 1
+        tally["sanity"] += tally["failures"] % 100 == 1
+        dense, _ = induced_formula(Clause(c) for c in core_items) if model_kind == "sat" \
+            else induced_hypergraph(core_items)
+        if low and any(count_copies(b, dense) > 0 for b in low):
+            tally["excluded"] += 1
+            continue
+        if dense.order > max_order:
+            bucket = "large"
+        else:
+            key = canonical_key(dense)
+            bucket = key if key in known else None
+        for given in (None, dense):
+            assert experiments._classify_core(
+                model_kind, core_items, max_order, shapes, given) == bucket, core_items
+        tally["large" if bucket == "large" else "keyed" if bucket else "other"] += 1
+        if bucket not in ("large", None):
+            tally[bucket.decode("ascii")] += 1
+    return tally
+
+
+@pytest.mark.parametrize("case", ["pl-fail", "pl-fail-minimal", "kcore", "excluded"])
+def test_classification_matches_dense_reference(case, full_catalog_r3, dense_catalog_k3):
+    config = {
+        "pl-fail": ExperimentConfig(kind="pl-fail", n=30, r=3, alpha=0.8, trials=0, seed=41,
+                                    catalog=full_catalog_r3),
+        "pl-fail-minimal": ExperimentConfig(kind="pl-fail", n=30, r=3, alpha=0.8, trials=0,
+                                            seed=42, catalog=filter_minimal_full(full_catalog_r3)),
+        "kcore": ExperimentConfig(kind="kcore", n=30, r=2, k=3, alpha=2.0, trials=0, seed=16,
+                                  catalog=dense_catalog_k3),
+        "excluded": ExperimentConfig(kind="pl-fail", n=30, r=3, alpha=1.0, trials=0, seed=12,
+                                     catalog=full_catalog_r3, exclude_below_excess=2),
+    }[case]
+    count = {"kcore": 20000, "excluded": 1500}.get(case, 4096)
+    reference = _reference_tally(config, 0, count)
+    got = experiments._rate_batch(config, 0, count, census=True)
+    assert reference["failures"] == got["failures"] > 100
+    assert reference["sanity"] == got["sanity"] >= 2
+    assert reference["excluded"] == got["excluded"]
+    assert reference["large"] == got["large"] > 0
+    assert reference["other"] == got["other"]
+    assert reference["keyed"] == sum(got["census"].values()) > 0
+    assert all(reference[key] == n for key, n in got["census"].items())
+    if case == "excluded":
+        assert got["excluded"] > 0
+    if case == "pl-fail-minimal":
+        assert got["other"] > 0  # a keyed core of a catalog shape, but not minimal
+
+
+def test_census_report_independent_of_hash_seed():
+    script = (
+        "import json; from sparsecore import ExperimentConfig, enumerate_full, run_core_census\n"
+        "r = run_core_census(ExperimentConfig(kind='pl-fail', n=30, r=3, alpha=0.8,"
+        " trials=3000, seed=2, catalog=enumerate_full(3, 2))).to_json_dict()\n"
+        "r.pop('elapsed_seconds'); print(json.dumps(r, sort_keys=True))\n"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["tv_distance"] is not None
+    assert outputs[0] == outputs[1]

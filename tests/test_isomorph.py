@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -62,20 +63,75 @@ def test_canonicalization_soundness_hypergraphs():
         assert canonical_key(apply_perm(graph, tuple(perm))) == canonical_key(graph)
 
 
+def _random_on_full_support(rng, make, t, r, sizes):
+    """A random structure whose support is exactly 1..t."""
+    while True:
+        structure = make(rng, t, r, rng.randint(*sizes))
+        if len(structure.support) == t:
+            return structure
+
+
+def _symmetric_cases():
+    fano = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+    cube = [(a, b) for a in range(8) for b in range(a + 1, 8) if bin(a ^ b).count("1") == 1]
+    return [
+        Formula(6, [(1, 2, 3), (-1, -2, -3), (4, 5, 6), (-4, -5, -6)]),
+        Formula(7, fano + [tuple(-v for v in line) for line in fano]),
+        Formula(7, [(1, 2, 3), (-1, -2, -3), (3, 4, 5), (-3, -4, -5), (5, 6, 7), (-5, -6, -7)]),
+        Hypergraph(7, fano),
+        Hypergraph(8, [(a + 1, b + 1) for a, b in cube]),
+        Hypergraph(8, [(a, b) for a in range(1, 5) for b in range(5, 9)]),
+        Hypergraph(8, [(v, v % 8 + 1) for v in range(1, 9)]),
+    ]
+
+
 def test_orbit_and_dfs_engines_agree():
+    """Encoding and |Aut| of the bitmask orbit kernel equal the DFS's at
+    every support size the orbit engine serves."""
     rng = random.Random(97)
-    for _ in range(60):
-        n = rng.randint(3, 6)
-        formula = random_formula(rng, n, 3, rng.randint(1, 5))
-        t, rows, _ = isomorph._formula_rows(formula)
-        if t == 0:
-            continue
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            continue
-        orbit = isomorph._support_canonical(t, rows, True, isomorph._FORMULA_ORBIT_MAX)
-        dfs = isomorph._canonical_dfs(t, rows, True)
-        assert orbit == dfs
+    cases = list(_symmetric_cases())
+    for t in range(3, isomorph._FORMULA_ORBIT_MAX + 1):
+        cases += [_random_on_full_support(rng, random_formula, t, 3, (2, t + 2)) for _ in range(6)]
+    for t in range(2, isomorph._HYPERGRAPH_ORBIT_MAX + 1):
+        sizes = (-(-t // 2), min(2 * t, math.comb(t, 2)))
+        cases += [_random_on_full_support(rng, random_hypergraph, t, 2, sizes) for _ in range(6)]
+    for t in range(3, 8):
+        sizes = (-(-t // 3), min(t + 2, math.comb(t, 3)))
+        cases += [_random_on_full_support(rng, random_hypergraph, t, 3, sizes) for _ in range(6)]
+    for structure in cases:
+        if isinstance(structure, Formula):
+            (t, rows, _), signed = isomorph._formula_rows(structure), True
+            limit = isomorph._FORMULA_ORBIT_MAX
+        else:
+            (t, rows, _), signed = isomorph._hypergraph_rows(structure), False
+            limit = isomorph._HYPERGRAPH_ORBIT_MAX
+        assert t <= limit
+        orbit = isomorph._support_canonical(t, rows, signed, limit)
+        assert orbit == isomorph._canonical_dfs(t, rows, signed), structure
+
+
+def test_bitmask_order_is_descending_tuple_order():
+    for width in (2, 3):
+        sets = list(itertools.combinations(range(10), width))
+        masks = {s: isomorph._pack_row(s) for s in sets}
+        for a, b in itertools.product(sets, repeat=2):
+            desc_a, desc_b = tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True))
+            assert (masks[a] < masks[b]) == (desc_a < desc_b)
+        for s in sets:
+            assert isomorph._decode_orbit_row([masks[s]]) == (tuple(sorted(s, reverse=True)),)
+
+
+def test_catalog_keys_and_automorphisms_are_pinned(full_catalog_r3, dense_catalog_k3):
+    assert [(e.iso_key, e.aut_count) for e in full_catalog_r3.entries] == [
+        (b"F|3|0|4,2,0;5,3,1", 12),
+        (b"F|4|0|4,2,0;6,2,1;7,5,3", 2),
+        (b"F|6|0|4,2,0;5,3,1;10,8,6;11,9,7", 288),
+        (b"F|6|0|4,2,0;6,3,1;10,8,5;11,9,7", 16),
+        (b"F|6|0|4,2,0;8,6,1;10,7,3;11,9,5", 24),
+    ]
+    assert [(e.iso_key, e.aut_count) for e in dense_catalog_k3.entries] == [
+        (b"G|4|0|1,0;2,0;2,1;3,0;3,1;3,2", 24),
+    ]
 
 
 def test_automorphism_examples(f_pair, k4):
