@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -49,12 +50,7 @@ from .structures import (
     is_full,
     is_k_dense,
 )
-from .solver import (
-    decide_colorable,
-    decide_sat,
-    least_coloring,
-    least_satisfying,
-)
+from .solver import _is_noncolorable, _is_unsat, decide_colorable, decide_sat
 
 REPORT_FORMAT_VERSION = 1
 
@@ -235,31 +231,19 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
     for core_items in _per_trial(trial[alive], items[alive], count):
         if not core_items:
             continue
-        failed = True
-        dense = None
-        if config.kind in ("unsat", "noncolorable"):
-            try:
-                dense = _dense_core(model_kind, core_items)
-                if config.kind == "unsat":
-                    if dense.order > config.sat_core_budget:
-                        raise BudgetExceededError(str(dense.order))
-                    lits = [cl.literals for cl in dense.sorted_clauses()]
-                    failed = least_satisfying(lits, dense.order) is None
-                else:
-                    if config.k ** dense.order > config.coloring_budget:
-                        raise BudgetExceededError(str(dense.order))
-                    failed = least_coloring(list(dense.sorted_edges()), dense.order,
-                                            config.k) is None
-            except BudgetExceededError:
-                budget += 1
+        try:
+            if config.kind == "unsat" and not _is_unsat(core_items, config.sat_core_budget):
                 continue
-        if not failed:
+            if config.kind == "noncolorable" and not _is_noncolorable(
+                    config.n, core_items, config.k, config.coloring_budget):
+                continue
+        except BudgetExceededError:
+            budget += 1
             continue
         failures += 1
         if census:
             check = failures % 100 == 1  # 1% sanity sample: cores really are cores
-            if dense is None and (check or low_entries):
-                dense = _dense_core(model_kind, core_items)
+            dense = _dense_core(model_kind, core_items) if check or low_entries else None
             if check:
                 ok = is_full(dense) if model_kind == "sat" else is_k_dense(dense, config.k)
                 if not ok:
@@ -407,45 +391,71 @@ def _rate_worker_census(config, batch_index, count):
 # ---------------------------------------------------------------------------
 # solver validation against exhaustive oracles
 
-@lru_cache(maxsize=4)
-def _truth_columns(n: int) -> np.ndarray:
-    grid = np.arange(2 ** n, dtype=np.uint32)
-    return ((grid[:, None] >> np.arange(n)) & 1).astype(bool)  # column v-1: var v True
+# The oracles enumerate every assignment of n variables to values 0..k-1
+# (k = 2 for truth values) as a pair (low, high): the first h = n // 2
+# variables and the rest.  A demand row lists the value each variable must
+# take (-1: any) for a clause to be false, or for an edge to be
+# monochromatic in one color c.  A row is met exactly when it is met in
+# the low half and in the high half, so the number of rows an assignment
+# meets is one entry of HIGH @ LOW.T, where column i of a half's 0/1 table
+# marks the half assignments that meet row i there.
 
-@lru_cache(maxsize=4)
-def _color_columns(n: int, k: int) -> np.ndarray:
-    grid = np.arange(k ** n, dtype=np.int64)
-    cols = np.empty((k ** n, n), dtype=np.uint8)
-    for v in range(n):
-        cols[:, v] = (grid // (k ** v)) % k
-    return cols
+# Each block of the product takes at most this many multiply-adds, which
+# OpenBLAS runs on one thread (it threads from 2^19 up).  A threaded
+# product this small stalls whenever another process holds a CPU: 1M
+# multiply-adds took 7 ms that way, against 0.05 ms on one thread.
+_PRODUCT_BLOCK = 1 << 18
+
+
+def _half_table(part: np.ndarray, k: int) -> np.ndarray:
+    """(k^w, rows) 0/1 table of a half of w variables: does each of its
+    assignments (digit j of the index is the value of variable j) meet
+    each row of ``part``, the half's columns of the demand matrix."""
+    index = np.arange(k ** part.shape[1])
+    accepts = ((part[:, :, None] < 0) | (part[:, :, None] == np.arange(k))).T  # [value, j, row]
+    met = np.ones((len(index), len(part)), dtype=bool)
+    for j in range(part.shape[1]):  # one whole-array pass per variable of the half
+        met &= accepts[:, j][(index // k ** j) % k]
+    return met.astype(np.float64)
+
+
+def _least_violations(demand: np.ndarray, n: int, k: int, stop_at_zero: bool) -> int:
+    """Fewest demand rows met by one of the k^n assignments."""
+    if not len(demand):
+        return 0
+    h = n // 2
+    low = _half_table(demand[:, :h], k).T
+    high = _half_table(demand[:, h:], k)
+    step = max(1, _PRODUCT_BLOCK // low.size)
+    best = len(demand)
+    for start in range(0, len(high), step):
+        # float64 is exact here: every entry is an integer count <= len(demand) < 2^53
+        best = min(best, int((high[start:start + step] @ low).min()))
+        if stop_at_zero and best == 0:
+            break
+    return best
+
+
+def _flat_items(items):
+    """(owner item, entry) arrays of the entries of a list of tuples."""
+    owner = np.repeat(np.arange(len(items)), np.fromiter(map(len, items), dtype=np.int64))
+    return owner, np.fromiter(chain.from_iterable(items), dtype=np.int64, count=len(owner))
 
 
 def _oracle_max_sat(clause_lits, n: int) -> int:
-    cols = _truth_columns(n)
-    counts = np.zeros(2 ** n, dtype=np.int32)
-    for lits in clause_lits:
-        sat = np.zeros(2 ** n, dtype=bool)
-        for l in lits:
-            sat |= cols[:, abs(l) - 1] if l > 0 else ~cols[:, abs(l) - 1]
-        counts += sat
-    return int(counts.max()) if clause_lits else 0
+    """MaxSAT by full enumeration of the 2^n assignments."""
+    owner, lits = _flat_items(clause_lits)
+    demand = np.full((len(clause_lits), n), -1, dtype=np.int8)
+    demand[owner, np.abs(lits) - 1] = lits < 0  # a clause is false when each literal is
+    return len(clause_lits) - _least_violations(demand, n, 2, stop_at_zero=False)
 
 
 def _oracle_colorable(edges, n: int, k: int) -> bool:
-    if not edges:
-        return True
-    cols = _color_columns(n, k)
-    ok = np.ones(k ** n, dtype=bool)
-    for e in edges:
-        mono = np.ones(k ** n, dtype=bool)
-        first = cols[:, e[0] - 1]
-        for v in e[1:]:
-            mono &= cols[:, v - 1] == first
-        ok &= ~mono
-        if not ok.any():
-            return False
-    return bool(ok.any())
+    """Weak k-colorability by full enumeration of the k^n colorings."""
+    owner, vertices = _flat_items(edges)
+    demand = np.full((k, len(edges), n), -1, dtype=np.int8)
+    demand[:, owner, vertices - 1] = np.arange(k)[:, None]  # edge monochromatic in color c
+    return _least_violations(demand.reshape(k * len(edges), n), n, k, stop_at_zero=True) == 0
 
 
 def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
@@ -487,7 +497,10 @@ def run_solver_validation(config: ExperimentConfig) -> ExperimentReport:
 
     The oracle enumerates all 2^n assignments (n <= 18) or k^n colorings
     (n <= 13) without any reduction, so it shares nothing with the
-    solver's reduce-then-exhaust path.
+    solver's reduce-then-exhaust path.  It tabulates the two halves of
+    the variables separately and takes every assignment's count of
+    violated clauses or monochromatic edges from one matrix product of
+    the half tables; the counts are exact integers.
     """
     config.validate(VALIDATE_KINDS)
     if config.kind == "sat" and config.n > _SAT_ORACLE_MAX_N:

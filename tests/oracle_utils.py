@@ -107,15 +107,22 @@ def random_pure_literal_core(formula: Formula, rng: random.Random):
         clauses = {c for c in clauses if chosen not in c}
 
 
+def _check_count(m: int, available: int, what: str) -> None:
+    if m > available:
+        raise ValueError(f"{m} distinct {what} asked for, only {available} exist")
+
+
 def random_formula(rng: random.Random, n: int, r: int, m: int) -> Formula:
+    _check_count(m, math.comb(n, r) * 2 ** r, "clauses")
     clauses = set()
     while len(clauses) < m:
         vs = rng.sample(range(1, n + 1), r)
-        clauses.add(tuple(v * rng.choice((1, -1)) for v in vs))
+        clauses.add(tuple(sorted((v * rng.choice((1, -1)) for v in vs), key=abs)))
     return Formula(n, clauses)
 
 
 def random_hypergraph(rng: random.Random, n: int, r: int, m: int) -> Hypergraph:
+    _check_count(m, math.comb(n, r), "edges")
     edges = set()
     while len(edges) < m:
         edges.add(tuple(sorted(rng.sample(range(1, n + 1), r))))

@@ -1,8 +1,11 @@
 import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +14,8 @@ import pytest
 from sparsecore import (
     Clause,
     ExperimentConfig,
+    Formula,
+    Hypergraph,
     canonical_key,
     count_copies,
     filter_minimal_full,
@@ -25,6 +30,8 @@ from sparsecore import experiments
 from sparsecore.predictor import EVENT_FLAGS
 from sparsecore.reduction import _k_core_batch, _pure_literal_batch
 from sparsecore.sampling import candidate_clauses
+
+from oracle_utils import brute_colorable, brute_max_sat, random_formula, random_hypergraph
 
 
 def test_wilson_interval_behaviour():
@@ -118,6 +125,15 @@ def test_unsat_kind_runs_solver_on_core():
     assert report.failures <= plain.failures
 
 
+def test_noncolorable_kind_runs_solver_on_core():
+    base = dict(n=12, r=2, k=3, alpha=2.5, trials=2000, seed=13)
+    report = run_failure_probability(ExperimentConfig(kind="noncolorable", **base))
+    plain = run_failure_probability(ExperimentConfig(kind="kcore", **base))
+    # some 3-cores are 3-colorable, so failures drop but do not vanish
+    assert 0 < report.failures < plain.failures
+    assert report.budget_exceeded == 0
+
+
 def test_solver_validation_agrees(tmp_path):
     report = run_solver_validation(
         ExperimentConfig(kind="sat", n=9, r=3, alpha=1.0, trials=400, seed=3))
@@ -127,6 +143,88 @@ def test_solver_validation_agrees(tmp_path):
         ExperimentConfig(kind="coloring", n=8, r=2, k=3, alpha=2.5, trials=300, seed=3))
     assert report.agreement_rate == 1.0
     assert report.witness_failures == 0
+
+
+def _shifted(formula: Formula, order: int, by: int) -> Formula:
+    """The formula with every variable moved up by ``by``, on ``order`` variables."""
+    return Formula(order, [tuple(l + by if l > 0 else l - by for l in cl.literals)
+                           for cl in formula.clauses])
+
+
+def test_exhaustive_oracles_match_brute_force():
+    rng = random.Random(31)
+    formulas = [(Formula(0), 0), (Formula(1), 1), (Formula(1, [(1,)]), 1),
+                (Formula(1, [(1,), (-1,)]), 1), (Formula(5), 5)]
+    for n in range(1, 11):
+        r = min(3, n)
+        for _ in range(6):
+            cap = math.comb(n, r) * 2 ** r
+            formulas.append((random_formula(rng, n, r, rng.randint(0, min(cap, 4 * n))), n))
+        h = n // 2
+        for lo, width in ((0, h), (h, n - h)):  # every literal in the low, then the high half
+            if width >= 2:
+                inner = random_formula(rng, width, 2, rng.randint(1, 2 * width))
+                formulas.append((_shifted(inner, n, lo), n))
+    unsatisfiable = 0
+    for formula, n in formulas:
+        items = [cl.literals for cl in formula.clauses]
+        best = experiments._oracle_max_sat(items, n)
+        assert best == brute_max_sat(formula), formula
+        unsatisfiable += best < formula.size
+    assert 0 < unsatisfiable < len(formulas)
+
+    graphs = [(Hypergraph(0), k) for k in (1, 2)] + [(Hypergraph(1), 3)] + \
+        [(Hypergraph(2, [(1, 2)]), k) for k in (1, 2)]
+    for k, max_n in ((1, 10), (2, 10), (3, 7), (4, 6)):
+        for n in range(2, max_n + 1):
+            for r in (2, 3):
+                if r > n:
+                    continue
+                for _ in range(4):
+                    m = rng.randint(0, min(math.comb(n, r), 3 * n))
+                    graphs.append((random_hypergraph(rng, n, r, m), k))
+    colorable = 0
+    for graph, k in graphs:
+        got = experiments._oracle_colorable(list(graph.edges), graph.order, k)
+        assert got == brute_colorable(graph, k), (graph, k)
+        colorable += got
+    assert 0 < colorable < len(graphs)
+
+
+def test_exhaustive_oracles_stay_below_the_full_tables():
+    """One call at each size cap peaks below the (assignments x variables)
+    byte table that a column scan over every assignment would hold."""
+    rng = random.Random(4)
+    formula = random_formula(rng, 18, 3, 4 * 18)
+    k4 = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    graph = Hypergraph(13, set(random_hypergraph(rng, 13, 2, 3 * 13).edges) | set(k4))
+    calls = [
+        (lambda: experiments._oracle_max_sat([cl.literals for cl in formula.clauses], 18),
+         2 ** 18 * 18),
+        (lambda: experiments._oracle_colorable(list(graph.edges), 13, 3), 3 ** 13 * 13),
+    ]
+    results = []
+    for call, table_bytes in calls:
+        tracemalloc.start()
+        try:
+            results.append(call())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes / 2, (peak, table_bytes)
+    assert results[1] is False  # K4 is not 3-colorable, so every block was formed
+
+
+def test_random_generators_refuse_impossible_counts():
+    rng = random.Random(0)
+    assert random_formula(rng, 2, 2, 4).size == 4
+    assert random_hypergraph(rng, 4, 3, 4).size == 4
+    with pytest.raises(ValueError):
+        random_formula(rng, 2, 2, 5)
+    with pytest.raises(ValueError):
+        random_hypergraph(rng, 2, 2, 2)
+    with pytest.raises(ValueError):
+        random_hypergraph(rng, 4, 3, 5)
 
 
 def test_zero_trials_is_an_empty_report():
