@@ -26,7 +26,7 @@ from math import factorial, floor
 from pathlib import Path
 
 from . import isomorph
-from .isomorph import count_copies
+from .isomorph import find_copies
 from .sampling import candidate_clauses, candidate_edges
 from .solver import least_coloring, least_satisfying
 from .structures import (
@@ -366,7 +366,7 @@ def _mark_minimal(entries: list[CatalogEntry], attr: str) -> list[CatalogEntry]:
     out = []
     for e in entries:
         smaller = [x for x in out if x.excess < e.excess]
-        minimal = all(count_copies(x.structure, e.structure) == 0 for x in smaller)
+        minimal = not any(any(find_copies(x.structure, e.structure)) for x in smaller)
         rec = {**e.__dict__, attr: minimal}
         out.append(CatalogEntry(**rec))
     return out

@@ -31,8 +31,8 @@ from .catalog import (
     is_min_non_k_colorable,
     is_muf,
 )
-from .isomorph import canonical_key, count_copies
-from .predictor import EVENT_FLAGS, core_type_distribution
+from .isomorph import canonical_key, find_copies
+from .predictor import EVENT_FLAGS, _sign_factor, core_type_distribution
 from .reduction import _k_core_batch, _pure_literal_batch
 from .sampling import (
     params_from_alpha,
@@ -42,11 +42,9 @@ from .sampling import (
 )
 from .structures import (
     BudgetExceededError,
-    Clause,
     Formula,
     Hypergraph,
-    induced_formula,
-    induced_hypergraph,
+    dense_relabel,
     is_full,
     is_k_dense,
 )
@@ -177,32 +175,30 @@ def _per_trial(trial: np.ndarray, rows: np.ndarray, count: int) -> list[list[tup
 # ---------------------------------------------------------------------------
 # core classification for the census
 
+_STRUCTURES = {"sat": Formula, "hypergraph": Hypergraph}
+
+
 @lru_cache(maxsize=4096)  # far above the distinct small cores a census process meets
 def _memo_key(kind: str, order: int, items: tuple) -> bytes:
     """Canonical key of a dense core, memoized for the life of the process."""
-    return canonical_key(Formula(order, items) if kind == "sat" else Hypergraph(order, items))
+    return canonical_key(_STRUCTURES[kind](order, items))
 
 
 def _dense_core(kind: str, core_items):
     """A core given by raw items, relabeled onto 1..order."""
-    if kind == "sat":
-        return induced_formula(Clause(c) for c in core_items)[0]
-    return induced_hypergraph(core_items)[0]
+    support, items = dense_relabel(core_items)
+    return _STRUCTURES[kind](len(support), items)
 
 
-def _classify_core(kind: str, core_items, max_order: int, shapes, dense=None):
+def _classify_core(kind: str, core_items, max_order: int, shapes):
     """Census bucket of a raw core: "large" above ``max_order``, None when no
-    catalog class has its (order, size), else its iso key from ``dense``."""
+    catalog class has its (order, size), else its iso key."""
     order = len({abs(v) for item in core_items for v in item})
     if order > max_order:
         return "large"
     if (order, len(core_items)) not in shapes:
         return None
-    if dense is None:
-        dense = _dense_core(kind, core_items)
-    items = tuple(sorted(cl.literals for cl in dense.clauses)) if kind == "sat" \
-        else tuple(sorted(dense.edges))
-    return _memo_key(kind, order, items)
+    return _memo_key(kind, order, tuple(dense_relabel(core_items)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +245,10 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
                 if not ok:
                     raise RuntimeError("reduction produced a non-core structure")
                 sanity += 1
-            if low_entries and any(count_copies(b, dense) > 0 for b in low_entries):
+            if any(any(find_copies(b, dense)) for b in low_entries):
                 excluded += 1
                 continue
-            key = _classify_core(model_kind, core_items, max_order, shapes, dense)
+            key = _classify_core(model_kind, core_items, max_order, shapes)
             if key == "large":
                 large += 1
             elif key in known:
@@ -302,9 +298,9 @@ def _prediction(config: ExperimentConfig, catalog: Catalog | None):
         return None, None
     min_excess = min(e.excess for e in entries)
     leading = [e for e in entries if e.excess == min_excess]
-    sign = lambda e: 2 ** e.order if e.kind == "sat" else 1
     rate = sum(
-        sign(e) / e.aut_count * config.alpha ** e.size * config.n ** (-e.excess)
+        _sign_factor(e.kind, e.order) / e.aut_count * config.alpha ** e.size
+        * config.n ** (-e.excess)
         for e in leading
     )
     dist = core_type_distribution(leading, Fraction(config.alpha))

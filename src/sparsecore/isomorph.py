@@ -1,4 +1,4 @@
-"""Canonical keys, automorphism counts and copy counting for small structures.
+"""Canonical keys, automorphism counts and copy finding for small structures.
 
 Formulas are isomorphic under signed variable permutations (relabel the
 variables and optionally swap a variable's two literals: a group of size
@@ -30,33 +30,12 @@ from .structures import (
     Clause,
     Formula,
     Hypergraph,
-    induced_formula,
-    induced_hypergraph,
+    dense_relabel,
 )
 
 DEFAULT_ORDER_CAP = 16
 _FORMULA_ORBIT_MAX = 7
 _HYPERGRAPH_ORBIT_MAX = 8
-
-
-# ---------------------------------------------------------------------------
-# literal-id plumbing.  Formula literal ids on support size t are
-# 2*(v-1) + (0 if positive else 1); hypergraph ids are v-1.
-
-def _formula_rows(formula: Formula) -> tuple[int, list[tuple[int, ...]], int]:
-    """(support size, clause id-rows on the dense support, isolated count)."""
-    dense, support = induced_formula(formula.clauses)
-    rows = [
-        tuple(2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in cl.literals)
-        for cl in dense.sorted_clauses()
-    ]
-    return dense.order, rows, formula.order - dense.order
-
-
-def _hypergraph_rows(graph: Hypergraph) -> tuple[int, list[tuple[int, ...]], int]:
-    dense, support = induced_hypergraph(graph.edges)
-    rows = [tuple(v - 1 for v in e) for e in dense.sorted_edges()]
-    return dense.order, rows, graph.order - dense.order
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +203,35 @@ def _render(kind: str, t: int, isolated: int, encoding) -> bytes:
     return f"{kind}|{t}|{isolated}|{body}".encode("ascii")
 
 
-def _parts(structure, action: str, order_cap: int | None = None):
-    """(key letter, support size, rows, isolated count, signed, orbit limit)."""
-    if isinstance(structure, Formula):
-        parts = ("F", *_formula_rows(structure), True, _FORMULA_ORBIT_MAX)
-    elif isinstance(structure, Hypergraph):
-        parts = ("G", *_hypergraph_rows(structure), False, _HYPERGRAPH_ORBIT_MAX)
-    else:
+# Per structure type: key letter, signed group, orbit limit, and the items
+# as sorted int tuples (signed literals or vertices; abs() is the variable).
+_MODELS = {
+    Formula: ("F", True, _FORMULA_ORBIT_MAX, lambda f: sorted(c.literals for c in f.clauses)),
+    Hypergraph: ("G", False, _HYPERGRAPH_ORBIT_MAX, lambda g: sorted(g.edges)),
+}
+
+
+def _model(structure, action: str):
+    if type(structure) not in _MODELS:
         raise TypeError(f"cannot {action} {type(structure).__name__}")
+    return _MODELS[type(structure)]
+
+
+def _parts(structure, action: str, order_cap: int | None = None):
+    """(key letter, support size, rows, isolated count, signed, orbit limit).
+
+    Rows are the items on the dense support as literal ids: 2*(v-1), plus
+    1 for a negative literal, for formulas; v-1 for hypergraphs.
+    """
+    letter, signed, omax, items = _model(structure, action)
     if order_cap is not None and structure.order > order_cap:
         raise BudgetExceededError(
             f"order {structure.order} exceeds canonicalization cap {order_cap}"
         )
-    return parts
+    support, dense = dense_relabel(items(structure))
+    step = 2 if signed else 1
+    rows = [tuple(step * (abs(x) - 1) + (x < 0) for x in item) for item in dense]
+    return letter, len(support), rows, structure.order - len(support), signed, omax
 
 
 def canonical_key(structure, order_cap: int = DEFAULT_ORDER_CAP) -> bytes:
@@ -281,7 +276,32 @@ def _from_encoding(t: int, encoding, signed: bool):
 
 
 # ---------------------------------------------------------------------------
-# copy counting
+# copy finding
+
+def find_copies(pattern, host, order_cap: int = DEFAULT_ORDER_CAP):
+    """Yield each substructure of ``host`` isomorphic to ``pattern`` less its
+    isolated variables, once, as (variables, items).
+
+    Both are frozensets in host labels; items are int tuples (signed
+    literals or vertices).  Every subset of host items of the pattern's
+    size that touches as many variables as the pattern's support is keyed
+    and compared.  Nothing is yielded when the pattern has more variables
+    or items than the host, so a copy exists iff ``count_copies`` > 0.
+    """
+    _, _, _, items = _model(pattern, "find copies of")
+    if type(host) is not type(pattern):
+        raise TypeError("pattern and host must be the same kind")
+    if pattern.order > host.order or pattern.size > host.size:
+        return
+    support, dense = dense_relabel(items(pattern))
+    target = canonical_key(type(pattern)(len(support), dense), order_cap)
+    for subset in itertools.combinations(items(host), pattern.size):
+        used = frozenset(abs(x) for item in subset for x in item)
+        if len(used) != len(support):
+            continue
+        if canonical_key(type(host)(len(used), dense_relabel(subset)[1]), order_cap) == target:
+            yield used, frozenset(subset)
+
 
 def count_copies(pattern, host, order_cap: int = DEFAULT_ORDER_CAP) -> int:
     """Number of distinct substructures of ``host`` isomorphic to ``pattern``.
@@ -290,39 +310,5 @@ def count_copies(pattern, host, order_cap: int = DEFAULT_ORDER_CAP) -> int:
     it; isolated variables of the pattern are matched by arbitrary extra
     host variables.
     """
-    if isinstance(pattern, Formula):
-        if not isinstance(host, Formula):
-            raise TypeError("pattern and host must be the same kind")
-        return _count_copies(pattern, host, order_cap, formula=True)
-    if isinstance(pattern, Hypergraph):
-        if not isinstance(host, Hypergraph):
-            raise TypeError("pattern and host must be the same kind")
-        return _count_copies(pattern, host, order_cap, formula=False)
-    raise TypeError(f"cannot count copies of {type(pattern).__name__}")
-
-
-def _count_copies(pattern, host, order_cap, formula: bool) -> int:
-    if pattern.order > host.order or pattern.size > host.size:
-        return 0
-    support_size = len(pattern.support)
-    isolated = pattern.order - support_size
-    if pattern.size == 0:
-        return comb(host.order, pattern.order)
-    if formula:
-        core, _ = induced_formula(pattern.clauses)
-    else:
-        core, _ = induced_hypergraph(pattern.edges)
-    target = canonical_key(core, order_cap)
-    items = host.sorted_clauses() if formula else host.sorted_edges()
-    count = 0
-    for subset in itertools.combinations(items, pattern.size):
-        if formula:
-            used = {v for cl in subset for v in cl.variables}
-        else:
-            used = {v for e in subset for v in e}
-        if len(used) != support_size:
-            continue
-        sub, _ = induced_formula(subset) if formula else induced_hypergraph(subset)
-        if canonical_key(sub, order_cap) == target:
-            count += comb(host.order - support_size, isolated)
-    return count
+    return sum(comb(host.order - len(used), pattern.order - len(used))
+               for used, _ in find_copies(pattern, host, order_cap))

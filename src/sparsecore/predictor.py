@@ -3,12 +3,17 @@
 Expected copy counts and first-order containment probabilities come from
 the labeled-placement count C(n,t) * t! * 2^t / |aut H| (the 2^t sign
 factor disappears for hypergraphs) times p^size.  The failure-probability
-expansion in powers of 1/n enumerates configurations (isomorphism
-classes of unions of distinct copies of the cataloged minimal
-obstructions), attaches each configuration's inclusion-exclusion weight,
-and expands the falling factorial (n)_t / n^t exactly.  All expansion
-arithmetic is in rationals; floats appear only when a prediction is
-evaluated at numeric (n, alpha).
+expansion in powers of 1/n sums over configurations (isomorphism classes
+of unions of distinct copies of the cataloged minimal obstructions),
+attaches each configuration's inclusion-exclusion weight, and expands the
+falling factorial (n)_t / n^t exactly.  The configurations need no search
+of their own: a union of copies of full formulas is full (of k-dense
+hypergraphs, k-dense), has no isolated variables and has excess at least
+1, so every configuration of excess <= s_max is already an entry of a
+catalog complete through s_max, with its |Aut| and excess.  Entries that
+are not unions of copies get weight 0.  All expansion arithmetic is in
+rationals; floats appear only when a prediction is evaluated at numeric
+(n, alpha).
 """
 
 from __future__ import annotations
@@ -19,19 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import Catalog
-from .isomorph import (
-    automorphism_count,
-    canonical_key,
-    distinct_relabelings,
-)
+from .isomorph import automorphism_count, find_copies
 from .structures import (
-    Clause,
     Formula,
     Hypergraph,
     excess_formula,
     excess_hypergraph,
-    induced_formula,
-    induced_hypergraph,
     is_full,
     is_k_dense,
 )
@@ -43,7 +41,6 @@ EVENT_FLAGS = {
     "noncolorable": ("hypergraph", "min_non_k_colorable"),
 }
 
-_MAX_CONFIGURATIONS = 200_000
 _MAX_COPIES_PER_CONFIGURATION = 24
 
 
@@ -246,113 +243,33 @@ def _falling_coeffs(t: int, d_max: int) -> list[Fraction]:
     return coeffs
 
 
-def _configurations(bases: list, s_max: int, kind: str):
-    """Isomorphism classes of unions of distinct base copies, excess <= s_max.
+def _cover_weight(w, bases) -> int:
+    """Signed number of ways copies of the bases inside w cover w exactly:
+    sum over covering sets S of copies of (-1)^(|S|+1)."""
+    copies = [copy for base in bases for copy in find_copies(base, w)]
 
-    Grown copy by copy: every union of m copies passes through unions of
-    fewer copies of excess no larger, so breadth-first extension with a
-    canonical-key seen-set is exhaustive.
-    """
-    excess_of = (lambda st: excess_formula(st)) if kind == "sat" else (
-        lambda st: excess_hypergraph(st, st.width()))
-    images = [distinct_relabelings(b) for b in bases]
-    seen: dict[bytes, object] = {}
-    queue: list = []
-    for b in bases:
-        key = canonical_key(b)
-        if key not in seen:
-            seen[key] = b
-            queue.append(b)
-    while queue:
-        w = queue.pop()
-        if excess_of(w) >= s_max:
-            continue
-        t_w = w.order
-        if kind == "sat":
-            w_items = set(w.clauses)
-        else:
-            w_items = set(w.edges)
-        for base, imgs in zip(bases, images):
-            t_h = base.order
-            for overlap in range(min(t_w, t_h) + 1):
-                fresh = tuple(range(t_w + 1, t_w + (t_h - overlap) + 1))
-                for shared in itertools.combinations(range(1, t_w + 1), overlap):
-                    ground = tuple(sorted(shared)) + fresh
-                    for img in imgs:
-                        if kind == "sat":
-                            placed = {
-                                Clause(tuple((1 if l > 0 else -1) * ground[abs(l) - 1]
-                                             for l in cl.literals))
-                                for cl in img.clauses
-                            }
-                            new_items = w_items | placed
-                            if len(new_items) == len(w_items):
-                                continue
-                            candidate = Formula(t_w + len(fresh), new_items)
-                        else:
-                            placed = {
-                                tuple(sorted(ground[v - 1] for v in e)) for e in img.edges
-                            }
-                            new_items = w_items | placed
-                            if len(new_items) == len(w_items):
-                                continue
-                            candidate = Hypergraph(t_w + len(fresh), new_items)
-                        if excess_of(candidate) > s_max:
-                            continue
-                        key = canonical_key(candidate)
-                        if key in seen:
-                            continue
-                        if len(seen) > _MAX_CONFIGURATIONS:
-                            raise RuntimeError("configuration enumeration exploded")
-                        seen[key] = candidate
-                        queue.append(candidate)
-    return list(seen.values())
+    def covers(subset) -> bool:  # copies lie inside w, so counting suffices
+        return (len(frozenset().union(*(used for used, _ in subset))) == w.order
+                and len(frozenset().union(*(items for _, items in subset))) == w.size)
 
-
-def _copies_inside(w, bases, kind: str):
-    """All substructures of w isomorphic to some base, as (vars, items) pairs."""
-    out = []
-    if kind == "sat":
-        items = w.sorted_clauses()
-    else:
-        items = w.sorted_edges()
-    for base in bases:
-        target = canonical_key(base)
-        e_b, t_b = base.size, base.order
-        for subset in itertools.combinations(items, e_b):
-            if kind == "sat":
-                used = frozenset(v for cl in subset for v in cl.variables)
-            else:
-                used = frozenset(v for e in subset for v in e)
-            if len(used) != t_b:
-                continue
-            dense, _ = (induced_formula(subset) if kind == "sat"
-                        else induced_hypergraph(subset))
-            if canonical_key(dense) == target:
-                out.append((used, frozenset(subset)))
-    return out
-
-
-def _cover_weight(w, bases, kind: str) -> int:
-    """Signed number of ways the copies inside w cover w exactly:
-    sum over covering subsets S of (-1)^(|S|+1)."""
-    copies = _copies_inside(w, bases, kind)
+    if not covers(copies):
+        return 0
     if len(copies) > _MAX_COPIES_PER_CONFIGURATION:
         raise RuntimeError(f"{len(copies)} copies in one configuration; refusing")
-    all_vars = frozenset(range(1, w.order + 1))
-    all_items = frozenset(w.clauses if kind == "sat" else w.edges)
-    total = 0
-    for m in range(1, len(copies) + 1):
-        for subset in itertools.combinations(copies, m):
-            vars_union = frozenset().union(*(s[0] for s in subset))
-            items_union = frozenset().union(*(s[1] for s in subset))
-            if vars_union == all_vars and items_union == all_items:
-                total += 1 if m % 2 else -1
-    return total
+    return sum(1 if m % 2 else -1 for m in range(1, len(copies) + 1)
+               for subset in itertools.combinations(copies, m) if covers(subset))
 
 
 def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPolynomial:
     """Exact polynomials p_s with failure probability sum_s p_s(alpha) n^-s + O(n^-s_max-1).
+
+    By inclusion-exclusion over the copies of the event's obstructions, the
+    failure probability is a sum over configurations w (unions of copies)
+    of cover weight * 2^t/|Aut w| (no 2^t for hypergraphs) * (n)_t/n^t *
+    alpha^size * n^-excess.  Every configuration of excess <= s_max is full
+    (k-dense), of excess >= 1 and without isolated variables, so the
+    catalog lists it exactly once; the sum runs over the catalog entries
+    and skips those of cover weight 0, which are not unions of copies.
 
     Requires a catalog certified complete through excess s_max for the
     event's obstruction class; refuses otherwise rather than emitting
@@ -372,19 +289,16 @@ def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPoly
         )
     bases = [e.structure for e in catalog.with_flag(flag) if e.excess <= s_max]
     terms: dict[int, AlphaPoly] = {s: AlphaPoly() for s in range(1, s_max + 1)}
-    for w in _configurations(bases, s_max, kind):
-        if kind == "sat":
-            ex_w = excess_formula(w)
-        else:
-            ex_w = excess_hypergraph(w, w.width())
-        sigma = _cover_weight(w, bases, kind)
+    for w in catalog.entries:
+        if w.excess > s_max:
+            continue
+        sigma = _cover_weight(w.structure, bases)
         if sigma == 0:
             continue
-        aut = automorphism_count(w)
-        base_coeff = Fraction(sigma * _sign_factor(kind, w.order), aut)
-        falling = _falling_coeffs(w.order, s_max - ex_w)
-        for s in range(ex_w, s_max + 1):
-            contribution = AlphaPoly.term(base_coeff * falling[s - ex_w], w.size)
+        base_coeff = Fraction(sigma * _sign_factor(kind, w.order), w.aut_count)
+        falling = _falling_coeffs(w.order, s_max - w.excess)
+        for s in range(w.excess, s_max + 1):
+            contribution = AlphaPoly.term(base_coeff * falling[s - w.excess], w.size)
             terms[s] = terms[s] + contribution
     validity = (
         f"complete catalog through excess {catalog.max_excess} "

@@ -211,30 +211,33 @@ def dense_excess_bound(r: int, k: int, order: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # dense relabelings of substructures
 
+def dense_relabel(items) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Relabel int-tuple items (clauses of signed literals, or edges) onto 1..t.
+
+    ``abs()`` of an entry is its variable.  Returns the original labels,
+    ascending (position i-1 holds the original label of new variable i),
+    and the relabeled items, signs kept, sorted.
+    """
+    support = sorted({abs(x) for item in items for x in item})
+    rank = {v: i for i, v in enumerate(support, 1)}
+    return tuple(support), sorted(tuple(rank[x] if x > 0 else -rank[-x] for x in item)
+                                  for item in items)
+
+
 def induced_formula(clauses: Iterable[Clause]) -> tuple[Formula, tuple[int, ...]]:
     """Relabel the support of ``clauses`` densely as 1..t.
 
     Returns the relabeled formula together with the original variable
-    labels, ascending (position i-1 holds the original label of new
-    variable i).
+    labels; see dense_relabel.
     """
-    clauses = [_as_clause(c) for c in clauses]
-    support = sorted({v for cl in clauses for v in cl.variables})
-    rank = {v: i + 1 for i, v in enumerate(support)}
-    relabeled = [
-        Clause(tuple((1 if l > 0 else -1) * rank[abs(l)] for l in cl.literals))
-        for cl in clauses
-    ]
-    return Formula(len(support), relabeled), tuple(support)
+    support, relabeled = dense_relabel([_as_clause(c).literals for c in clauses])
+    return Formula(len(support), relabeled), support
 
 
 def induced_hypergraph(edges: Iterable[Iterable[int]]) -> tuple[Hypergraph, tuple[int, ...]]:
     """Relabel the support of ``edges`` densely as 1..t; see induced_formula."""
-    edges = [_as_edge(e) for e in edges]
-    support = sorted({v for e in edges for v in e})
-    rank = {v: i + 1 for i, v in enumerate(support)}
-    relabeled = [tuple(rank[v] for v in e) for e in edges]
-    return Hypergraph(len(support), relabeled), tuple(support)
+    support, relabeled = dense_relabel([_as_edge(e) for e in edges])
+    return Hypergraph(len(support), relabeled), support
 
 
 # ---------------------------------------------------------------------------

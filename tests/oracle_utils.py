@@ -1,16 +1,20 @@
 """Independent brute-force oracles used by the tests.
 
 Nothing here goes through the library's canonicalization, reduction or
-search code: group actions, satisfiability, colorability and pure-literal
-fixpoints are recomputed from first principles so the tests check the
-library against a second, dumber route.
+search code: group actions, copies, satisfiability, colorability and
+pure-literal fixpoints are recomputed from first principles so the tests
+check the library against a second, dumber route.  The one exception is
+the slow expansion reference, which deduplicates its configurations with
+the library's canonical_key (itself checked against brute force).
 """
 
 import itertools
 import math
 import random
+from fractions import Fraction
 
-from sparsecore import Formula, Hypergraph
+from sparsecore import AlphaPoly, Formula, Hypergraph, canonical_key
+from sparsecore.predictor import EVENT_FLAGS
 
 
 def apply_signed(formula: Formula, perm, flips) -> Formula:
@@ -57,6 +61,102 @@ def vertex_images(graph: Hypergraph) -> set:
     for perm in itertools.permutations(range(1, graph.order + 1)):
         out.add(frozenset(tuple(sorted(perm[v - 1] for v in e)) for e in rows))
     return out
+
+
+def images_of(structure) -> set:
+    return signed_images(structure) if isinstance(structure, Formula) else vertex_images(structure)
+
+
+def items_of(structure) -> frozenset:
+    """Clauses as signed-literal tuples, or edges, as a set of int tuples."""
+    if isinstance(structure, Formula):
+        return frozenset(cl.literals for cl in structure.clauses)
+    return structure.edges
+
+
+def _placed(image, ground) -> frozenset:
+    """An image on labels 1..t moved onto the ascending labels ``ground``."""
+    return frozenset(tuple(ground[abs(x) - 1] * (1 if x > 0 else -1) for x in item)
+                     for item in image)
+
+
+def brute_copies(pattern, host, images=None) -> set:
+    """Substructures of ``host`` isomorphic to ``pattern``, as (variables,
+    items): every distinct image of the pattern on every set of host
+    variables of its order, kept when all its items are host items."""
+    images = images_of(pattern) if images is None else images
+    host_items = items_of(host)
+    out = set()
+    for chosen in itertools.combinations(range(1, host.order + 1), pattern.order):
+        for image in images:
+            placed = _placed(image, chosen)
+            if placed <= host_items:
+                out.add((frozenset(chosen), placed))
+    return out
+
+
+def reference_expansion_terms(catalog, event: str, s_max: int) -> dict:
+    """The ``terms`` of ``failure_expansion(...).to_json_dict()``, the slow way.
+
+    The configurations (isomorphism classes of unions of distinct copies of
+    the event's obstructions, excess <= s_max) are grown copy by copy,
+    breadth first, from the obstructions' brute-force images: every union
+    of m copies passes through unions of fewer copies of excess no larger.
+    Each configuration w contributes sigma * images(w) / t! * alpha^size *
+    (n)_t / n^t * n^-excess, where sigma is the signed number of sets of
+    copies covering w exactly and images(w) * C(n, t) counts its labeled
+    placements.
+    """
+    kind, flag = EVENT_FLAGS[event]
+    make = Formula if kind == "sat" else Hypergraph
+    bases = [e.structure for e in catalog.with_flag(flag) if e.excess <= s_max]
+    images = [images_of(b) for b in bases]
+
+    def excess(w):
+        return (catalog.r - 1) * w.size - w.order
+
+    seen = {}
+    for b in bases:
+        seen.setdefault(canonical_key(b), b)
+    queue = list(seen.values())
+    while queue:
+        w = queue.pop()
+        if excess(w) >= s_max:
+            continue
+        w_items = items_of(w)
+        for base, imgs in zip(bases, images):
+            for overlap in range(min(w.order, base.order) + 1):
+                fresh = tuple(range(w.order + 1, w.order + base.order - overlap + 1))
+                for shared in itertools.combinations(range(1, w.order + 1), overlap):
+                    for img in imgs:
+                        new_items = w_items | _placed(img, shared + fresh)
+                        if len(new_items) == len(w_items):
+                            continue
+                        candidate = make(w.order + len(fresh), new_items)
+                        if excess(candidate) > s_max:
+                            continue
+                        key = canonical_key(candidate)
+                        if key not in seen:
+                            seen[key] = candidate
+                            queue.append(candidate)
+    terms = {s: AlphaPoly() for s in range(1, s_max + 1)}
+    for w in seen.values():
+        copies = [c for b, imgs in zip(bases, images) for c in brute_copies(b, w, imgs)]
+        whole = (frozenset(range(1, w.order + 1)), items_of(w))
+        sigma = sum(
+            (-1) ** (m + 1)
+            for m in range(1, len(copies) + 1)
+            for subset in itertools.combinations(copies, m)
+            if (frozenset().union(*(c[0] for c in subset)),
+                frozenset().union(*(c[1] for c in subset))) == whole
+        )
+        falling = [Fraction(1)]  # coefficients of prod_{i<t} (1 - i x)
+        for i in range(w.order):
+            falling = [a - i * b for a, b in zip(falling + [0], [0] + falling)]
+        lead = Fraction(sigma * len(images_of(w)), math.factorial(w.order))
+        for s in range(excess(w), s_max + 1):
+            terms[s] = terms[s] + AlphaPoly.term(lead * falling[s - excess(w)], w.size)
+    return {str(s): poly.to_json() for s, poly in sorted(terms.items())}
 
 
 def labeled_copy_count(pattern: Formula | Hypergraph, n: int) -> int:

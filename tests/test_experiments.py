@@ -297,9 +297,8 @@ def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> 
         else:
             key = canonical_key(dense)
             bucket = key if key in known else None
-        for given in (None, dense):
-            assert experiments._classify_core(
-                model_kind, core_items, max_order, shapes, given) == bucket, core_items
+        assert experiments._classify_core(model_kind, core_items, max_order, shapes) == bucket, \
+            core_items
         tally["large" if bucket == "large" else "keyed" if bucket else "other"] += 1
         if bucket not in ("large", None):
             tally[bucket.decode("ascii")] += 1

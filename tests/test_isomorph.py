@@ -14,10 +14,14 @@ from sparsecore import (
     distinct_relabelings,
 )
 from sparsecore import isomorph
+from sparsecore.isomorph import find_copies
+from sparsecore.structures import dense_relabel
 
 from oracle_utils import (
     apply_perm,
     apply_signed,
+    brute_copies,
+    items_of,
     random_formula,
     random_hypergraph,
     signed_images,
@@ -99,12 +103,9 @@ def test_orbit_and_dfs_engines_agree():
         sizes = (-(-t // 3), min(t + 2, math.comb(t, 3)))
         cases += [_random_on_full_support(rng, random_hypergraph, t, 3, sizes) for _ in range(6)]
     for structure in cases:
-        if isinstance(structure, Formula):
-            (t, rows, _), signed = isomorph._formula_rows(structure), True
-            limit = isomorph._FORMULA_ORBIT_MAX
-        else:
-            (t, rows, _), signed = isomorph._hypergraph_rows(structure), False
-            limit = isomorph._HYPERGRAPH_ORBIT_MAX
+        _, t, rows, _, signed, limit = isomorph._parts(structure, "test")
+        assert limit == (isomorph._FORMULA_ORBIT_MAX if isinstance(structure, Formula)
+                         else isomorph._HYPERGRAPH_ORBIT_MAX)
         assert t <= limit
         orbit = isomorph._support_canonical(t, rows, signed, limit)
         assert orbit == isomorph._canonical_dfs(t, rows, signed), structure
@@ -191,6 +192,56 @@ def test_count_copies_with_isolated_pattern_variables(f_pair):
     host = Formula(6, [(1, 2, 3), (-1, -2, -3)])
     assert count_copies(padded, host) == 3
     assert count_copies(Formula(2), host) == 15  # bare variable pairs
+
+
+def _copy_finder_cases():
+    """(pattern, host) pairs: random small formula and hypergraph hosts, with
+    patterns cut out of them (so copies exist), random patterns, patterns
+    with isolated variables and empty patterns.  Pattern orders stay small
+    enough for the brute force over the whole group."""
+    rng = random.Random(606)
+    kinds = [(random_formula, Formula, 3, 5), (random_hypergraph, Hypergraph, 2, 6),
+             (random_hypergraph, Hypergraph, 3, 6)]
+    for _ in range(14):
+        for make, cls, r, max_order in kinds:
+            n = rng.randint(r + 1, 7)
+            host = make(rng, n, r, rng.randint(1, min(9, math.comb(n, r))))
+            items = sorted(items_of(host))
+            cut = rng.sample(items, rng.randint(1, min(3, len(items))))
+            support, dense = dense_relabel(cut)
+            order = len(support) + rng.randint(0, 1)
+            if order <= max_order:
+                yield cls(order, dense), host
+            t = rng.randint(r, max_order)
+            yield make(rng, t, r, rng.randint(1, min(3, math.comb(t, r)))), host
+            yield cls(rng.randint(0, 3)), host
+
+
+def test_find_copies_against_brute_force():
+    found = 0
+    for pattern, host in _copy_finder_cases():
+        assert count_copies(pattern, host) == len(brute_copies(pattern, host)), (pattern, host)
+        support, dense = dense_relabel(items_of(pattern))
+        core = type(pattern)(len(support), dense)
+        copies = list(find_copies(pattern, host))
+        assert len(copies) == len(set(copies))  # each copy once
+        if pattern.order <= host.order:
+            assert set(copies) == brute_copies(core, host), (pattern, host)
+        else:
+            assert copies == []
+        found += len(copies)
+    assert found > 100
+
+
+def test_find_copies_refuses_mixed_kinds(f_pair, k4):
+    with pytest.raises(TypeError):
+        list(find_copies(f_pair, k4))
+    with pytest.raises(TypeError):
+        list(find_copies(k4, f_pair))
+    with pytest.raises(TypeError):
+        count_copies(f_pair, k4)
+    with pytest.raises(TypeError):
+        count_copies((1, 2, 3), f_pair)
 
 
 def test_order_cap_raises(f_pair):

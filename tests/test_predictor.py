@@ -10,6 +10,8 @@ from sparsecore import (
     Catalog,
     Formula,
     core_type_distribution,
+    enumerate_full,
+    enumerate_k_dense,
     expected_copies_exact,
     failure_expansion,
     first_order_containment,
@@ -17,7 +19,7 @@ from sparsecore import (
     tail_bound_hypergraph,
 )
 
-from oracle_utils import labeled_copy_count
+from oracle_utils import labeled_copy_count, reference_expansion_terms
 
 
 def test_expected_copies_examples(f_pair):
@@ -119,6 +121,25 @@ def test_failure_expansion_kcore(dense_catalog_k3):
         for d in range(len(coeffs) - 1, 0, -1):
             coeffs[d] -= i * coeffs[d - 1]
     assert coeffs[0] == 1 and coeffs[1] == -6
+
+
+@pytest.mark.parametrize("make, events", [
+    (lambda: enumerate_full(3, 2), ("pl-fail", "unsat")),
+    (lambda: enumerate_full(4, 2), ("pl-fail", "unsat")),
+    (lambda: enumerate_full(5, 3), ("pl-fail", "unsat")),
+    (lambda: enumerate_k_dense(2, 3, 3), ("kcore", "noncolorable")),
+    (lambda: enumerate_k_dense(3, 2, 2), ("kcore", "noncolorable")),
+], ids=["full-3-2", "full-4-2", "full-5-3", "dense-2-3-3", "dense-3-2-2"])
+def test_failure_expansion_matches_configuration_search(make, events):
+    """Summing over the catalog gives the terms of the breadth-first search
+    over unions of copies, at every certified order."""
+    catalog = make()
+    for event in events:
+        for s_max in range(1, catalog.max_excess + 1):
+            got = failure_expansion(catalog, event, s_max).to_json_dict()
+            assert (got["event"], got["s_max"]) == (event, s_max)
+            assert got["terms"] == reference_expansion_terms(catalog, event, s_max), \
+                (event, s_max)
 
 
 def test_failure_expansion_below_minimal_excess(dense_catalog_k3):
