@@ -34,14 +34,10 @@ from .catalog import (
 from .isomorph import canonical_key, find_copies
 from .predictor import EVENT_FLAGS, _sign_factor, core_type_distribution
 from .reduction import _k_core_batch, _pure_literal_batch
-from .sampling import (
-    params_from_alpha,
-    sample_batch,
-    unrank_clauses,
-    unrank_combinations,
-)
+from .sampling import params_from_alpha, sample_batch
 from .structures import (
     BudgetExceededError,
+    Clause,
     Formula,
     Hypergraph,
     dense_relabel,
@@ -160,9 +156,7 @@ def _batch_items(config: ExperimentConfig, model_kind: str, batch_index: int, co
     """(owner trial, item rows) of one batch: clause rows of signed literals
     or edge rows of vertices, sorted by trial."""
     params = params_from_alpha(config.n, config.r, config.alpha, model_kind)
-    trial, index = sample_batch(params, _batch_rng(config.seed, batch_index), count)
-    decode = unrank_clauses if model_kind == "sat" else unrank_combinations
-    return trial, decode(index, config.n, config.r)
+    return sample_batch(params, _batch_rng(config.seed, batch_index), count)
 
 
 def _per_trial(trial: np.ndarray, rows: np.ndarray, count: int) -> list[list[tuple]]:
@@ -454,6 +448,16 @@ def _oracle_colorable(edges, n: int, k: int) -> bool:
     return _least_violations(demand.reshape(k * len(edges), n), n, k, stop_at_zero=True) == 0
 
 
+def _witness_in_input(verdict, formula: Formula) -> bool:
+    """The UNSAT witness, mapped back to the input's variables, is a set of
+    the input's clauses."""
+    labels = verdict.muf_variables
+    return all(
+        Clause(tuple(labels[abs(l) - 1] * (1 if l > 0 else -1) for l in cl.literals))
+        in formula.clauses
+        for cl in verdict.muf.clauses)
+
+
 def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
     model_kind = "sat" if config.kind == "sat" else "hypergraph"
     agree = mismatch = witness_bad = budget = 0
@@ -466,7 +470,8 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
                 oracle_sat = oracle_max == formula.size
                 ok = (verdict.status == "SAT") == oracle_sat and \
                     verdict.max_satisfied == oracle_max
-                if verdict.status == "UNSAT" and not is_muf(verdict.muf):
+                if verdict.status == "UNSAT" and not (
+                        is_muf(verdict.muf) and _witness_in_input(verdict, formula)):
                     witness_bad += 1
                     ok = False
             else:

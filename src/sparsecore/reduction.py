@@ -9,7 +9,11 @@ original labels.
 
 The batched reducers at the end find only the cores, with no trace, of
 many instances at once: the core of a disjoint union is the union of the
-cores of its parts, whatever the elimination order.
+cores of its parts, whatever the elimination order.  Variable v of
+instance t gets the direct code ``t * n + v - 1`` (for literals, twice
+that plus the sign bit), so no id has to be searched for; the count
+table has a slot for every code, which makes memory O(instances * n),
+within a constant of the item count for alpha bounded away from 0.
 """
 
 from __future__ import annotations
@@ -220,48 +224,54 @@ def k_core(graph: Hypergraph, k: int) -> tuple[Hypergraph, PeelTrace]:
 # ---------------------------------------------------------------------------
 # batched cores of a disjoint union
 
-def _union_ids(owner: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
-    """Dense ids 0..V-1 of the (owner, label) pairs, labels in 1..n.
-
-    Variables of different instances are kept apart by the offset
-    ``owner * n``; only the V pairs present get an id, so memory follows
-    the number of items, not the number of instances times n.
-    """
-    keys = (owner[:, None] * n + (labels - 1)).ravel()
-    order = np.argsort(keys)
-    ranked = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    ids = np.empty(len(keys), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids.reshape(labels.shape)
-
-
-def _peel_union(codes: np.ndarray, partner, threshold: int) -> np.ndarray:
+def _peel_union(lines: list[np.ndarray], width: int, threshold: int, size: int) -> np.ndarray:
     """Alive mask after deleting, round by round, every row holding a code
-    whose partner code occurs fewer than ``threshold`` times among live rows."""
-    live = np.arange(len(codes))
-    count = np.bincount(codes.ravel(), minlength=int(codes.max(initial=0)) + 2)
+    whose partner code occurs fewer than ``threshold`` times among live rows.
+
+    ``lines`` holds one contiguous array per column: the first ``width``
+    are the rows' codes and the last ``width`` their partner codes (the
+    same arrays when each code is its own partner), all below ``size``.
+    Each round rescans the live rows and compacts the lines to the
+    survivors.
+    """
+    alive = np.zeros(len(lines[0]), dtype=bool)
+    live = np.arange(len(alive))
+    count = np.bincount(np.concatenate(lines[:width]), minlength=size)
     while len(live):
-        rows = codes[live]
-        keep = (count[partner(rows)] >= threshold).all(axis=1)
+        keep = count[lines[-1]] >= threshold
+        for partner in lines[-width:-1]:
+            keep &= count[partner] >= threshold
         if keep.all():
             break
-        np.subtract.at(count, rows[~keep].ravel(), 1)
-        live = live[keep]
-    alive = np.zeros(len(codes), dtype=bool)
+        dead = np.flatnonzero(~keep)
+        for code in lines[:width]:
+            np.subtract.at(count, code[dead], 1)
+        kept = np.flatnonzero(keep)
+        live = live[kept]
+        lines = [line[kept] for line in lines]
     alive[live] = True
     return alive
+
+
+def _variable_codes(rows: np.ndarray, owner: np.ndarray, n: int) -> list[np.ndarray]:
+    """Per column j, ``owner * n + v - 1`` for the variable v in column j
+    of each row: instances of the union never share a code."""
+    base = owner * n - 1
+    return [base + np.abs(rows[:, j]) for j in range(rows.shape[1])]
 
 
 def _pure_literal_batch(clauses: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     """Which rows of ``clauses`` (signed literals on 1..n; row i belongs to
     formula ``owner[i]``) lie in the pure-literal core of their formula.
 
-    A clause dies when one of its literals has no live complement.
+    A literal's code is twice its variable's code plus its sign bit, so
+    its complement's code is the code XOR 1.  A clause dies when one of
+    its literals has no live complement.
     """
-    codes = 2 * _union_ids(owner, np.abs(clauses), n) + (clauses < 0)
-    return _peel_union(codes, lambda rows: rows ^ 1, 1)
+    codes = [2 * code + (clauses[:, j] < 0)
+             for j, code in enumerate(_variable_codes(clauses, owner, n))]
+    size = 2 * n * (int(owner.max(initial=-1)) + 1)
+    return _peel_union(codes + [code ^ 1 for code in codes], len(codes), 1, size)
 
 
 def _k_core_batch(edges: np.ndarray, owner: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -270,4 +280,5 @@ def _k_core_batch(edges: np.ndarray, owner: np.ndarray, n: int, k: int) -> np.nd
 
     An edge dies when one of its vertices has live degree below k.
     """
-    return _peel_union(_union_ids(owner, edges, n), lambda rows: rows, k)
+    codes = _variable_codes(edges, owner, n)
+    return _peel_union(codes, len(codes), k, n * (int(owner.max(initial=-1)) + 1))

@@ -8,8 +8,9 @@ sampler draws one uniform per candidate, so two samples sharing a seed are
 coupled monotonically across p.  Above ``DENSE_CANDIDATE_LIMIT`` candidates
 ``sample_formula`` / ``sample_hypergraph`` switch to ``sample_batch``, the
 O(m) sampler the Monte Carlo harness uses at every size: a Binomial count
-and distinct uniform indices per sample.  It is equally seed-deterministic
-but not coupled across p.
+per sample and that many distinct uniform candidates, drawn directly as
+rows of r variables (plus sign bits), with no unranking.  It is equally
+seed-deterministic but not coupled across p.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def candidate_edges(n: int, r: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=32)
 def _colex_tables(n: int, r: int) -> list:
-    """Binomial tables for vectorized unranking: T[j][c] = C(c, r-j)."""
+    """Binomial tables for vectorized ranking and unranking: T[j][c] = C(c, r-j)."""
     return [np.array([math.comb(c, r - j) for c in range(n)], dtype=np.int64)
             for j in range(r)]
 
@@ -131,32 +132,78 @@ def _rng(seed: int, *spawn: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=spawn))
 
 
+def _sorting_network(r: int) -> list[tuple[int, int]]:
+    """Compare-exchange pairs that sort r columns (odd-even transposition)."""
+    return [(i, i + 1) for rnd in range(r) for i in range(rnd % 2, r - 1, 2)]
+
+
 def sample_batch(params: ModelParams, rng: np.random.Generator,
                  count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` independent samples in O(total items), consuming the given stream.
 
-    Returns (trial, index): trial t keeps a Binomial(candidates, p) number
-    of distinct uniform candidate indices, and the pairs come sorted by
-    trial, then index.  Indices are drawn keyed ``trial * candidates +
-    index``, duplicates are dropped after a sort, and only the shortfall
-    is drawn again, so the kept set of each trial is a uniform subset of
-    its size.
+    Returns (trial, rows): trial t keeps a Binomial(candidates, p) number
+    of distinct uniform candidates, as rows of signed literals (formulas)
+    or of vertices (hypergraphs), sorted by trial, then candidate index.
+    A row is drawn as r uniform variables, sorted by a min/max network
+    and dropped when a variable repeats, so a kept row is a uniform r-set;
+    a formula's row then takes r uniform sign bits.  Each row packs into
+    one int64 key (trial, v_1 .. v_r, signs) whose order is (trial,
+    candidate index).  Duplicate keys are dropped after a sort and only
+    the shortfall is drawn again, so the kept set of each trial is a
+    uniform subset of its size.  The rows come in column-major order, so
+    each column is contiguous.
     """
-    m_total = params.candidate_count
-    if count * m_total >= 2 ** 63:
-        raise ValueError(f"{count} samples of {m_total} candidates overflow int64 keys")
-    want = rng.binomial(m_total, params.p, size=count)
+    n, r = params.n, params.r
+    sign_bits = r if params.kind == FORMULA else 0
+    var_bits = max(1, (n - 1).bit_length())
+    trial_shift = r * var_bits + sign_bits
+    if max(count - 1, 0).bit_length() + trial_shift > 63:
+        raise ValueError(f"{count} samples of {r}-sets of {n} variables overflow int64 keys")
+    short = rng.binomial(params.candidate_count, params.p, size=count)
     keys = np.empty(0, dtype=np.int64)
-    short = want
     while (total := int(short.sum())) > 0:
+        cols = list(rng.integers(0, n, size=(r, total)))
+        for i, j in _sorting_network(r):
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        distinct = np.ones(total, dtype=bool)
+        for low, high in zip(cols, cols[1:]):
+            distinct &= low != high
         owner = np.repeat(np.arange(count, dtype=np.int64), short)
-        keys = np.concatenate([keys, owner * m_total + rng.integers(0, m_total, size=total)])
-        keys.sort()
-        fresh = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        keys = keys[fresh]
-        short = want - np.bincount(keys // m_total, minlength=count)
-    return keys // m_total, keys % m_total
+        fresh = owner[distinct]
+        for col in cols:
+            fresh <<= var_bits
+            fresh |= col[distinct]
+        if sign_bits:
+            fresh <<= sign_bits
+            fresh |= rng.integers(0, 1 << sign_bits, size=len(fresh))
+        fresh.sort()
+        keys = np.concatenate([keys, fresh])
+        keys.sort(kind="stable")  # merges the two sorted runs
+        kept = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=kept[1:])
+        # a trial is short by the rows it lost to a repeated variable or a duplicate
+        short = (np.bincount(owner[~distinct], minlength=count)
+                 + np.bincount(keys[~kept] >> trial_shift, minlength=count))
+        keys = keys[kept]
+    rows = np.empty((len(keys), r), dtype=np.int64, order="F")
+    mask = (1 << var_bits) - 1
+    for j in range(r):
+        rows[:, j] = (keys >> (sign_bits + (r - 1 - j) * var_bits) & mask) + 1
+        if sign_bits:
+            rows[:, j] *= 1 - 2 * (keys >> j & 1)
+    return keys >> trial_shift, rows
+
+
+def candidate_indices(rows: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Candidate index of each row, from the complement identity of
+    ``unrank_combinations`` as a sum of table gathers."""
+    n, r = params.n, params.r
+    variables = np.abs(rows)
+    tables = _colex_tables(n, r)
+    index = math.comb(n, r) - 1 - sum(tables[j][n - variables[:, j]] for j in range(r))
+    if params.kind == FORMULA:
+        index = index << r | ((rows < 0) << np.arange(r)).sum(axis=1)
+    return index
 
 
 def sample_indices(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
@@ -165,7 +212,7 @@ def sample_indices(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     if m_total <= DENSE_CANDIDATE_LIMIT:
         u = rng.random(m_total)
         return np.flatnonzero(u < params.p)
-    return sample_batch(params, rng, 1)[1]
+    return candidate_indices(sample_batch(params, rng, 1)[1], params)
 
 
 def sample_formula(params: ModelParams, seed: int) -> Formula:

@@ -38,6 +38,7 @@ from sparsecore import (
     run_solver_validation,
     wilson_interval,
 )
+from sparsecore import experiments
 from sparsecore.sampling import pure_literal_objective
 from sparsecore.structures import full_excess_bound
 
@@ -245,6 +246,31 @@ def test_criterion_08_sat_validation():
                        f"bad-witnesses={report.witness_failures}")
         ok = ok and report.agreement_rate == 1.0 and report.witness_failures == 0
     check("criterion 8 (sat)", ok, "; ".join(details))
+
+
+def test_criterion_08_sat_validation_unsat():
+    # criterion 8's densities give only satisfiable formulas; these reach
+    # MaxSAT below m, so the agreement covers UNSAT verdicts and witnesses
+    details = []
+    ok = True
+    unsat = 0
+    for alpha, trials in ((3.0, 2000), (4.0, 500)):
+        config = ExperimentConfig(kind="sat", n=15, r=3, alpha=alpha, trials=trials, seed=SEED)
+        report = run_solver_validation(config)
+        below = sum(
+            experiments._oracle_max_sat(items, config.n) < len(items)
+            for batch, count in experiments._split_batches(trials, config.batch_size)
+            for items in experiments._per_trial(
+                *experiments._batch_items(config, "sat", batch, count), count))
+        unsat += below
+        details.append(f"alpha={alpha}: trials={trials} agreement={report.agreement_rate} "
+                       f"bad-witnesses={report.witness_failures} "
+                       f"budget-hits={report.budget_exceeded} maxsat<m={below}")
+        ok = ok and report.agreement_rate == 1.0 and report.witness_failures == 0 \
+            and report.budget_exceeded == 0
+    ok = ok and unsat >= 50
+    check("criterion 8 (sat, unsat side)", ok,
+          "; ".join(details) + f"; instances with maxsat<m={unsat} (required >=50)")
 
 
 def test_criterion_08_coloring_validation():

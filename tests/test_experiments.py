@@ -18,6 +18,7 @@ from sparsecore import (
     Hypergraph,
     canonical_key,
     count_copies,
+    decide_sat,
     filter_minimal_full,
     induced_formula,
     induced_hypergraph,
@@ -123,6 +124,18 @@ def test_unsat_kind_runs_solver_on_core():
     plain = run_failure_probability(
         ExperimentConfig(kind="pl-fail", n=12, r=3, alpha=1.2, trials=2000, seed=13))
     assert report.failures <= plain.failures
+
+
+def test_validation_maps_the_witness_back_to_the_input():
+    # all eight sign patterns on variables 2, 5, 7: the witness is that
+    # block, found densely on 1..3 and mapped back through its labels
+    block = [tuple(v if (bits >> j) & 1 else -v for j, v in enumerate((2, 5, 7)))
+             for bits in range(8)]
+    formula = Formula(8, block + [(1, 3, 8), (-4, 6, 8)])
+    verdict = decide_sat(formula)
+    assert verdict.status == "UNSAT" and verdict.muf_variables == (2, 5, 7)
+    assert experiments._witness_in_input(verdict, formula)
+    assert not experiments._witness_in_input(verdict, Formula(8, block[1:]))
 
 
 def test_noncolorable_kind_runs_solver_on_core():

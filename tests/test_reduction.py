@@ -14,7 +14,7 @@ from sparsecore import (
     pure_literal_core,
 )
 from sparsecore.reduction import _k_core_batch, _k_core_raw, _pure_literal_batch, _pure_literal_raw
-from sparsecore.sampling import params_from_alpha, sample_batch, unrank_clauses, unrank_combinations
+from sparsecore.sampling import params_from_alpha, sample_batch
 from sparsecore.solver import proper_coloring
 
 from oracle_utils import random_formula, random_hypergraph, random_pure_literal_core
@@ -173,12 +173,10 @@ def _batch_against_raw(kind, n, r, alpha, k=None, trials=400, seed=0):
     """Batched cores equal the per-trial reducer's, trial by trial; returns
     the number of nonempty cores."""
     params = params_from_alpha(n, r, alpha, kind)
-    trial, index = sample_batch(params, np.random.default_rng(seed), trials)
+    trial, rows = sample_batch(params, np.random.default_rng(seed), trials)
     if kind == "sat":
-        rows = unrank_clauses(index, n, r)
         alive = _pure_literal_batch(rows, trial, n)
     else:
-        rows = unrank_combinations(index, n, r)
         alive = _k_core_batch(rows, trial, n, k)
     bounds = np.searchsorted(trial, np.arange(trials + 1))
     nonempty = 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from sparsecore.experiments import _batch_rng
 from sparsecore.sampling import (
     DENSE_CANDIDATE_LIMIT,
     candidate_clauses,
+    candidate_edges,
+    candidate_indices,
     pure_literal_objective,
     sample_batch,
+    sample_indices,
     unrank_clause,
     unrank_clauses,
     unrank_combination,
+    unrank_combinations,
 )
 
 
@@ -90,12 +95,24 @@ def test_sparse_sampler_mean_and_validity():
     assert abs(np.mean(sizes) - mean) < 4 * se
 
 
+def _check_rows(rows, params):
+    """Rows are r-sets of 1..n in ascending order, signed only for formulas."""
+    variables = np.abs(rows)
+    assert rows.shape[1] == params.r
+    assert variables.min() >= 1 and variables.max() <= params.n
+    assert np.all(np.diff(variables, axis=1) > 0)
+    if params.kind == "hypergraph":
+        assert np.all(rows > 0)
+
+
 @pytest.mark.parametrize("n,r,kind,alpha", [(30, 3, "sat", 0.8), (80, 3, "sat", 1.0),
                                              (40, 2, "hypergraph", 1.5)])
 def test_batch_sampler_distinct_sorted_binomial(n, r, kind, alpha):
     params = params_from_alpha(n, r, alpha, kind)
     trials = 2000
-    trial, index = sample_batch(params, _batch_rng(7, 0), trials)
+    trial, rows = sample_batch(params, _batch_rng(7, 0), trials)
+    _check_rows(rows, params)
+    index = candidate_indices(rows, params)
     assert index.min() >= 0 and index.max() < params.candidate_count
     # sorted by trial, then index, with no index twice in a trial
     assert np.all(np.diff(trial * params.candidate_count + index) > 0)
@@ -114,6 +131,87 @@ def test_batch_sampler_depends_on_seed_and_batch_only():
     assert not np.array_equal(first[1], other[1])
 
 
+def _chi2_quantile(df: int, z: float) -> float:
+    """Wilson-Hilferty approximation to the chi-square quantile at normal score z."""
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize("n,r,kind,p", [(5, 3, "sat", 0.3), (7, 3, "sat", 0.05),
+                                         (6, 2, "hypergraph", 0.4), (7, 3, "hypergraph", 0.3)])
+def test_batch_sampler_uniform_over_candidates(n, r, kind, p):
+    # every candidate is in a sample independently with probability p, so
+    # its count over the trials is Binomial(trials, p); at these sizes most
+    # draws repeat a variable or a candidate, so the redraw loop runs often
+    params = params_from_alpha(n, r, p * n ** (r - 1), kind)
+    trials = 20_000
+    trial, rows = sample_batch(params, _batch_rng(11, 0), trials)
+    _check_rows(rows, params)
+    counts = np.bincount(candidate_indices(rows, params), minlength=params.candidate_count)
+    assert len(counts) == params.candidate_count
+    expected = trials * params.p
+    chi2 = float((((counts - expected) ** 2) / (expected * (1 - params.p))).sum())
+    df = params.candidate_count
+    assert _chi2_quantile(df, -3.09) < chi2 < _chi2_quantile(df, 3.09)
+
+
+@pytest.mark.parametrize("n,kind,alpha", [(80, "sat", 1.0), (120, "hypergraph", 1.5)])
+def test_sample_indices_rank_the_batch_rows(n, kind, alpha):
+    params = params_from_alpha(n, 3, alpha, kind)
+    assert params.candidate_count > DENSE_CANDIDATE_LIMIT  # the sparse branch
+    decode = unrank_clauses if kind == "sat" else unrank_combinations
+    for seed in range(20):
+        index = sample_indices(params, np.random.default_rng(seed))
+        rows = sample_batch(params, np.random.default_rng(seed), 1)[1]
+        assert len(rows) > 0 and np.all(np.diff(index) > 0)
+        assert np.array_equal(decode(index, n, 3), rows)
+
+
+class _RestrictedRng:
+    """The three Generator methods a sampler may call, and nothing else."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        return self._rng.random(size)
+
+    def binomial(self, n, p, size=None):
+        return self._rng.binomial(n, p, size)
+
+    def integers(self, low, high=None, size=None):
+        return self._rng.integers(low, high, size=size)
+
+
+def test_samplers_draw_only_binomial_integers_random():
+    for n, kind in ((30, "sat"), (80, "sat"), (40, "hypergraph"), (120, "hypergraph")):
+        params = params_from_alpha(n, 3 if n != 40 else 2, 1.0, kind)
+        assert len(sample_indices(params, _RestrictedRng(1))) > 0
+        assert len(sample_batch(params, _RestrictedRng(1), 50)[1]) > 0
+
+
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} before the overflow guard")
+
+
+def test_batch_sampler_overflow_guard_raises_before_allocating():
+    # 3 variables of 20 bits plus 3 sign bits fill 63 bits: one trial fits, two do not
+    wide = params_from_alpha(2 ** 20, 3, 1e-6, "sat")
+    trial, rows = sample_batch(wide, np.random.default_rng(0), 1)
+    _check_rows(rows, wide)
+    assert np.all(trial == 0)
+    tracemalloc.start()
+    try:
+        for params, count in ((wide, 2), (wide, 2 ** 40),
+                              (params_from_alpha(2 ** 21, 3, 1e-6, "hypergraph"), 2)):
+            with pytest.raises(ValueError, match="overflow"):
+                sample_batch(params, _NoDraws(), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_unranking_matches_dense_order():
     table = candidate_clauses(9, 3)
     for index in (0, 1, 7, 8, 100, len(table) - 1):
@@ -121,6 +219,12 @@ def test_unranking_matches_dense_order():
     assert unrank_clauses(range(len(table)), 9, 3).tolist() == [list(c) for c in table]
     combos = [unrank_combination(i, 6, 3) for i in range(math.comb(6, 3))]
     assert combos == sorted(combos) and len(set(combos)) == len(combos)
+    # ranking is the inverse of unranking, for every candidate
+    formulas = params_from_alpha(9, 3, 1.0, "sat")
+    assert candidate_indices(np.array(table), formulas).tolist() == list(range(len(table)))
+    edges = params_from_alpha(9, 3, 1.0, "hypergraph")
+    assert candidate_indices(np.array(candidate_edges(9, 3)), edges).tolist() == \
+        list(range(math.comb(9, 3)))
 
 
 def test_threshold_values():
