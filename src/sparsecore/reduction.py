@@ -23,15 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import Clause, Formula, Hypergraph, induced_formula, induced_hypergraph
+from .structures import Formula, Hypergraph, dense_relabel
 
 
 @dataclass(frozen=True)
 class PureLiteralStep:
-    """One pure literal set True, with the clauses it satisfied and removed."""
+    """One pure literal set True, with the clauses it satisfied and removed,
+    as literal tuples in original labels."""
 
     literal: int
-    removed: tuple[Clause, ...]
+    removed: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -150,22 +151,26 @@ def _pure_literal_raw(clauses: list[tuple[int, ...]]):
     return core_idx, sorted(active), steps
 
 
+def _pure_literal_trace(order: int, clauses: list[tuple[int, ...]]):
+    """(core clauses relabeled densely and sorted, trace) of literal tuples
+    over variables 1..order."""
+    core_idx, core_vars, raw_steps = _pure_literal_raw(clauses)
+    steps = tuple(PureLiteralStep(lit, tuple(clauses[ci] for ci in removed))
+                  for lit, removed in raw_steps)
+    support, core = dense_relabel([clauses[ci] for ci in core_idx])
+    assert list(support) == core_vars
+    return core, PureLiteralTrace(order=order, steps=steps, core_variables=support)
+
+
 def pure_literal_core(formula: Formula) -> tuple[Formula, PureLiteralTrace]:
     """Maximal full subformula (relabeled densely) plus the elimination trace.
 
     The core is empty or has no pure literals; it does not depend on the
     order in which pure literals are chosen.
     """
-    clause_list = [cl.literals for cl in formula.sorted_clauses()]
-    core_idx, core_vars, raw_steps = _pure_literal_raw(clause_list)
-    steps = tuple(
-        PureLiteralStep(lit, tuple(Clause(clause_list[ci]) for ci in removed))
-        for lit, removed in raw_steps
-    )
-    core, support = induced_formula(Clause(clause_list[ci]) for ci in core_idx)
-    assert list(support) == core_vars
-    trace = PureLiteralTrace(order=formula.order, steps=steps, core_variables=tuple(core_vars))
-    return core, trace
+    core, trace = _pure_literal_trace(
+        formula.order, [cl.literals for cl in formula.sorted_clauses()])
+    return Formula(len(trace.core_variables), core), trace
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +211,23 @@ def _k_core_raw(n: int, edges: list[tuple[int, ...]], k: int):
     return core_idx, current, rounds
 
 
-def k_core(graph: Hypergraph, k: int) -> tuple[Hypergraph, PeelTrace]:
-    """Maximal sub-hypergraph of minimum degree >= k (relabeled densely)."""
+def _k_core_trace(order: int, edges: list[tuple[int, ...]], k: int):
+    """(core edges relabeled densely and sorted, trace) of sorted vertex
+    tuples over vertices 1..order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    edge_list = list(graph.sorted_edges())
-    core_idx, core_vertices, raw_rounds = _k_core_raw(graph.order, edge_list, k)
-    rounds = tuple(
-        PeelRound(tuple(vs), tuple(edge_list[ei] for ei in eis)) for vs, eis in raw_rounds
-    )
-    core, support = induced_hypergraph(edge_list[ei] for ei in core_idx)
+    core_idx, core_vertices, raw_rounds = _k_core_raw(order, edges, k)
+    rounds = tuple(PeelRound(tuple(vs), tuple(edges[ei] for ei in eis))
+                   for vs, eis in raw_rounds)
+    support, core = dense_relabel([edges[ei] for ei in core_idx])
     assert list(support) == core_vertices
-    trace = PeelTrace(order=graph.order, k=k, rounds=rounds, core_vertices=tuple(core_vertices))
-    return core, trace
+    return core, PeelTrace(order=order, k=k, rounds=rounds, core_vertices=support)
+
+
+def k_core(graph: Hypergraph, k: int) -> tuple[Hypergraph, PeelTrace]:
+    """Maximal sub-hypergraph of minimum degree >= k (relabeled densely)."""
+    core, trace = _k_core_trace(graph.order, list(graph.sorted_edges()), k)
+    return Hypergraph(len(trace.core_vertices), core), trace
 
 
 # ---------------------------------------------------------------------------

@@ -215,19 +215,24 @@ def sample_indices(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     return candidate_indices(sample_batch(params, rng, 1)[1], params)
 
 
+def _sample_rows(params: ModelParams, seed: int, kind: str) -> list[list[int]]:
+    """The items of one sample as rows; identical given (params, seed)."""
+    if params.kind != kind:
+        raise ValueError(f"params are not for the {kind} model")
+    rng = _rng(seed)
+    if params.candidate_count > DENSE_CANDIDATE_LIMIT:
+        return sample_batch(params, rng, 1)[1].tolist()
+    decode = unrank_clauses if kind == FORMULA else unrank_combinations
+    return decode(sample_indices(params, rng), params.n, params.r).tolist()
+
+
 def sample_formula(params: ModelParams, seed: int) -> Formula:
     """One draw of the random formula; identical given (params, seed)."""
-    if params.kind != FORMULA:
-        raise ValueError("params are not for the formula model")
-    idx = sample_indices(params, _rng(seed))
-    return Formula(params.n, unrank_clauses(idx, params.n, params.r).tolist())
+    return Formula(params.n, _sample_rows(params, seed, FORMULA))
 
 
 def sample_hypergraph(params: ModelParams, seed: int) -> Hypergraph:
-    if params.kind != HYPERGRAPH:
-        raise ValueError("params are not for the hypergraph model")
-    idx = sample_indices(params, _rng(seed))
-    return Hypergraph(params.n, unrank_combinations(idx, params.n, params.r).tolist())
+    return Hypergraph(params.n, _sample_rows(params, seed, HYPERGRAPH))
 
 
 # ---------------------------------------------------------------------------

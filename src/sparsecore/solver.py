@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (
-    BudgetExceededError,
-    Clause,
-    Formula,
-    Hypergraph,
-    induced_formula,
-    induced_hypergraph,
-)
-from .reduction import _k_core_raw, _pure_literal_raw, k_core, pure_literal_core
+from .structures import BudgetExceededError, Formula, Hypergraph, dense_relabel
+from .reduction import _k_core_raw, _k_core_trace, _pure_literal_raw, _pure_literal_trace
 
 _CHUNK = 1 << 16
 
@@ -167,57 +160,53 @@ def decide_sat(formula: Formula, core_budget: int = 28) -> SatVerdict:
     + MaxSAT(core).  A core larger than ``core_budget`` raises
     BudgetExceededError; the answer is never guessed.
     """
-    core, trace = pure_literal_core(formula)
-    removed = formula.size - core.size
-    if core.order > core_budget:
-        raise BudgetExceededError(
-            f"core order {core.order} exceeds budget {core_budget}"
-        )
-    clauses = [cl.literals for cl in core.sorted_clauses()]
-    a = least_satisfying(clauses, core.order) if core.size else 0
-    if a is not None:
-        assignment = trace.extend_assignment(_assignment_tuple(a, core.order))
-        if not satisfies(formula, assignment):
-            raise RuntimeError("lifted assignment fails verification")
-        return SatVerdict("SAT", assignment, formula.size, None, None,
-                          core.order, core.size)
-    best_count, best_a = max_satisfied_assignment(clauses, core.order)
-    assignment = trace.extend_assignment(_assignment_tuple(best_a, core.order))
-    max_sat = removed + best_count
+    core, trace = _pure_literal_trace(
+        formula.order, [cl.literals for cl in formula.sorted_clauses()])
+    t = len(trace.core_variables)
+    if t > core_budget:
+        raise BudgetExceededError(f"core order {t} exceeds budget {core_budget}")
+    a = least_satisfying(core, t)
+    max_sat = formula.size
+    if a is None:
+        best_count, a = max_satisfied_assignment(core, t)
+        max_sat -= len(core) - best_count
+    assignment = trace.extend_assignment(_assignment_tuple(a, t))
     if count_satisfied(formula, assignment) != max_sat:
-        raise RuntimeError("MaxSAT lift fails verification")
-    muf_dense, muf_core_vars = _extract_muf_impl(core, core_budget)
-    muf_vars = tuple(trace.core_variables[v - 1] for v in muf_core_vars)
-    return SatVerdict("UNSAT", assignment, max_sat, muf_dense, muf_vars,
-                      core.order, core.size)
+        raise RuntimeError("lifted assignment fails verification")
+    if max_sat == formula.size:
+        return SatVerdict("SAT", assignment, max_sat, None, None, t, len(core))
+    support, muf = dense_relabel(_minimal(core, lambda kept: _is_unsat(kept, core_budget)))
+    muf_vars = tuple(trace.core_variables[v - 1] for v in support)
+    return SatVerdict("UNSAT", assignment, max_sat, Formula(len(support), muf), muf_vars,
+                      t, len(core))
 
 
-def _is_unsat(clause_literals, core_budget: int) -> bool:
-    core_idx, core_vars, _ = _pure_literal_raw(list(clause_literals))
-    if not core_idx:
-        return False
-    dense, _ = induced_formula(Clause(clause_literals[i]) for i in core_idx)
-    if dense.order > core_budget:
-        raise BudgetExceededError(
-            f"core order {dense.order} exceeds budget {core_budget}"
-        )
-    lits = [cl.literals for cl in dense.sorted_clauses()]
-    return least_satisfying(lits, dense.order) is None
-
-
-def _extract_muf_impl(formula: Formula, core_budget: int):
-    kept = [cl.literals for cl in formula.sorted_clauses()]
-    if not _is_unsat(kept, core_budget):
-        raise ValueError("input formula is satisfiable; no MUF exists")
+def _minimal(items: list, still_fails) -> list:
+    """Deletion-based minimization (Marques-Silva, ISMVL 2010): delete the
+    items one at a time, in order, keeping each deletion after which
+    ``still_fails`` holds.  For a monotone property of a failing input,
+    the result fails and no single-item deletion of it does."""
+    kept = list(items)
     i = 0
     while i < len(kept):
         trial = kept[:i] + kept[i + 1:]
-        if _is_unsat(trial, core_budget):
+        if still_fails(trial):
             kept = trial
         else:
             i += 1
-    dense, support = induced_formula(Clause(lits) for lits in kept)
-    return dense, support
+    return kept
+
+
+def _is_unsat(clause_literals, core_budget: int) -> bool:
+    core_idx, _, _ = _pure_literal_raw(list(clause_literals))
+    if not core_idx:
+        return False
+    support, core = dense_relabel([clause_literals[i] for i in core_idx])
+    if len(support) > core_budget:
+        raise BudgetExceededError(
+            f"core order {len(support)} exceeds budget {core_budget}"
+        )
+    return least_satisfying(core, len(support)) is None
 
 
 def extract_muf(formula: Formula, core_budget: int = 28) -> Formula:
@@ -227,8 +216,11 @@ def extract_muf(formula: Formula, core_budget: int = 28) -> Formula:
     satisfiable.  Deletion candidates are re-checked through reduction
     plus exhaustion, so each of the O(size) checks touches only a core.
     """
-    dense, _ = _extract_muf_impl(formula, core_budget)
-    return dense
+    clauses = [cl.literals for cl in formula.sorted_clauses()]
+    if not _is_unsat(clauses, core_budget):
+        raise ValueError("input formula is satisfiable; no MUF exists")
+    support, muf = dense_relabel(_minimal(clauses, lambda kept: _is_unsat(kept, core_budget)))
+    return Formula(len(support), muf)
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +244,30 @@ def decide_colorable(graph: Hypergraph, k: int,
     extends greedily through the peel trace.  A non-colorable core is
     minimized edge-by-edge into a minimal non-k-colorable obstruction.
     """
-    core, trace = k_core(graph, k)
-    if k ** core.order > coloring_budget:
-        raise BudgetExceededError(
-            f"{k}^{core.order} colorings exceed budget {coloring_budget}"
-        )
-    edges = list(core.sorted_edges())
-    col = least_coloring(edges, core.order, k)
+    core, trace = _k_core_trace(graph.order, list(graph.sorted_edges()), k)
+    t = len(trace.core_vertices)
+    if k ** t > coloring_budget:
+        raise BudgetExceededError(f"{k}^{t} colorings exceed budget {coloring_budget}")
+    col = least_coloring(core, t, k)
     if col is not None:
         full = trace.extend_coloring(col)
         if not proper_coloring(graph, full):
             raise RuntimeError("lifted coloring fails verification")
-        return ColorVerdict(True, full, None, None, core.order, core.size)
-    kept = edges
-    i = 0
-    while i < len(kept):
-        trial = kept[:i] + kept[i + 1:]
-        if _is_noncolorable(core.order, trial, k, coloring_budget):
-            kept = trial
-        else:
-            i += 1
-    dense, support = induced_hypergraph(kept)
+        return ColorVerdict(True, full, None, None, t, len(core))
+    support, obstruction = dense_relabel(
+        _minimal(core, lambda kept: _is_noncolorable(t, kept, k, coloring_budget)))
     original = tuple(trace.core_vertices[v - 1] for v in support)
-    return ColorVerdict(False, None, dense, original, core.order, core.size)
+    return ColorVerdict(False, None, Hypergraph(len(support), obstruction), original,
+                        t, len(core))
 
 
 def _is_noncolorable(n: int, edges, k: int, coloring_budget: int) -> bool:
     core_idx, _, _ = _k_core_raw(n, list(edges), k)
     if not core_idx:
         return False
-    dense, _ = induced_hypergraph(edges[i] for i in core_idx)
-    if k ** dense.order > coloring_budget:
+    support, core = dense_relabel([edges[i] for i in core_idx])
+    if k ** len(support) > coloring_budget:
         raise BudgetExceededError(
-            f"{k}^{dense.order} colorings exceed budget {coloring_budget}"
+            f"{k}^{len(support)} colorings exceed budget {coloring_budget}"
         )
-    return least_coloring(list(dense.sorted_edges()), dense.order, k) is None
+    return least_coloring(core, len(support), k) is None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparsecore import (
-    Clause,
     Formula,
     Hypergraph,
     count_copies,
@@ -40,7 +39,7 @@ def test_single_clause_reduces_in_one_step():
     assert core.size == 0 and core.order == 0
     assert len(trace.steps) == 1
     assert trace.steps[0].literal == 1
-    assert trace.steps[0].removed == (Clause((1, 2, 3)),)
+    assert trace.steps[0].removed == ((1, 2, 3),)
 
 
 def test_pendant_clause_peels_back_to_pair(f_pair):
@@ -63,8 +62,8 @@ def test_trace_invariants_and_reconstruction():
             lits_left = {l for c in remaining for l in c}
             assert -step.literal not in lits_left
             for cl in step.removed:
-                assert step.literal in cl.literals
-                remaining.remove(cl.literals)
+                assert step.literal in cl
+                remaining.remove(cl)
         assert remaining == to_original_labels(core, trace)
 
 

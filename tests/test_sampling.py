@@ -4,7 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsecore import params_from_alpha, pure_literal_threshold, sample_formula, sample_hypergraph
+from sparsecore import (
+    Formula,
+    Hypergraph,
+    params_from_alpha,
+    pure_literal_threshold,
+    sample_formula,
+    sample_hypergraph,
+)
 from sparsecore.experiments import _batch_rng
 from sparsecore.sampling import (
     DENSE_CANDIDATE_LIMIT,
@@ -159,11 +166,14 @@ def test_sample_indices_rank_the_batch_rows(n, kind, alpha):
     params = params_from_alpha(n, 3, alpha, kind)
     assert params.candidate_count > DENSE_CANDIDATE_LIMIT  # the sparse branch
     decode = unrank_clauses if kind == "sat" else unrank_combinations
+    build, sample = (Formula, sample_formula) if kind == "sat" else (Hypergraph, sample_hypergraph)
     for seed in range(20):
         index = sample_indices(params, np.random.default_rng(seed))
         rows = sample_batch(params, np.random.default_rng(seed), 1)[1]
         assert len(rows) > 0 and np.all(np.diff(index) > 0)
         assert np.array_equal(decode(index, n, 3), rows)
+        # the same seed's sample is those rows
+        assert sample(params, seed) == build(n, rows.tolist())
 
 
 class _RestrictedRng:

@@ -78,6 +78,26 @@ def test_decide_sat_matches_brute_force():
             assert mapped <= {cl.literals for cl in formula.clauses}
 
 
+def test_extract_muf_agrees_with_decide_sat_past_the_core():
+    # both minimize by the same deletion loop: extract_muf over all the
+    # clauses, decide_sat over the pure-literal core only
+    rng = random.Random(31)
+    found = 0
+    while found < 60:
+        formula = random_formula(rng, 6, 3, rng.randint(12, 20))
+        if brute_max_sat(formula) == formula.size:
+            continue
+        padded = list(formula.clauses)
+        for v in (7, 8, 9):  # pure, so outside the core
+            a, b = rng.sample(range(1, 7), 2)
+            padded.append((rng.choice((1, -1)) * a, rng.choice((1, -1)) * b, v))
+        padded = Formula(9, padded)
+        verdict = decide_sat(padded)
+        assert verdict.core_size < padded.size
+        assert extract_muf(padded) == verdict.muf
+        found += 1
+
+
 def test_sat_witness_is_lexicographically_least():
     rng = random.Random(8)
     for _ in range(100):
@@ -100,6 +120,8 @@ def test_sat_witness_is_lexicographically_least():
 def test_budget_exceeded_is_an_error(complete3):
     with pytest.raises(BudgetExceededError):
         decide_sat(complete3, core_budget=2)
+    with pytest.raises(BudgetExceededError):
+        extract_muf(complete3, core_budget=2)
     k4full = Hypergraph(4, [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
     with pytest.raises(BudgetExceededError):
         decide_colorable(k4full, 3, coloring_budget=10)
