@@ -1,14 +1,15 @@
 """Catalogs of small obstructions, enumerated exhaustively up to isomorphism.
 
-A full formula of excess s has at most r*s/(r-2) variables (every variable
-occurs at least twice, once per sign), and a k-dense r-uniform hypergraph
-of excess s has at most r*s/((k-1)(r-1)-1) vertices, so the classes with
-excess below a bound form a finite, enumerable catalog.  Enumeration runs
-per (order, size) cell as a lexicographic set search pruned by the
-coverage deficit (literal occurrences still owed), and deduplicates by
-orbit: the first time a labeled structure is seen, its entire isomorphism
-orbit enters the seen-set, which also yields the automorphism count and
-canonical key for free.
+One engine serves formulas and hypergraphs.  A full formula is a cover
+of degree 2 (every variable occurs once per sign), a k-dense r-uniform
+hypergraph one of degree k, and a cover of excess s in which every point
+has degree >= d has at most r*s/((d-1)(r-1)-1) points (r*s/(r-2) for
+full formulas), so the classes with excess below a bound form a finite,
+enumerable catalog.  Enumeration runs per (order, size) cell as a
+lexicographic set search pruned by the coverage deficit (occurrences
+still owed), and deduplicates by orbit: the first time a labeled
+structure is seen, its entire isomorphism orbit enters the seen-set,
+which also yields the automorphism count and canonical key for free.
 
 Entries are classified by brute force (satisfiability over 2^t
 assignments, weak colorability over k^t colorings) and, when the catalog
@@ -21,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial, floor
 from pathlib import Path
+from typing import NamedTuple
 
 from . import isomorph
 from .isomorph import find_copies
@@ -37,16 +39,26 @@ from .structures import (
 
 CATALOG_FORMAT_VERSION = 1
 
-FLAG_ATTRS = {
-    "full": "is_full",
-    "mff": "is_mff",
-    "satisfiable": "is_satisfiable",
-    "muf": "is_muf",
-    "k_dense": "is_k_dense",
-    "minimal_k_dense": "is_minimal_k_dense",
-    "k_colorable": "is_k_colorable",
-    "min_non_k_colorable": "is_min_non_k_colorable",
+
+class _Kind(NamedTuple):
+    structure: type  # Formula | Hypergraph
+    items: str  # JSON name of the structure's items
+    flags: tuple[str, ...]  # flag attributes, in JSON order
+
+
+_KINDS = {
+    "sat": _Kind(Formula, "clauses", ("is_full", "is_mff", "is_satisfiable", "is_muf")),
+    "hypergraph": _Kind(Hypergraph, "edges", ("is_k_dense", "is_minimal_k_dense",
+                                               "is_k_colorable", "is_min_non_k_colorable")),
 }
+
+FLAG_ATTRS = {attr.removeprefix("is_"): attr for row in _KINDS.values() for attr in row.flags}
+
+
+def _kind(kind: str) -> _Kind:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown catalog kind {kind!r}; one of {sorted(_KINDS)}")
+    return _KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -90,30 +102,14 @@ class Catalog:
         return max((e.order for e in self.entries), default=0)
 
     def to_json_dict(self) -> dict:
-        entries = []
-        for e in self.entries:
-            rec = {
-                "order": e.order,
-                "size": e.size,
-                "excess": e.excess,
-                "aut_count": e.aut_count,
-                "iso_key": e.iso_key.decode("ascii"),
-            }
-            if self.kind == "sat":
-                rec["clauses"] = [list(c.literals) for c in e.structure.sorted_clauses()]
-                rec["flags"] = {
-                    "is_full": e.is_full, "is_mff": e.is_mff,
-                    "is_satisfiable": e.is_satisfiable, "is_muf": e.is_muf,
-                }
-            else:
-                rec["edges"] = [list(t) for t in e.structure.sorted_edges()]
-                rec["flags"] = {
-                    "is_k_dense": e.is_k_dense,
-                    "is_minimal_k_dense": e.is_minimal_k_dense,
-                    "is_k_colorable": e.is_k_colorable,
-                    "is_min_non_k_colorable": e.is_min_non_k_colorable,
-                }
-            entries.append(rec)
+        row = _kind(self.kind)
+        items = isomorph._MODELS[row.structure][3]
+        entries = [{
+            "order": e.order, "size": e.size, "excess": e.excess,
+            "aut_count": e.aut_count, "iso_key": e.iso_key.decode("ascii"),
+            row.items: [list(item) for item in items(e.structure)],
+            "flags": {attr: getattr(e, attr) for attr in row.flags},
+        } for e in self.entries]
         return {
             "format_version": CATALOG_FORMAT_VERSION,
             "kind": self.kind,
@@ -131,20 +127,15 @@ class Catalog:
         if data.get("format_version") != CATALOG_FORMAT_VERSION:
             raise ValueError(f"unsupported catalog format {data.get('format_version')}")
         kind = data["kind"]
-        entries = []
-        for rec in data["entries"]:
-            if kind == "sat":
-                st = Formula(rec["order"], [tuple(c) for c in rec["clauses"]])
-            else:
-                st = Hypergraph(rec["order"], [tuple(e) for e in rec["edges"]])
-            entries.append(CatalogEntry(
-                kind=kind, structure=st, order=rec["order"], size=rec["size"],
-                excess=rec["excess"], aut_count=rec["aut_count"],
-                iso_key=rec["iso_key"].encode("ascii"), **rec["flags"],
-            ))
+        row = _kind(kind)
+        entries = tuple(CatalogEntry(
+            kind=kind, structure=row.structure(rec["order"], [tuple(x) for x in rec[row.items]]),
+            order=rec["order"], size=rec["size"], excess=rec["excess"],
+            aut_count=rec["aut_count"], iso_key=rec["iso_key"].encode("ascii"), **rec["flags"],
+        ) for rec in data["entries"])
         return cls(kind=kind, r=data["r"], k=data["k"], max_excess=data["max_excess"],
                    order_cap=data["order_cap"], size_cap=data["size_cap"],
-                   complete=data["complete"], entries=tuple(entries))
+                   complete=data["complete"], entries=entries)
 
 
 def save_catalog(catalog: Catalog, path) -> None:
@@ -158,51 +149,47 @@ def load_catalog(path) -> Catalog:
 # ---------------------------------------------------------------------------
 # brute-force classification
 
+def _check_order(structure, order_cap: int) -> None:
+    if structure.order > order_cap:
+        raise BudgetExceededError(f"order {structure.order} exceeds cap {order_cap}")
+
+
+def _minimal_failing(items: list, fails) -> bool:
+    """``fails(items)`` holds and fails for no single-item deletion.
+
+    Brute force on purpose: it is the independent check that the solver's
+    deletion minimizer is tested against.
+    """
+    return fails(items) and not any(fails(items[:i] + items[i + 1:])
+                                    for i in range(len(items)))
+
+
 def classify_sat(formula: Formula, order_cap: int = 24) -> bool:
     """Satisfiability by exhausting all 2^order assignments."""
-    if formula.order > order_cap:
-        raise BudgetExceededError(f"order {formula.order} exceeds cap {order_cap}")
+    _check_order(formula, order_cap)
     lits = [cl.literals for cl in formula.sorted_clauses()]
     return least_satisfying(lits, formula.order) is not None
 
 
 def is_muf(formula: Formula, order_cap: int = 24) -> bool:
     """Unsatisfiable, each clause-deleted subformula satisfiable, no unused variables."""
-    if formula.order > order_cap:
-        raise BudgetExceededError(f"order {formula.order} exceeds cap {order_cap}")
-    if len(formula.support) != formula.order:
-        return False
-    if classify_sat(formula, order_cap):
-        return False
-    clauses = formula.sorted_clauses()
-    for i in range(len(clauses)):
-        rest = [cl.literals for cl in clauses[:i] + clauses[i + 1:]]
-        if least_satisfying(rest, formula.order) is None:
-            return False
-    return True
+    _check_order(formula, order_cap)
+    clauses = [cl.literals for cl in formula.sorted_clauses()]
+    return len(formula.support) == formula.order and _minimal_failing(
+        clauses, lambda cs: least_satisfying(cs, formula.order) is None)
 
 
 def classify_colorable(graph: Hypergraph, k: int, order_cap: int = 20) -> bool:
     """Weak k-colorability (no monochromatic edge) over all k^order colorings."""
-    if graph.order > order_cap:
-        raise BudgetExceededError(f"order {graph.order} exceeds cap {order_cap}")
+    _check_order(graph, order_cap)
     return least_coloring(list(graph.sorted_edges()), graph.order, k) is not None
 
 
 def is_min_non_k_colorable(graph: Hypergraph, k: int, order_cap: int = 20) -> bool:
     """Non-colorable, each edge-deleted subhypergraph colorable, no isolated vertices."""
-    if graph.order > order_cap:
-        raise BudgetExceededError(f"order {graph.order} exceeds cap {order_cap}")
-    if len(graph.support) != graph.order:
-        return False
-    edges = list(graph.sorted_edges())
-    if least_coloring(edges, graph.order, k) is not None:
-        return False
-    for i in range(len(edges)):
-        rest = edges[:i] + edges[i + 1:]
-        if least_coloring(rest, graph.order, k) is None:
-            return False
-    return True
+    _check_order(graph, order_cap)
+    return len(graph.support) == graph.order and _minimal_failing(
+        list(graph.sorted_edges()), lambda es: least_coloring(es, graph.order, k) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +295,62 @@ def _entry_sort_key(entry: CatalogEntry):
 
 
 # ---------------------------------------------------------------------------
-# full formulas
+# the engine: covers of excess 1..max_excess, one (order, size) cell at a time
+
+def _enumerate(kind, r, k, degree, max_excess, order_cap, size_cap, minimal_attr,
+               flags) -> Catalog:
+    """Every class of ``kind`` of excess 1..max_excess whose points all have
+    degree >= ``degree``, classified by ``flags(structure)``.  Caps below the
+    order and size bounds truncate the search and mark the catalog
+    incomplete (minimality flags are then left unset)."""
+    bound = floor(r * max_excess / ((degree - 1) * (r - 1) - 1))
+    t_max = bound if order_cap is None else min(order_cap, bound)
+    size_needed = max(
+        ((t + max_excess) // (r - 1) for t in range(r, t_max + 1)), default=0
+    )
+    e_cap = size_needed if size_cap is None else min(size_cap, size_needed)
+    complete = t_max == bound and e_cap == size_needed
+    entries: list[CatalogEntry] = []
+    for t in range(r, t_max + 1):
+        e_hi = min((t + max_excess) // (r - 1), e_cap)
+        for e in range(-(-degree * t // r), e_hi + 1):
+            excess = (r - 1) * e - t
+            if excess < 1 or excess > max_excess:
+                continue
+            for structure, aut, iso_key in _enumerate_cell(kind, r, k, t, e):
+                entries.append(CatalogEntry(
+                    kind=kind, structure=structure, order=t, size=e,
+                    excess=excess, aut_count=aut, iso_key=iso_key, **flags(structure),
+                ))
+    entries.sort(key=_entry_sort_key)
+    if complete:
+        entries = _mark_minimal(entries, minimal_attr)
+    return Catalog(kind=kind, r=r, k=k, max_excess=max_excess,
+                   order_cap=t_max, size_cap=e_cap, complete=complete,
+                   entries=tuple(entries))
+
+
+def _mark_minimal(entries: list[CatalogEntry], attr: str) -> list[CatalogEntry]:
+    """Set the minimality flag: no smaller-excess entry occurs inside.
+
+    Correct only when the list is complete below each entry's excess; any
+    proper substructure of the same kind has strictly smaller excess.
+    """
+    out = []
+    for e in entries:
+        smaller = [x for x in out if x.excess < e.excess]
+        minimal = not any(any(find_copies(x.structure, e.structure)) for x in smaller)
+        out.append(replace(e, **{attr: minimal}))
+    return out
+
+
+def _filter_minimal(catalog: Catalog, kind: str, attr: str, what: str) -> Catalog:
+    if catalog.kind != kind:
+        raise ValueError(f"expected a {what} catalog")
+    if not catalog.complete:
+        raise ValueError("cannot certify minimality from an incomplete catalog")
+    return replace(catalog, entries=tuple(e for e in catalog.entries if getattr(e, attr)))
+
 
 def enumerate_full(r: int, max_excess: int, order_cap: int | None = None,
                    size_cap: int | None = None) -> Catalog:
@@ -326,65 +368,14 @@ def enumerate_full(r: int, max_excess: int, order_cap: int | None = None,
         raise ValueError(f"order cap {order_cap} cannot hold any {r}-clause")
     if size_cap is not None and size_cap < 2:
         raise ValueError(f"size cap {size_cap} cannot hold any full formula")
-    bound = floor(r * max_excess / (r - 2))
-    t_max = bound if order_cap is None else min(order_cap, bound)
-    size_needed = max(
-        ((t + max_excess) // (r - 1) for t in range(r, t_max + 1)), default=0
-    )
-    e_cap = size_needed if size_cap is None else min(size_cap, size_needed)
-    complete = t_max == bound and e_cap == size_needed
-    entries: list[CatalogEntry] = []
-    for t in range(r, t_max + 1):
-        e_lo = max(2, -(-2 * t // r))
-        e_hi = min((t + max_excess) // (r - 1), e_cap)
-        for e in range(e_lo, e_hi + 1):
-            excess = (r - 1) * e - t
-            if excess < 1 or excess > max_excess:
-                continue
-            for structure, aut, iso_key in _enumerate_cell("sat", r, None, t, e):
-                entries.append(CatalogEntry(
-                    kind="sat", structure=structure, order=t, size=e,
-                    excess=excess, aut_count=aut, iso_key=iso_key,
-                    is_full=True,
-                    is_satisfiable=classify_sat(structure),
-                    is_muf=is_muf(structure),
-                ))
-    entries.sort(key=_entry_sort_key)
-    if complete:
-        entries = _mark_minimal(entries, "is_mff")
-    return Catalog(kind="sat", r=r, k=None, max_excess=max_excess,
-                   order_cap=t_max, size_cap=e_cap, complete=complete,
-                   entries=tuple(entries))
-
-
-def _mark_minimal(entries: list[CatalogEntry], attr: str) -> list[CatalogEntry]:
-    """Set the minimality flag: no smaller-excess entry occurs inside.
-
-    Correct only when the list is complete below each entry's excess; any
-    proper substructure of the same kind has strictly smaller excess.
-    """
-    out = []
-    for e in entries:
-        smaller = [x for x in out if x.excess < e.excess]
-        minimal = not any(any(find_copies(x.structure, e.structure)) for x in smaller)
-        rec = {**e.__dict__, attr: minimal}
-        out.append(CatalogEntry(**rec))
-    return out
+    return _enumerate("sat", r, None, 2, max_excess, order_cap, size_cap, "is_mff",
+                      lambda f: dict(is_full=True, is_satisfiable=classify_sat(f),
+                                     is_muf=is_muf(f)))
 
 
 def filter_minimal_full(catalog: Catalog) -> Catalog:
-    if catalog.kind != "sat":
-        raise ValueError("expected a full-formula catalog")
-    if not catalog.complete:
-        raise ValueError("cannot certify minimality from an incomplete catalog")
-    kept = tuple(e for e in catalog.entries if e.is_mff)
-    return Catalog(kind=catalog.kind, r=catalog.r, k=catalog.k,
-                   max_excess=catalog.max_excess, order_cap=catalog.order_cap,
-                   size_cap=catalog.size_cap, complete=catalog.complete, entries=kept)
+    return _filter_minimal(catalog, "sat", "is_mff", "full-formula")
 
-
-# ---------------------------------------------------------------------------
-# k-dense hypergraphs
 
 def enumerate_k_dense(r: int, k: int, max_excess: int, order_cap: int | None = None,
                       size_cap: int | None = None) -> Catalog:
@@ -397,47 +388,14 @@ def enumerate_k_dense(r: int, k: int, max_excess: int, order_cap: int | None = N
         raise ValueError(f"order cap {order_cap} cannot hold any {r}-edge")
     if size_cap is not None and size_cap < 1:
         raise ValueError("size cap must be positive")
-    denom = (k - 1) * (r - 1) - 1
-    bound = floor(r * max_excess / denom)
-    t_max = bound if order_cap is None else min(order_cap, bound)
-    size_needed = max(
-        ((t + max_excess) // (r - 1) for t in range(r, t_max + 1)), default=0
-    )
-    e_cap = size_needed if size_cap is None else min(size_cap, size_needed)
-    complete = t_max == bound and e_cap == size_needed
-    entries: list[CatalogEntry] = []
-    for t in range(r, t_max + 1):
-        e_lo = max(1, -(-k * t // r))
-        e_hi = min((t + max_excess) // (r - 1), e_cap)
-        for e in range(e_lo, e_hi + 1):
-            excess = (r - 1) * e - t
-            if excess < 1 or excess > max_excess:
-                continue
-            for structure, aut, iso_key in _enumerate_cell("hypergraph", r, k, t, e):
-                entries.append(CatalogEntry(
-                    kind="hypergraph", structure=structure, order=t, size=e,
-                    excess=excess, aut_count=aut, iso_key=iso_key,
-                    is_k_dense=True,
-                    is_k_colorable=classify_colorable(structure, k),
-                    is_min_non_k_colorable=is_min_non_k_colorable(structure, k),
-                ))
-    entries.sort(key=_entry_sort_key)
-    if complete:
-        entries = _mark_minimal(entries, "is_minimal_k_dense")
-    return Catalog(kind="hypergraph", r=r, k=k, max_excess=max_excess,
-                   order_cap=t_max, size_cap=e_cap, complete=complete,
-                   entries=tuple(entries))
+    return _enumerate("hypergraph", r, k, k, max_excess, order_cap, size_cap,
+                      "is_minimal_k_dense",
+                      lambda g: dict(is_k_dense=True, is_k_colorable=classify_colorable(g, k),
+                                     is_min_non_k_colorable=is_min_non_k_colorable(g, k)))
 
 
 def filter_minimal_k_dense(catalog: Catalog) -> Catalog:
-    if catalog.kind != "hypergraph":
-        raise ValueError("expected a k-dense catalog")
-    if not catalog.complete:
-        raise ValueError("cannot certify minimality from an incomplete catalog")
-    kept = tuple(e for e in catalog.entries if e.is_minimal_k_dense)
-    return Catalog(kind=catalog.kind, r=catalog.r, k=catalog.k,
-                   max_excess=catalog.max_excess, order_cap=catalog.order_cap,
-                   size_cap=catalog.size_cap, complete=catalog.complete, entries=kept)
+    return _filter_minimal(catalog, "hypergraph", "is_minimal_k_dense", "k-dense")
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _cmd_core(args) -> int:
         core, _ = pure_literal_core(formula)
         print(f"core order = {core.order}")
         print(f"core size  = {core.size}")
-        print(f"core excess = {excess_formula(core) if core.size else -core.order}")
+        print(f"core excess = {excess_formula(core)}")
         sys.stdout.write(to_dimacs(core))
     else:
         graph, r = from_edge_list(text)
@@ -87,7 +87,7 @@ def _cmd_core(args) -> int:
         core, _ = k_core(graph, args.k)
         print(f"core order = {core.order}")
         print(f"core size  = {core.size}")
-        print(f"core excess = {excess_hypergraph(core, r) if core.size else -core.order}")
+        print(f"core excess = {excess_hypergraph(core, r)}")
         sys.stdout.write(to_edge_list(core, r))
     return 0
 

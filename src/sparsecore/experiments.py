@@ -25,6 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .catalog import (
+    _KINDS,
     Catalog,
     enumerate_full,
     enumerate_k_dense,
@@ -169,19 +170,16 @@ def _per_trial(trial: np.ndarray, rows: np.ndarray, count: int) -> list[list[tup
 # ---------------------------------------------------------------------------
 # core classification for the census
 
-_STRUCTURES = {"sat": Formula, "hypergraph": Hypergraph}
-
-
 @lru_cache(maxsize=4096)  # far above the distinct small cores a census process meets
 def _memo_key(kind: str, order: int, items: tuple) -> bytes:
     """Canonical key of a dense core, memoized for the life of the process."""
-    return canonical_key(_STRUCTURES[kind](order, items))
+    return canonical_key(_KINDS[kind].structure(order, items))
 
 
 def _dense_core(kind: str, core_items):
     """A core given by raw items, relabeled onto 1..order."""
     support, items = dense_relabel(core_items)
-    return _STRUCTURES[kind](len(support), items)
+    return _KINDS[kind].structure(len(support), items)
 
 
 def _classify_core(kind: str, core_items, max_order: int, shapes):

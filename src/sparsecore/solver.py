@@ -14,6 +14,7 @@ False < True, colors 1..k).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,27 +115,43 @@ def max_satisfied_assignment(clauses, t: int) -> tuple[int, int]:
 
 
 def least_coloring(edges, t: int, k: int) -> tuple[int, ...] | None:
-    """Least proper k-coloring (vertex 1 most significant digit), or None."""
+    """Least proper k-coloring (vertex 1 most significant digit), or None.
+
+    Scans chunks of k^low colorings, the largest power of k within
+    ``_CHUNK``.  The low vertices' digits come from one table built per
+    call and the high vertices' digits are fixed within a chunk, so an
+    edge among low vertices masks every chunk alike and is checked once.
+    """
     if t == 0:
         return ()
-    total = k ** t
-    place = [k ** (t - v) for v in range(1, t + 1)]  # digit weight of vertex v
-    for start in range(0, total, _CHUNK):
-        arr = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = [(arr // place[v - 1]) % k for v in range(1, t + 1)]
-        ok = np.ones(len(arr), dtype=bool)
-        for e in edges:
-            mono = np.ones(len(arr), dtype=bool)
-            first = digits[e[0] - 1]
-            for v in e[1:]:
-                mono &= digits[v - 1] == first
-            ok &= ~mono
-            if not ok.any():
-                break
+    low = 0
+    while low < t and k ** (low + 1) <= _CHUNK:
+        low += 1
+    high = t - low
+    codes = np.arange(k ** low, dtype=np.int64)
+    digits = {v: (codes // k ** (t - v)) % k for v in range(high + 1, t + 1)}
+    base = np.ones(len(codes), dtype=bool)
+    mixed = []  # (high vertices, low digit tables) of edges with a high vertex
+    for e in edges:
+        tops, lows = [v for v in e if v <= high], [digits[v] for v in e if v > high]
+        if tops:
+            mixed.append((tops, lows))
+        else:
+            base &= ~np.logical_and.reduce([d == lows[0] for d in lows[1:]])
+    if not base.any():
+        return None
+    for chunk, top in enumerate(itertools.product(range(k), repeat=high)):
+        ok = base
+        for tops, lows in mixed:
+            color = top[tops[0] - 1]
+            if all(top[v - 1] == color for v in tops):
+                ok = ok & ~np.logical_and.reduce([d == color for d in lows])
+                if not ok.any():
+                    break
         hits = np.flatnonzero(ok)
         if len(hits):
-            a = start + int(hits[0])
-            return tuple((a // place[v - 1]) % k + 1 for v in range(1, t + 1))
+            a = chunk * len(codes) + int(hits[0])
+            return tuple((a // k ** (t - v)) % k + 1 for v in range(1, t + 1))
     return None
 
 

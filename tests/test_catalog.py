@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 
 from sparsecore import (
+    Catalog,
     Formula,
     Hypergraph,
     canonical_key,
@@ -45,24 +47,31 @@ def test_excess_zero_catalog_is_empty():
 
 
 def test_enumeration_matches_naive_up_to_order_four(full_catalog_r3):
-    # independent route: filter all clause subsets, deduplicate by orbit
-    from sparsecore.sampling import candidate_clauses
+    # independent route: canonical keys of every full clause subset (k-dense
+    # edge subset), cell by cell; formulas up to order four, hypergraphs
+    # through their order bound
+    from sparsecore.sampling import candidate_clauses, candidate_edges
 
-    found = {}
-    for t, e in ((3, 2), (4, 3)):
-        keys = set()
-        for subset in itertools.combinations(candidate_clauses(t, 3), e):
-            formula = Formula(t, subset)
-            if is_full(formula):
-                keys.add(canonical_key(formula))
-        found[(t, e)] = keys
-    catalog_keys = {
-        (entry.order, entry.size): set() for entry in full_catalog_r3.entries
-    }
-    for entry in full_catalog_r3.entries:
-        catalog_keys[(entry.order, entry.size)].add(entry.iso_key)
-    assert catalog_keys[(3, 2)] == found[(3, 2)]
-    assert catalog_keys[(4, 3)] == found[(4, 3)]
+    cases = (
+        (full_catalog_r3, 4, candidate_clauses, Formula, is_full),
+        (enumerate_k_dense(2, 3, 3), 6, candidate_edges, Hypergraph,
+         lambda g: is_k_dense(g, 3)),
+        (enumerate_k_dense(3, 2, 2), 6, candidate_edges, Hypergraph,
+         lambda g: is_k_dense(g, 2)),
+    )
+    for catalog, max_order, candidates, build, keep in cases:
+        r = catalog.r
+        for t in range(r, max_order + 1):
+            for e in range(1, catalog.size_cap + 1):
+                if not 1 <= (r - 1) * e - t <= catalog.max_excess:
+                    continue
+                found = set()
+                for subset in itertools.combinations(candidates(t, r), e):
+                    structure = build(t, subset)
+                    if keep(structure):
+                        found.add(canonical_key(structure))
+                listed = {x.iso_key for x in catalog.entries if (x.order, x.size) == (t, e)}
+                assert listed == found, (catalog.kind, t, e)
 
 
 def test_order_six_cell_labeled_census(full_catalog_r3):
@@ -160,6 +169,9 @@ def test_classification_examples(f_pair, complete3, k4):
     assert classify_colorable(Hypergraph(4, list(k4.sorted_edges())[:-1]), 3)
     assert is_min_non_k_colorable(k4, 3)
     assert not is_min_non_k_colorable(Hypergraph(5, k4.edges), 3)  # isolated vertex
+    # unsatisfiable / non-colorable, but one item can go and it still fails
+    assert not is_muf(Formula(4, list(complete3.clauses) + [(1, 2, 4)]))
+    assert not is_min_non_k_colorable(Hypergraph(5, list(k4.edges) + [(1, 5)]), 3)
 
 
 def test_muf_requires_every_variable_used(complete3):
@@ -174,6 +186,15 @@ def test_catalog_json_round_trip(tmp_path, full_catalog_r3, dense_catalog_k3):
         data = json.loads(path.read_text())
         assert data["format_version"] == 1
         assert load_catalog(path) == cat
+
+
+def test_catalog_codec_rejects_an_unknown_kind(full_catalog_r3):
+    data = full_catalog_r3.to_json_dict()
+    for entries in ([], data["entries"]):
+        with pytest.raises(ValueError, match="'graph'"):
+            Catalog.from_json_dict({**data, "kind": "graph", "entries": entries})
+    with pytest.raises(ValueError, match="'graph'"):
+        dataclasses.replace(full_catalog_r3, kind="graph").to_json_dict()
 
 
 def test_union_excess_exhaustive_for_minimal_pairs(f_pair):

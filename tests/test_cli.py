@@ -1,6 +1,6 @@
 import json
 
-from sparsecore import from_dimacs, from_edge_list, to_dimacs, to_edge_list
+from sparsecore import Formula, from_dimacs, from_edge_list, to_dimacs, to_edge_list
 from sparsecore.cli import main
 
 
@@ -47,7 +47,12 @@ def test_core_command(tmp_path, capsys, f_pair):
     code, out = run_cli(capsys, "core", "--kind", "hypergraph", "--k", "2",
                         "--in", str(gpath))
     assert code == 0
-    assert "core order = 0" in out
+    assert "core order = 0" in out and "core excess = 0" in out
+
+    path.write_text(to_dimacs(Formula(3, [(1, 2, 3), (1, -2, 3)])))  # 1 is pure
+    code, out = run_cli(capsys, "core", "--kind", "sat", "--in", str(path))
+    assert code == 0
+    assert "core order = 0" in out and "core excess = 0" in out
 
 
 def test_catalog_and_predict_commands(tmp_path, capsys):

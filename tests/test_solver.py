@@ -13,7 +13,7 @@ from sparsecore import (
     is_min_non_k_colorable,
     is_muf,
 )
-from sparsecore.solver import count_satisfied, proper_coloring, satisfies
+from sparsecore.solver import count_satisfied, least_coloring, proper_coloring, satisfies
 
 from oracle_utils import brute_colorable, brute_max_sat, random_formula, random_hypergraph
 
@@ -168,3 +168,43 @@ def test_three_uniform_weak_coloring():
         graph = random_hypergraph(rng, 7, 3, rng.randint(1, 10))
         verdict = decide_colorable(graph, 2)
         assert verdict.colorable == brute_colorable(graph, 2)
+
+
+def test_least_coloring_is_lexicographically_least():
+    def brute(edges, t, k):
+        for colors in itertools.product(range(1, k + 1), repeat=t):
+            if all(len({colors[v - 1] for v in e}) > 1 for e in edges):
+                return colors
+        return None
+
+    rng = random.Random(31)
+    cases = []
+    for _ in range(200):
+        k, r = rng.choice((2, 3, 4)), rng.choice((2, 3))
+        t = rng.randint(r, 7)
+        edges = [tuple(sorted(rng.sample(range(1, t + 1), r)))
+                 for _ in range(rng.randint(0, 3 * t))]
+        cases.append((edges, t, k))
+    # The scan runs in chunks of k^low colorings (the largest power of k
+    # within 2^16) that share the digits of the t - low high vertices.
+    # Renaming colors gives vertex 1 color 1, so with one high vertex (k=3,
+    # t=11; k=2, t=17) a colorable answer lies in chunk 0 and a
+    # non-colorable instance scans every chunk; with two (k=3, t=12; k=2,
+    # t=18) an edge between vertices 1 and 2 puts the answer in chunk 1.
+    fano = [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2), (7, 1, 3)]
+    at = (1, 12, 13, 14, 15, 16, 17)
+    late = [
+        ([(1, 2), (2, 11), (2, 12), (11, 12)], 12, 3),
+        ([(1, 2), (2, 18), (17, 18)], 18, 2),
+    ]
+    cases += late + [
+        ([(a, b) for a, b in itertools.combinations((1, 9, 10, 11), 2)], 11, 3),  # K4
+        ([(1, 10), (10, 11), (1, 11), (5, 6)], 11, 3),
+        ([(1, 16), (16, 17), (1, 17)], 17, 2),  # odd cycle
+        ([tuple(sorted(at[v - 1] for v in e)) for e in fano], 17, 2),  # Fano plane
+        ([(1, 2, 17), (3, 16, 17)], 17, 2),
+    ]
+    for edges, t, k in cases:
+        assert least_coloring(edges, t, k) == brute(edges, t, k), (edges, t, k)
+    for edges, t, k in late:
+        assert least_coloring(edges, t, k)[1] == 2
