@@ -7,9 +7,12 @@ has degree >= d has at most r*s/((d-1)(r-1)-1) points (r*s/(r-2) for
 full formulas), so the classes with excess below a bound form a finite,
 enumerable catalog.  Enumeration runs per (order, size) cell as a
 lexicographic set search pruned by the coverage deficit (occurrences
-still owed), and deduplicates by orbit: the first time a labeled
-structure is seen, its entire isomorphism orbit enters the seen-set,
-which also yields the automorphism count and canonical key for free.
+still owed), over the covers through item 0 only (every orbit holds
+some), and deduplicates by orbit: the first time a labeled structure is
+seen, the images of it that hold item 0 enter the seen-set, which also
+yields the automorphism count and canonical key for free.  A cell whose
+group table would pass ``isomorph._TABLE_ENTRY_CAP`` raises
+BudgetExceededError before any cell is searched.
 
 Entries are classified by brute force (satisfiability over 2^t
 assignments, weak colorability over k^t colorings) and, when the catalog
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from math import factorial, floor
+from math import floor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -195,19 +198,32 @@ def is_min_non_k_colorable(graph: Hypergraph, k: int, order_cap: int = 20) -> bo
 # ---------------------------------------------------------------------------
 # labeled enumeration per (order, size) cell
 
+def _take(deficit: dict, cov) -> dict:
+    """The deficit after one more candidate: each still-owed unit of ``cov`` drops by one."""
+    out = dict(deficit)
+    for u in cov:
+        if u in out:
+            if out[u] == 1:
+                del out[u]
+            else:
+                out[u] -= 1
+    return out
+
+
 def _covering_sets(candidates, units, need_units, e, r):
-    """Index tuples of e candidates covering all coverage units.
+    """Yield the index tuples of e candidates covering all coverage units
+    that hold candidate 0.
 
     ``candidates``: per-index frozenset of units it covers (each candidate
     covers r units, one per member).  ``units``: the initial uncovered
     multiset, as a dict unit -> multiplicity.  A candidate reduces each of
-    its still-deficient units by one.  Prunes on the unit deficit versus
-    the r*(clauses left) slots remaining, and in the tight case generates
-    candidates directly from the deficient units.
+    its still-deficient units by one.  The search starts with candidate 0
+    chosen, prunes on the unit deficit versus the r*(clauses left) slots
+    remaining, and in the tight case generates candidates directly from
+    the deficient units.
     """
     index_of = {cov: i for i, cov in enumerate(candidates)}
-    results: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    chosen = [0]
 
     def rec(start: int, deficit: dict, total: int):
         slots = (e - len(chosen)) * r
@@ -215,24 +231,17 @@ def _covering_sets(candidates, units, need_units, e, r):
             return
         if len(chosen) == e:
             if total == 0:
-                results.append(tuple(chosen))
+                yield tuple(chosen)
             return
         if total == slots:
-            pool = sorted(deficit)
-            for combo in itertools.combinations(pool, r):
+            for combo in itertools.combinations(sorted(deficit), r):
                 if len({need_units(u) for u in combo}) != r:
                     continue
                 idx = index_of.get(frozenset(combo))
                 if idx is None or idx < start:
                     continue
-                new_deficit = dict(deficit)
-                for u in combo:
-                    if new_deficit[u] == 1:
-                        del new_deficit[u]
-                    else:
-                        new_deficit[u] -= 1
                 chosen.append(idx)
-                rec(idx + 1, new_deficit, total - r)
+                yield from rec(idx + 1, _take(deficit, combo), total - r)
                 chosen.pop()
             return
         for idx in range(start, len(candidates)):
@@ -240,19 +249,12 @@ def _covering_sets(candidates, units, need_units, e, r):
             gain = sum(1 for u in cov if u in deficit)
             if total - gain > slots - r:
                 continue
-            new_deficit = dict(deficit)
-            for u in cov:
-                if u in new_deficit:
-                    if new_deficit[u] == 1:
-                        del new_deficit[u]
-                    else:
-                        new_deficit[u] -= 1
             chosen.append(idx)
-            rec(idx + 1, new_deficit, total - gain)
+            yield from rec(idx + 1, _take(deficit, cov), total - gain)
             chosen.pop()
 
-    rec(0, dict(units), sum(units.values()))
-    return results
+    deficit = _take(units, candidates[0])
+    yield from rec(1, deficit, sum(deficit.values()))
 
 
 def _enumerate_cell(kind, r, k, t, e):
@@ -260,6 +262,11 @@ def _enumerate_cell(kind, r, k, t, e):
 
     Returns a list of (structure, aut_count, iso_key) with the structure
     labeled canonically and using all t variables/vertices.
+
+    Item 0 (the all-positive clause, or the edge, on 1..r) has the least
+    bitmask and the group moves it onto every item, so every orbit holds
+    covers through item 0 and its least row starts with item 0: only those
+    covers are searched, and only the orbit rows through item 0 are kept.
     """
     signed = kind == "sat"
     if signed:
@@ -273,7 +280,6 @@ def _enumerate_cell(kind, r, k, t, e):
         units = {v: k for v in range(t)}
         need_units = lambda u: u
     covers = [frozenset(row) for row in rows]
-    group = (2 ** t if signed else 1) * factorial(t)
     packed = [isomorph._pack_row(row) for row in rows]
     seen: set[tuple[int, ...]] = set()
     classes = []
@@ -281,10 +287,13 @@ def _enumerate_cell(kind, r, k, t, e):
         key_row = tuple(sorted(packed[i] for i in ids))
         if key_row in seen:
             continue
-        orbit = isomorph._orbit_rows(t, [rows[i] for i in ids], signed)
-        seen.update(map(tuple, orbit.tolist()))
-        aut = group // len(orbit)
-        encoding = isomorph._decode_orbit_row(orbit[0])
+        masks = isomorph._orbit_masks(t, [rows[i] for i in ids], signed)
+        masks = masks[(masks == packed[0]).any(axis=1)]
+        masks.sort(axis=1)
+        anchored = set(map(tuple, masks.tolist()))
+        seen |= anchored
+        aut = int((masks == key_row).all(axis=1).sum())
+        encoding = isomorph._decode_orbit_row(min(anchored))
         iso_key = isomorph._render("F" if signed else "G", t, 0, encoding)
         classes.append((isomorph._from_encoding(t, encoding, signed), aut, iso_key))
     return classes
@@ -310,18 +319,18 @@ def _enumerate(kind, r, k, degree, max_excess, order_cap, size_cap, minimal_attr
     )
     e_cap = size_needed if size_cap is None else min(size_cap, size_needed)
     complete = t_max == bound and e_cap == size_needed
+    cells = [(t, e) for t in range(r, t_max + 1)
+             for e in range(-(-degree * t // r), min((t + max_excess) // (r - 1), e_cap) + 1)
+             if 1 <= (r - 1) * e - t <= max_excess]
+    for t, e in cells:  # refuse up front, before any cell is searched
+        isomorph._check_table(t, kind == "sat", f"{kind} cell (order {t}, size {e})")
     entries: list[CatalogEntry] = []
-    for t in range(r, t_max + 1):
-        e_hi = min((t + max_excess) // (r - 1), e_cap)
-        for e in range(-(-degree * t // r), e_hi + 1):
-            excess = (r - 1) * e - t
-            if excess < 1 or excess > max_excess:
-                continue
-            for structure, aut, iso_key in _enumerate_cell(kind, r, k, t, e):
-                entries.append(CatalogEntry(
-                    kind=kind, structure=structure, order=t, size=e,
-                    excess=excess, aut_count=aut, iso_key=iso_key, **flags(structure),
-                ))
+    for t, e in cells:
+        for structure, aut, iso_key in _enumerate_cell(kind, r, k, t, e):
+            entries.append(CatalogEntry(
+                kind=kind, structure=structure, order=t, size=e,
+                excess=(r - 1) * e - t, aut_count=aut, iso_key=iso_key, **flags(structure),
+            ))
     entries.sort(key=_entry_sort_key)
     if complete:
         entries = _mark_minimal(entries, minimal_attr)

@@ -2,8 +2,8 @@
 
 Subcommands: sample, threshold, core, catalog, predict, solve, mc.
 `solve` exits 10 (satisfiable / colorable), 20 (unsatisfiable /
-non-colorable) or 30 (budget exceeded); everything else exits 0 on
-success.
+non-colorable) or 30 (budget exceeded); `catalog` exits 30 when its
+enumeration would exceed a budget; everything else exits 0 on success.
 """
 
 from __future__ import annotations
@@ -93,13 +93,17 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if args.kind == "sat":
-        cat = enumerate_full(args.r, args.max_excess, args.order_cap, args.size_cap)
-    else:
-        if args.k is None:
-            raise SystemExit("catalog --kind hypergraph needs --k")
-        cat = enumerate_k_dense(args.r, args.k, args.max_excess, args.order_cap,
-                                args.size_cap)
+    if args.kind == "hypergraph" and args.k is None:
+        raise SystemExit("catalog --kind hypergraph needs --k")
+    try:
+        if args.kind == "sat":
+            cat = enumerate_full(args.r, args.max_excess, args.order_cap, args.size_cap)
+        else:
+            cat = enumerate_k_dense(args.r, args.k, args.max_excess, args.order_cap,
+                                    args.size_cap)
+    except BudgetExceededError as exc:
+        print(f"catalog: budget exceeded ({exc})")
+        return 30
     save_catalog(cat, args.out)
     print(f"catalog: {len(cat.entries)} classes, complete={cat.complete}, "
           f"written to {args.out}")

@@ -273,7 +273,7 @@ def _auto_catalog(config: ExperimentConfig) -> Catalog | None:
         if config.r == 2:
             k = config.k
             return enumerate_k_dense(2, k, (k - 2) * (k + 1) // 2)
-    except ValueError:
+    except (ValueError, BudgetExceededError):  # no catalog at these parameters
         return None
     return None
 

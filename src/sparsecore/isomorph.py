@@ -9,7 +9,7 @@ Two engines compute the same canonical form.  For small supports every
 group element's image of the labeled structure is formed with numpy, as
 rows of clause bitmasks; the least row is the canonical form, the number
 of elements reaching it is the automorphism count, and the distinct rows
-are the labeled images used by enumeration.  Above the orbit limit a
+are the labeled images of the structure.  Above the orbit limit a
 pruned branch-and-bound search over label assignments is used.  Both
 minimize the same encoding: clauses written as descending literal-id
 tuples, listed in ascending order.  Isolated variables are split off
@@ -36,6 +36,9 @@ from .structures import (
 DEFAULT_ORDER_CAP = 16
 _FORMULA_ORBIT_MAX = 7
 _HYPERGRAPH_ORBIT_MAX = 8
+# Largest group table built, in entries: the signed table at support 7 has
+# 9.0M and the unsigned one at 9 has 3.3M; the signed one at 8 has 165M.
+_TABLE_ENTRY_CAP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +57,19 @@ def _signed_lit_maps(t: int) -> np.ndarray:
     return maps.reshape(-1, 2 * t)
 
 
+def _check_table(t: int, signed: bool, what: str) -> None:
+    """Raise BudgetExceededError, naming ``what``, if the group table of
+    support ``t`` would exceed ``_TABLE_ENTRY_CAP`` entries."""
+    entries = (2 ** t * 2 * t if signed else t) * factorial(t)
+    if entries > _TABLE_ENTRY_CAP:
+        raise BudgetExceededError(
+            f"{what}: group table of {entries:,} entries exceeds cap {_TABLE_ENTRY_CAP:,}")
+
+
 @lru_cache(maxsize=None)
 def _bit_table(t: int, signed: bool) -> np.ndarray:
     """(group size, ids) array: bit of each id's image under each group element."""
+    _check_table(t, signed, f"support {t}")
     maps = _signed_lit_maps(t) if signed else \
         np.array(list(itertools.permutations(range(t))), dtype=np.int8)
     dtype = np.min_scalar_type((1 << maps.shape[1]) - 1)  # unsigned, holds any clause mask

@@ -3,9 +3,11 @@
 Nothing here goes through the library's canonicalization, reduction or
 search code: group actions, copies, satisfiability, colorability and
 pure-literal fixpoints are recomputed from first principles so the tests
-check the library against a second, dumber route.  The one exception is
-the slow expansion reference, which deduplicates its configurations with
-the library's canonical_key (itself checked against brute force).
+check the library against a second, dumber route.  Two exceptions: the
+slow expansion reference deduplicates its configurations with the
+library's canonical_key (itself checked against brute force), and the
+unanchored catalog cell reference takes whole orbits from the library's
+orbit kernel.
 """
 
 import itertools
@@ -13,8 +15,9 @@ import math
 import random
 from fractions import Fraction
 
-from sparsecore import AlphaPoly, Formula, Hypergraph, canonical_key
+from sparsecore import AlphaPoly, Formula, Hypergraph, canonical_key, isomorph
 from sparsecore.predictor import EVENT_FLAGS
+from sparsecore.sampling import candidate_clauses, candidate_edges
 
 
 def apply_signed(formula: Formula, perm, flips) -> Formula:
@@ -157,6 +160,94 @@ def reference_expansion_terms(catalog, event: str, s_max: int) -> dict:
         for s in range(excess(w), s_max + 1):
             terms[s] = terms[s] + AlphaPoly.term(lead * falling[s - excess(w)], w.size)
     return {str(s): poly.to_json() for s, poly in sorted(terms.items())}
+
+
+def labeled_covers(candidates, units, need_units, e, r):
+    """Index tuples of e candidates covering all coverage units: every
+    labeled cover of a catalog cell, found by a lexicographic set search
+    pruned by the coverage deficit (``units``: unit -> multiplicity owed;
+    each candidate covers r units, one per member)."""
+    index_of = {cov: i for i, cov in enumerate(candidates)}
+    results = []
+    chosen = []
+
+    def rec(start, deficit, total):
+        slots = (e - len(chosen)) * r
+        if total > slots:
+            return
+        if len(chosen) == e:
+            if total == 0:
+                results.append(tuple(chosen))
+            return
+        if total == slots:
+            for combo in itertools.combinations(sorted(deficit), r):
+                if len({need_units(u) for u in combo}) != r:
+                    continue
+                idx = index_of.get(frozenset(combo))
+                if idx is None or idx < start:
+                    continue
+                new_deficit = dict(deficit)
+                for u in combo:
+                    if new_deficit[u] == 1:
+                        del new_deficit[u]
+                    else:
+                        new_deficit[u] -= 1
+                chosen.append(idx)
+                rec(idx + 1, new_deficit, total - r)
+                chosen.pop()
+            return
+        for idx in range(start, len(candidates)):
+            cov = candidates[idx]
+            gain = sum(1 for u in cov if u in deficit)
+            if total - gain > slots - r:
+                continue
+            new_deficit = dict(deficit)
+            for u in cov:
+                if u in new_deficit:
+                    if new_deficit[u] == 1:
+                        del new_deficit[u]
+                    else:
+                        new_deficit[u] -= 1
+            chosen.append(idx)
+            rec(idx + 1, new_deficit, total - gain)
+            chosen.pop()
+
+    rec(0, dict(units), sum(units.values()))
+    return results
+
+
+def reference_cell(kind, r, k, t, e):
+    """``catalog._enumerate_cell`` the slow way, plus the labeled cover count.
+
+    Every labeled cover of the cell is listed; the first time one is seen,
+    its whole orbit (``isomorph._orbit_rows``) enters the seen-set, its
+    least row is the canonical form and |G| / |orbit| its automorphism
+    count.  Returns ([(structure, aut_count, iso_key)], labeled covers).
+    """
+    signed = kind == "sat"
+    if signed:
+        rows = [tuple(2 * (abs(l) - 1) + (l < 0) for l in lits)
+                for lits in candidate_clauses(t, r)]
+        units = {u: 1 for u in range(2 * t)}
+        need_units = lambda u: u // 2
+    else:
+        rows = [tuple(v - 1 for v in edge) for edge in candidate_edges(t, r)]
+        units = {v: k for v in range(t)}
+        need_units = lambda u: u
+    group = (2 ** t if signed else 1) * math.factorial(t)
+    packed = [isomorph._pack_row(row) for row in rows]
+    covers = labeled_covers([frozenset(row) for row in rows], units, need_units, e, r)
+    seen = set()
+    classes = []
+    for ids in covers:
+        if tuple(sorted(packed[i] for i in ids)) in seen:
+            continue
+        orbit = isomorph._orbit_rows(t, [rows[i] for i in ids], signed)
+        seen.update(map(tuple, orbit.tolist()))
+        encoding = isomorph._decode_orbit_row(orbit[0])
+        classes.append((isomorph._from_encoding(t, encoding, signed), group // len(orbit),
+                        isomorph._render("F" if signed else "G", t, 0, encoding)))
+    return classes, len(covers)
 
 
 def labeled_copy_count(pattern: Formula | Hypergraph, n: int) -> int:

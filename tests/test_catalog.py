@@ -1,11 +1,15 @@
 import dataclasses
+import functools
 import itertools
 import json
+import math
 import random
+import time
 
 import pytest
 
 from sparsecore import (
+    BudgetExceededError,
     Catalog,
     Formula,
     Hypergraph,
@@ -26,9 +30,16 @@ from sparsecore import (
     load_catalog,
     save_catalog,
 )
+from sparsecore import catalog as catalog_module, isomorph
 from sparsecore.structures import dense_excess_bound, full_excess_bound
 
-from oracle_utils import apply_signed, brute_colorable, brute_sat, signed_images
+from oracle_utils import (
+    apply_signed,
+    brute_colorable,
+    brute_sat,
+    reference_cell,
+    signed_images,
+)
 
 
 def test_excess_one_catalog_is_the_complementary_pair(f_pair):
@@ -86,6 +97,43 @@ def test_order_six_cell_labeled_census(full_catalog_r3):
     pair_of_pairs = [e for e in six if e.aut_count == 288][0]
     assert not pair_of_pairs.is_mff  # contains the complementary pair
     assert all(e.is_mff for e in six if e.aut_count != 288)
+
+
+@pytest.mark.parametrize("build, args", [
+    (enumerate_full, (3, 2)),
+    (enumerate_full, (4, 3)),
+    (functools.partial(enumerate_full, order_cap=6), (3, 3)),
+    (enumerate_k_dense, (2, 3, 3)),
+    (enumerate_k_dense, (3, 2, 2)),
+], ids=["full-3-2", "full-4-3", "full-3-3-cap6", "dense-2-3-3", "dense-3-2-2"])
+def test_anchored_engine_matches_the_unanchored_reference(monkeypatch, build, args):
+    catalog = build(*args)
+    labeled = {}
+
+    def reference(kind, r, k, t, e):
+        classes, labeled[t, e] = reference_cell(kind, r, k, t, e)
+        return classes
+
+    monkeypatch.setattr(catalog_module, "_enumerate_cell", reference)
+    assert build(*args).to_json_dict() == catalog.to_json_dict()
+    # orbit-stabilizer, cell by cell: the class orbits partition the labeled covers
+    assert labeled
+    for (t, e), count in labeled.items():
+        group = (2 ** t if catalog.kind == "sat" else 1) * math.factorial(t)
+        cell = [x for x in catalog.entries if (x.order, x.size) == (t, e)]
+        assert sum(group // x.aut_count for x in cell) == count, (t, e)
+
+
+def test_group_table_guard_raises_before_allocating():
+    # the signed support-9 table would hold 185,794,560 x 18 entries
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"sat cell \(order 9, size 6\)"):
+        enumerate_full(3, 3)
+    with pytest.raises(BudgetExceededError, match="support 9"):
+        isomorph._bit_table(9, True)
+    assert time.perf_counter() - started < 1.0
+    isomorph._check_table(7, True, "signed support 7")  # in use: stays below the cap
+    isomorph._check_table(9, False, "unsigned support 9")
 
 
 def test_every_entry_obeys_the_full_excess_bound(full_catalog_r3):

@@ -74,6 +74,16 @@ def test_catalog_and_predict_commands(tmp_path, capsys):
     assert payload["terms"]["1"] == [[2, "2/3"]]
 
 
+def test_catalog_reports_a_budget_hit(tmp_path, capsys):
+    cat_file = tmp_path / "cat.json"
+    code, out = run_cli(capsys, "catalog", "--kind", "sat", "--r", "3",
+                        "--max-excess", "3", "--out", str(cat_file))
+    assert code == 30
+    assert out.startswith("catalog: budget exceeded (sat cell (order 9, size 6)")
+    assert len(out.strip().splitlines()) == 1
+    assert not cat_file.exists()
+
+
 def test_solve_exit_codes(tmp_path, capsys, f_pair, complete3):
     sat_path = tmp_path / "sat.cnf"
     sat_path.write_text(to_dimacs(f_pair))

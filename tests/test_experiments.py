@@ -51,6 +51,13 @@ def test_alpha_zero_never_fails():
     assert report.failures == 0 and report.rate == 0.0
 
 
+def test_rate_runs_without_a_catalog_past_the_table_cap():
+    # the r=8 catalog's signed group table (165M entries) is past its cap
+    report = run_failure_probability(
+        ExperimentConfig(kind="pl-fail", n=20, r=8, alpha=0.0, trials=500, seed=1))
+    assert report.failures == 0 and report.predicted is None
+
+
 def test_reports_identical_across_worker_counts():
     base = dict(kind="pl-fail", n=20, r=3, alpha=1.0, trials=3000, seed=11, batch_size=400)
     one = run_failure_probability(ExperimentConfig(**base, workers=1))
