@@ -16,9 +16,10 @@ BudgetExceededError before any cell is searched.
 
 Entries are classified by brute force (satisfiability over 2^t
 assignments, weak colorability over k^t colorings) and, when the catalog
-is complete, by minimality (no smaller-excess catalog structure occurs as
-a substructure).  Catalogs serialize to JSON so expensive enumerations
-are computed once.
+is complete, by minimality: the structure has a nonempty core and no
+single-item deletion of it has one (the failure test of the event the
+catalog serves, ``predictor.EVENT_FAILS``).  Catalogs serialize to JSON
+so expensive enumerations are computed once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import isomorph
-from .isomorph import find_copies
+from .predictor import EVENT_FAILS, EVENT_FLAGS
 from .sampling import candidate_clauses, candidate_edges
 from .solver import least_coloring, least_satisfying
 from .structures import (
@@ -306,12 +307,16 @@ def _entry_sort_key(entry: CatalogEntry):
 # ---------------------------------------------------------------------------
 # the engine: covers of excess 1..max_excess, one (order, size) cell at a time
 
-def _enumerate(kind, r, k, degree, max_excess, order_cap, size_cap, minimal_attr,
-               flags) -> Catalog:
-    """Every class of ``kind`` of excess 1..max_excess whose points all have
-    degree >= ``degree``, classified by ``flags(structure)``.  Caps below the
-    order and size bounds truncate the search and mark the catalog
-    incomplete (minimality flags are then left unset)."""
+def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> Catalog:
+    """Every class of ``event``'s structures of excess 1..max_excess whose
+    points all have degree >= ``degree``, classified by ``flags(structure)``.
+    Caps below the order and size bounds truncate the search and mark the
+    catalog incomplete; only a complete catalog gets the event's minimality
+    flag, a deletion check of its failure test (a failing proper
+    substructure holds a full, or k-dense, one of smaller excess)."""
+    kind, flag = EVENT_FLAGS[event]
+    fails = EVENT_FAILS[event]
+    items = isomorph._MODELS[_kind(kind).structure][3]
     bound = floor(r * max_excess / ((degree - 1) * (r - 1) - 1))
     t_max = bound if order_cap is None else min(order_cap, bound)
     size_needed = max(
@@ -327,30 +332,17 @@ def _enumerate(kind, r, k, degree, max_excess, order_cap, size_cap, minimal_attr
     entries: list[CatalogEntry] = []
     for t, e in cells:
         for structure, aut, iso_key in _enumerate_cell(kind, r, k, t, e):
+            minimal = {FLAG_ATTRS[flag]: _minimal_failing(
+                items(structure), lambda its: fails(its, t, k))} if complete else {}
             entries.append(CatalogEntry(
                 kind=kind, structure=structure, order=t, size=e,
-                excess=(r - 1) * e - t, aut_count=aut, iso_key=iso_key, **flags(structure),
+                excess=(r - 1) * e - t, aut_count=aut, iso_key=iso_key,
+                **flags(structure), **minimal,
             ))
     entries.sort(key=_entry_sort_key)
-    if complete:
-        entries = _mark_minimal(entries, minimal_attr)
     return Catalog(kind=kind, r=r, k=k, max_excess=max_excess,
                    order_cap=t_max, size_cap=e_cap, complete=complete,
                    entries=tuple(entries))
-
-
-def _mark_minimal(entries: list[CatalogEntry], attr: str) -> list[CatalogEntry]:
-    """Set the minimality flag: no smaller-excess entry occurs inside.
-
-    Correct only when the list is complete below each entry's excess; any
-    proper substructure of the same kind has strictly smaller excess.
-    """
-    out = []
-    for e in entries:
-        smaller = [x for x in out if x.excess < e.excess]
-        minimal = not any(any(find_copies(x.structure, e.structure)) for x in smaller)
-        out.append(replace(e, **{attr: minimal}))
-    return out
 
 
 def _filter_minimal(catalog: Catalog, kind: str, attr: str, what: str) -> Catalog:
@@ -377,7 +369,7 @@ def enumerate_full(r: int, max_excess: int, order_cap: int | None = None,
         raise ValueError(f"order cap {order_cap} cannot hold any {r}-clause")
     if size_cap is not None and size_cap < 2:
         raise ValueError(f"size cap {size_cap} cannot hold any full formula")
-    return _enumerate("sat", r, None, 2, max_excess, order_cap, size_cap, "is_mff",
+    return _enumerate("pl-fail", r, None, 2, max_excess, order_cap, size_cap,
                       lambda f: dict(is_full=True, is_satisfiable=classify_sat(f),
                                      is_muf=is_muf(f)))
 
@@ -397,8 +389,7 @@ def enumerate_k_dense(r: int, k: int, max_excess: int, order_cap: int | None = N
         raise ValueError(f"order cap {order_cap} cannot hold any {r}-edge")
     if size_cap is not None and size_cap < 1:
         raise ValueError("size cap must be positive")
-    return _enumerate("hypergraph", r, k, k, max_excess, order_cap, size_cap,
-                      "is_minimal_k_dense",
+    return _enumerate("kcore", r, k, k, max_excess, order_cap, size_cap,
                       lambda g: dict(is_k_dense=True, is_k_colorable=classify_colorable(g, k),
                                      is_min_non_k_colorable=is_min_non_k_colorable(g, k)))
 

@@ -3,7 +3,8 @@
 Subcommands: sample, threshold, core, catalog, predict, solve, mc.
 `solve` exits 10 (satisfiable / colorable), 20 (unsatisfiable /
 non-colorable) or 30 (budget exceeded); `catalog` exits 30 when its
-enumeration would exceed a budget; everything else exits 0 on success.
+enumeration would exceed a budget; `mc` exits 30 on a budget and 2 on an
+invalid configuration; everything else exits 0 on success.
 """
 
 from __future__ import annotations
@@ -169,14 +170,17 @@ def _cmd_mc(args) -> int:
         seed=args.seed, k=args.k, workers=args.workers, catalog=catalog,
         exclude_below_excess=args.exclude_below_excess,
     )
-    if args.mode == "rate":
-        report = run_failure_probability(config)
-    elif args.mode == "census":
-        report = run_core_census(config)
-        if report.predicted is not None:
-            print(f"expected failures at first order: {report.predicted * config.trials:.1f}")
-    else:
-        report = run_solver_validation(config)
+    try:
+        report = {"rate": run_failure_probability, "census": run_core_census,
+                  "validate": run_solver_validation}[args.mode](config)
+    except BudgetExceededError as exc:
+        print(f"mc: budget exceeded ({exc})")
+        return 30
+    except ValueError as exc:
+        print(f"mc: {exc}")
+        return 2
+    if args.mode == "census" and report.predicted is not None:
+        print(f"expected failures at first order: {report.predicted * config.trials:.1f}")
     for key, value in report.to_json_dict().items():
         if key in ("config", "census", "predicted_census"):
             continue

@@ -38,7 +38,6 @@ from .reduction import _k_core_batch, _pure_literal_batch
 from .sampling import params_from_alpha, sample_batch
 from .structures import (
     BudgetExceededError,
-    Clause,
     Formula,
     Hypergraph,
     dense_relabel,
@@ -267,14 +266,16 @@ def _run_batches(config: ExperimentConfig, worker, batches):
 
 
 def _auto_catalog(config: ExperimentConfig) -> Catalog | None:
+    """The complete catalog through the leading obstructions' excess, or
+    None where the model has none.  A catalog whose group table would pass
+    the cap raises BudgetExceededError."""
     try:
         if config.kind in ("pl-fail", "unsat"):
             return enumerate_full(config.r, config.r - 2)
         if config.r == 2:
-            k = config.k
-            return enumerate_k_dense(2, k, (k - 2) * (k + 1) // 2)
-    except (ValueError, BudgetExceededError):  # no catalog at these parameters
-        return None
+            return enumerate_k_dense(2, config.k, (config.k - 2) * (config.k + 1) // 2)
+    except ValueError:  # no catalog at these parameters
+        pass
     return None
 
 
@@ -347,7 +348,10 @@ def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
     unsatisfiability / non-colorability kinds)."""
     config.validate(RATE_KINDS)
     t0 = time.perf_counter()
-    catalog = config.catalog or _auto_catalog(config)
+    try:
+        catalog = config.catalog or _auto_catalog(config)
+    except BudgetExceededError:  # the rate needs no catalog; only its prediction does
+        catalog = None
     predicted, _ = _prediction(config, catalog)
     results = _run_batches(config, _rate_worker_plain,
                            _split_batches(config.trials, config.batch_size))
@@ -446,14 +450,13 @@ def _oracle_colorable(edges, n: int, k: int) -> bool:
     return _least_violations(demand.reshape(k * len(edges), n), n, k, stop_at_zero=True) == 0
 
 
-def _witness_in_input(verdict, formula: Formula) -> bool:
-    """The UNSAT witness, mapped back to the input's variables, is a set of
-    the input's clauses."""
+def _witness_in_input(verdict, items) -> bool:
+    """The UNSAT witness, lifted to the input's variables, is a set of the
+    input's rows (both sorted by variable; the labels ascend)."""
     labels = verdict.muf_variables
-    return all(
-        Clause(tuple(labels[abs(l) - 1] * (1 if l > 0 else -1) for l in cl.literals))
-        in formula.clauses
-        for cl in verdict.muf.clauses)
+    rows = set(items)
+    return all(tuple(labels[abs(l) - 1] * (1 if l > 0 else -1) for l in cl.literals) in rows
+               for cl in verdict.muf.clauses)
 
 
 def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
@@ -469,7 +472,7 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
                 ok = (verdict.status == "SAT") == oracle_sat and \
                     verdict.max_satisfied == oracle_max
                 if verdict.status == "UNSAT" and not (
-                        is_muf(verdict.muf) and _witness_in_input(verdict, formula)):
+                        is_muf(verdict.muf) and _witness_in_input(verdict, items)):
                     witness_bad += 1
                     ok = False
             else:

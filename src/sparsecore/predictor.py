@@ -3,17 +3,17 @@
 Expected copy counts and first-order containment probabilities come from
 the labeled-placement count C(n,t) * t! * 2^t / |aut H| (the 2^t sign
 factor disappears for hypergraphs) times p^size.  The failure-probability
-expansion in powers of 1/n sums over configurations (isomorphism classes
-of unions of distinct copies of the cataloged minimal obstructions),
-attaches each configuration's inclusion-exclusion weight, and expands the
-falling factorial (n)_t / n^t exactly.  The configurations need no search
-of their own: a union of copies of full formulas is full (of k-dense
-hypergraphs, k-dense), has no isolated variables and has excess at least
-1, so every configuration of excess <= s_max is already an entry of a
-catalog complete through s_max, with its |Aut| and excess.  Entries that
-are not unions of copies get weight 0.  All expansion arithmetic is in
-rationals; floats appear only when a prediction is evaluated at numeric
-(n, alpha).
+expansion in powers of 1/n sums over configurations (unions of copies of
+the cataloged minimal obstructions), attaches each configuration's
+inclusion-exclusion weight, a Moebius sum of the event's failure test over
+its item subsets, and expands (n)_t / n^t exactly.  The configurations
+need no search of their own: a union of copies of full formulas is full
+(of k-dense hypergraphs, k-dense), has no isolated variables and has
+excess at least 1, so every configuration of excess <= s_max is already
+an entry of a catalog complete through s_max, with its |Aut| and excess.
+Entries that are not unions of copies get weight 0.  All expansion
+arithmetic is in rationals; floats appear only when a prediction is
+evaluated at numeric (n, alpha).
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .catalog import Catalog
-from .isomorph import automorphism_count, find_copies
+from .isomorph import _MODELS, automorphism_count
+from .reduction import _k_core_raw, _pure_literal_raw
+from .solver import _is_noncolorable, _is_unsat
 from .structures import (
     Formula,
     Hypergraph,
@@ -34,6 +36,9 @@ from .structures import (
     is_k_dense,
 )
 
+if TYPE_CHECKING:
+    from .catalog import Catalog
+
 EVENT_FLAGS = {
     "pl-fail": ("sat", "mff"),
     "unsat": ("sat", "muf"),
@@ -41,7 +46,15 @@ EVENT_FLAGS = {
     "noncolorable": ("hypergraph", "min_non_k_colorable"),
 }
 
-_MAX_COPIES_PER_CONFIGURATION = 24
+# Each event's failure test on int-tuple items over 1..order, monotone in
+# the items; k is the degree or color count.  The budgets are the solver's
+# defaults, which no catalog entry (order <= r*s/(r-2) at most) comes near.
+EVENT_FAILS = {
+    "pl-fail": lambda items, order, k: bool(_pure_literal_raw(list(items))[0]),
+    "unsat": lambda items, order, k: _is_unsat(items, 28),
+    "kcore": lambda items, order, k: bool(_k_core_raw(order, list(items), k)[0]),
+    "noncolorable": lambda items, order, k: _is_noncolorable(order, items, k, 300_000_000),
+}
 
 
 class AlphaPoly:
@@ -84,31 +97,23 @@ class AlphaPoly:
         return isinstance(other, AlphaPoly) and self.coeffs == other.coeffs
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for p in sorted(self.coeffs):
-            c = self.coeffs[p]
-            base = f"{c}" if p == 0 else (f"{c}*a" if p == 1 else f"{c}*a^{p}")
-            parts.append(base)
-        return " + ".join(parts).replace("+ -", "- ")
+        parts = [f"{c}" if p == 0 else (f"{c}*a" if p == 1 else f"{c}*a^{p}")
+                 for p, c in sorted(self.coeffs.items())]
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def to_json(self):
         return [[p, str(self.coeffs[p])] for p in sorted(self.coeffs)]
 
 
-def _structure_facts(structure, k=None):
+def _structure_facts(structure):
+    if not isinstance(structure, (Formula, Hypergraph)):
+        raise TypeError(f"unsupported structure {type(structure).__name__}")
+    r = structure.width()
+    if r is None:
+        raise ValueError("empty structure has no clause width or edge size")
     if isinstance(structure, Formula):
-        r = structure.width()
-        if r is None:
-            raise ValueError("empty structure has no clause width")
         return "sat", r, structure.order, structure.size, excess_formula(structure)
-    if isinstance(structure, Hypergraph):
-        r = structure.width()
-        if r is None:
-            raise ValueError("empty structure has no edge size")
-        return "hypergraph", r, structure.order, structure.size, excess_hypergraph(structure, r)
-    raise TypeError(f"unsupported structure {type(structure).__name__}")
+    return "hypergraph", r, structure.order, structure.size, excess_hypergraph(structure, r)
 
 
 def _sign_factor(kind: str, order: int) -> int:
@@ -243,21 +248,17 @@ def _falling_coeffs(t: int, d_max: int) -> list[Fraction]:
     return coeffs
 
 
-def _cover_weight(w, bases) -> int:
-    """Signed number of ways copies of the bases inside w cover w exactly:
-    sum over covering sets S of copies of (-1)^(|S|+1)."""
-    copies = [copy for base in bases for copy in find_copies(base, w)]
-
-    def covers(subset) -> bool:  # copies lie inside w, so counting suffices
-        return (len(frozenset().union(*(used for used, _ in subset))) == w.order
-                and len(frozenset().union(*(items for _, items in subset))) == w.size)
-
-    if not covers(copies):
-        return 0
-    if len(copies) > _MAX_COPIES_PER_CONFIGURATION:
-        raise RuntimeError(f"{len(copies)} copies in one configuration; refusing")
-    return sum(1 if m % 2 else -1 for m in range(1, len(copies) + 1)
-               for subset in itertools.combinations(copies, m) if covers(subset))
+def _cover_weight(w, fails, k) -> int:
+    """Signed number of ways copies of the event's obstructions cover w
+    exactly: sum over covering sets S of copies of (-1)^(|S|+1).  An item
+    subset of w holds a copy iff it fails (its minimal failing subsets are
+    full, or k-dense, of no larger excess: catalog obstructions), so by
+    Moebius inversion over item sets this is the sum over item subsets T
+    of (-1)^(|w|-|T|) [T fails]."""
+    items = _MODELS[type(w)][3](w)
+    m = len(items)
+    return sum((-1) ** (m - j) for j in range(m + 1)
+               for subset in itertools.combinations(items, j) if fails(subset, w.order, k))
 
 
 def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPolynomial:
@@ -277,7 +278,7 @@ def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPoly
     """
     if event not in EVENT_FLAGS:
         raise ValueError(f"unknown event {event!r}; one of {sorted(EVENT_FLAGS)}")
-    kind, flag = EVENT_FLAGS[event]
+    kind, _ = EVENT_FLAGS[event]
     if catalog.kind != kind:
         raise ValueError(f"event {event!r} needs a {kind!r} catalog")
     if s_max < 1:
@@ -287,19 +288,17 @@ def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPoly
             f"catalog certifies excess <= {catalog.max_excess if catalog.complete else 'nothing'}"
             f"; cannot expand to order n^-{s_max}"
         )
-    bases = [e.structure for e in catalog.with_flag(flag) if e.excess <= s_max]
     terms: dict[int, AlphaPoly] = {s: AlphaPoly() for s in range(1, s_max + 1)}
     for w in catalog.entries:
         if w.excess > s_max:
             continue
-        sigma = _cover_weight(w.structure, bases)
+        sigma = _cover_weight(w.structure, EVENT_FAILS[event], catalog.k)
         if sigma == 0:
             continue
         base_coeff = Fraction(sigma * _sign_factor(kind, w.order), w.aut_count)
         falling = _falling_coeffs(w.order, s_max - w.excess)
         for s in range(w.excess, s_max + 1):
-            contribution = AlphaPoly.term(base_coeff * falling[s - w.excess], w.size)
-            terms[s] = terms[s] + contribution
+            terms[s] = terms[s] + AlphaPoly.term(base_coeff * falling[s - w.excess], w.size)
     validity = (
         f"complete catalog through excess {catalog.max_excess} "
         f"(order cap {catalog.order_cap}, size cap {catalog.size_cap})"

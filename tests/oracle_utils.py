@@ -5,7 +5,9 @@ search code: group actions, copies, satisfiability, colorability and
 pure-literal fixpoints are recomputed from first principles so the tests
 check the library against a second, dumber route.  Two exceptions: the
 slow expansion reference deduplicates its configurations with the
-library's canonical_key (itself checked against brute force), and the
+library's canonical_key (itself checked against brute force), the
+copy-based cover weight and minimality references find copies with the
+library's find_copies (also checked against brute force), and the
 unanchored catalog cell reference takes whole orbits from the library's
 orbit kernel.
 """
@@ -13,9 +15,11 @@ orbit kernel.
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from sparsecore import AlphaPoly, Formula, Hypergraph, canonical_key, isomorph
+from sparsecore.isomorph import find_copies
 from sparsecore.predictor import EVENT_FLAGS
 from sparsecore.sampling import candidate_clauses, candidate_edges
 
@@ -160,6 +164,33 @@ def reference_expansion_terms(catalog, event: str, s_max: int) -> dict:
         for s in range(excess(w), s_max + 1):
             terms[s] = terms[s] + AlphaPoly.term(lead * falling[s - excess(w)], w.size)
     return {str(s): poly.to_json() for s, poly in sorted(terms.items())}
+
+
+def copy_cover_weight(w, bases) -> int:
+    """Signed number of ways copies of the bases inside w cover w exactly:
+    sum over covering sets S of copies of (-1)^(|S|+1), every set of
+    copies listed."""
+    copies = [copy for base in bases for copy in find_copies(base, w)]
+
+    def covers(subset) -> bool:  # copies lie inside w, so counting suffices
+        return (len(frozenset().union(*(used for used, _ in subset))) == w.order
+                and len(frozenset().union(*(items for _, items in subset))) == w.size)
+
+    if not covers(copies):
+        return 0
+    return sum(1 if m % 2 else -1 for m in range(1, len(copies) + 1)
+               for subset in itertools.combinations(copies, m) if covers(subset))
+
+
+def copy_minimal_flags(entries, attr: str) -> list:
+    """Catalog entries (sorted by excess, complete below each entry's
+    excess) with ``attr`` set: no entry of smaller excess occurs inside."""
+    out = []
+    for e in entries:
+        smaller = [x for x in out if x.excess < e.excess]
+        minimal = not any(any(find_copies(x.structure, e.structure)) for x in smaller)
+        out.append(replace(e, **{attr: minimal}))
+    return out
 
 
 def labeled_covers(candidates, units, need_units, e, r):

@@ -140,3 +140,17 @@ def test_mc_commands(tmp_path, capsys):
                         "--alpha", "1.0", "--trials", "200", "--seed", "3")
     assert code == 0
     assert "agreement_rate = 1.0" in out
+
+
+def test_mc_reports_refusals_in_one_line(capsys):
+    # past the group-table cap there is no full-formula catalog for the census
+    code, out = run_cli(capsys, "mc", "census", "--kind", "pl-fail", "--n", "20", "--r", "8",
+                        "--alpha", "0.5", "--trials", "10", "--seed", "1")
+    assert code == 30
+    assert out.startswith("mc: budget exceeded (sat cell (order 8, size 2)")
+    assert len(out.strip().splitlines()) == 1
+
+    code, out = run_cli(capsys, "mc", "rate", "--kind", "kcore", "--n", "20", "--r", "2",
+                        "--alpha", "0.5", "--trials", "10", "--seed", "1")
+    assert code == 2
+    assert out == "mc: kind 'kcore' needs k\n"

@@ -138,11 +138,11 @@ def test_validation_maps_the_witness_back_to_the_input():
     # block, found densely on 1..3 and mapped back through its labels
     block = [tuple(v if (bits >> j) & 1 else -v for j, v in enumerate((2, 5, 7)))
              for bits in range(8)]
-    formula = Formula(8, block + [(1, 3, 8), (-4, 6, 8)])
-    verdict = decide_sat(formula)
+    items = block + [(1, 3, 8), (-4, 6, 8)]
+    verdict = decide_sat(Formula(8, items))
     assert verdict.status == "UNSAT" and verdict.muf_variables == (2, 5, 7)
-    assert experiments._witness_in_input(verdict, formula)
-    assert not experiments._witness_in_input(verdict, Formula(8, block[1:]))
+    assert experiments._witness_in_input(verdict, items)
+    assert not experiments._witness_in_input(verdict, block[1:])
 
 
 def test_noncolorable_kind_runs_solver_on_core():

@@ -18,8 +18,15 @@ from sparsecore import (
     tail_bound,
     tail_bound_hypergraph,
 )
+from sparsecore.catalog import FLAG_ATTRS
+from sparsecore.predictor import EVENT_FAILS, EVENT_FLAGS, _cover_weight
 
-from oracle_utils import labeled_copy_count, reference_expansion_terms
+from oracle_utils import (
+    copy_cover_weight,
+    copy_minimal_flags,
+    labeled_copy_count,
+    reference_expansion_terms,
+)
 
 
 def test_expected_copies_examples(f_pair):
@@ -123,13 +130,16 @@ def test_failure_expansion_kcore(dense_catalog_k3):
     assert coeffs[0] == 1 and coeffs[1] == -6
 
 
-@pytest.mark.parametrize("make, events", [
+COMPLETE_CATALOGS = pytest.mark.parametrize("make, events", [
     (lambda: enumerate_full(3, 2), ("pl-fail", "unsat")),
     (lambda: enumerate_full(4, 2), ("pl-fail", "unsat")),
     (lambda: enumerate_full(5, 3), ("pl-fail", "unsat")),
     (lambda: enumerate_k_dense(2, 3, 3), ("kcore", "noncolorable")),
     (lambda: enumerate_k_dense(3, 2, 2), ("kcore", "noncolorable")),
 ], ids=["full-3-2", "full-4-2", "full-5-3", "dense-2-3-3", "dense-3-2-2"])
+
+
+@COMPLETE_CATALOGS
 def test_failure_expansion_matches_configuration_search(make, events):
     """Summing over the catalog gives the terms of the breadth-first search
     over unions of copies, at every certified order."""
@@ -140,6 +150,36 @@ def test_failure_expansion_matches_configuration_search(make, events):
             assert (got["event"], got["s_max"]) == (event, s_max)
             assert got["terms"] == reference_expansion_terms(catalog, event, s_max), \
                 (event, s_max)
+
+
+@COMPLETE_CATALOGS
+def test_failure_tests_match_copy_search(make, events):
+    """Entry by entry, the Moebius weight from the event's failure test is
+    the signed count of copy covers, at every certified order, and the
+    deletion-check minimality flags are the copy-based ones."""
+    catalog = make()
+    attr = FLAG_ATTRS[EVENT_FLAGS[events[0]][1]]
+    assert copy_minimal_flags(list(catalog.entries), attr) == list(catalog.entries)
+    for event in events:
+        _, flag = EVENT_FLAGS[event]
+        for s_max in range(1, catalog.max_excess + 1):
+            bases = [e.structure for e in catalog.with_flag(flag) if e.excess <= s_max]
+            for w in catalog.entries:
+                if w.excess <= s_max:
+                    assert (_cover_weight(w.structure, EVENT_FAILS[event], catalog.k)
+                            == copy_cover_weight(w.structure, bases)), (event, s_max, w.iso_key)
+
+
+def test_failure_expansion_at_excess_3():
+    """The excess-3 k-core expansion, pinned to the terms the copy-based
+    weights give (the configuration search is too slow at this size)."""
+    catalog = enumerate_k_dense(3, 2, 3)
+    assert failure_expansion(catalog, "kcore", 3).to_json_dict()["terms"] == {
+        "1": [], "2": [[3, "1/6"], [4, "5/48"]],
+        "3": [[3, "-1"], [4, "-41/48"], [5, "29/24"], [6, "97/288"]],
+    }
+    exp = failure_expansion(catalog, "noncolorable", 3)
+    assert all(poly.is_zero() for poly in exp.terms.values())
 
 
 def test_failure_expansion_below_minimal_excess(dense_catalog_k3):
