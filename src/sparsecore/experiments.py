@@ -38,13 +38,11 @@ from .reduction import _k_core_batch, _pure_literal_batch
 from .sampling import params_from_alpha, sample_batch
 from .structures import (
     BudgetExceededError,
-    Formula,
-    Hypergraph,
     dense_relabel,
     is_full,
     is_k_dense,
 )
-from .solver import _is_noncolorable, _is_unsat, decide_colorable, decide_sat
+from .solver import _decide_colorable, _decide_sat, _is_noncolorable, _is_unsat
 
 REPORT_FORMAT_VERSION = 1
 
@@ -110,6 +108,7 @@ class ExperimentReport:
     other_count: int | None = None
     large_core_count: int | None = None
     census_excluded: int | None = None
+    catalog_refused: str | None = None
     predicted_census: dict[str, float] | None = None
     tv_distance: float | None = None
     agreement_rate: float | None = None
@@ -161,7 +160,13 @@ def _batch_items(config: ExperimentConfig, model_kind: str, batch_index: int, co
 
 def _per_trial(trial: np.ndarray, rows: np.ndarray, count: int) -> list[list[tuple]]:
     """The item tuples of each of ``count`` trials, from rows sorted by trial."""
-    bounds = np.searchsorted(trial, np.arange(count + 1)).tolist()
+    return _per_owner(trial, rows, np.arange(count))
+
+
+def _per_owner(trial: np.ndarray, rows: np.ndarray, owners: np.ndarray) -> list[list[tuple]]:
+    """The item tuples of each trial in ``owners``, from rows sorted by
+    trial; ``owners`` ascends and holds the owner of every row."""
+    bounds = np.searchsorted(trial, owners).tolist() + [len(rows)]
     items = [tuple(row) for row in rows.tolist()]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -214,10 +219,10 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
         alive = _pure_literal_batch(items, trial, config.n)
     else:
         alive = _k_core_batch(items, trial, config.n, config.k)
-    # only the rows of nonempty cores become Python tuples
-    for core_items in _per_trial(trial[alive], items[alive], count):
-        if not core_items:
-            continue
+    # only the trials with a nonempty core are walked, in trial order
+    trial, items = trial[alive], items[alive]
+    owners = trial[np.diff(trial, prepend=-1) != 0]  # np.unique raised peak RSS by 1 MB
+    for core_items in _per_owner(trial, items, owners):
         try:
             if config.kind == "unsat" and not _is_unsat(core_items, config.sat_core_budget):
                 continue
@@ -348,14 +353,17 @@ def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
     unsatisfiability / non-colorability kinds)."""
     config.validate(RATE_KINDS)
     t0 = time.perf_counter()
+    refused = None
     try:
         catalog = config.catalog or _auto_catalog(config)
-    except BudgetExceededError:  # the rate needs no catalog; only its prediction does
-        catalog = None
+    except BudgetExceededError as exc:  # the rate needs no catalog; only its prediction does
+        catalog, refused = None, str(exc)
     predicted, _ = _prediction(config, catalog)
     results = _run_batches(config, _rate_worker_plain,
                            _split_batches(config.trials, config.batch_size))
-    return _assemble_rate_report(config, results, False, t0, predicted, None)
+    report = _assemble_rate_report(config, results, False, t0, predicted, None)
+    report.catalog_refused = refused
+    return report
 
 
 def run_core_census(config: ExperimentConfig) -> ExperimentReport:
@@ -403,25 +411,25 @@ def _half_table(part: np.ndarray, k: int) -> np.ndarray:
     """(k^w, rows) 0/1 table of a half of w variables: does each of its
     assignments (digit j of the index is the value of variable j) meet
     each row of ``part``, the half's columns of the demand matrix."""
-    index = np.arange(k ** part.shape[1])
     accepts = ((part[:, :, None] < 0) | (part[:, :, None] == np.arange(k))).T  # [value, j, row]
-    met = np.ones((len(index), len(part)), dtype=bool)
-    for j in range(part.shape[1]):  # one whole-array pass per variable of the half
-        met &= accepts[:, j][(index // k ** j) % k]
-    return met.astype(np.float64)
+    met = np.ones((1, len(part)), dtype=bool)
+    for j in range(part.shape[1]):  # prepend variable j as the next more significant digit
+        met = (accepts[:, j, None, :] & met).reshape(-1, len(part))
+    return met.astype(np.float32)
 
 
 def _least_violations(demand: np.ndarray, n: int, k: int, stop_at_zero: bool) -> int:
     """Fewest demand rows met by one of the k^n assignments."""
     if not len(demand):
         return 0
+    # float32 is exact here: every entry is an integer count <= len(demand) < 2^24
+    assert len(demand) < 1 << 24
     h = n // 2
-    low = _half_table(demand[:, :h], k).T
+    low = np.ascontiguousarray(_half_table(demand[:, :h], k).T)
     high = _half_table(demand[:, h:], k)
     step = max(1, _PRODUCT_BLOCK // low.size)
     best = len(demand)
     for start in range(0, len(high), step):
-        # float64 is exact here: every entry is an integer count <= len(demand) < 2^53
         best = min(best, int((high[start:start + step] @ low).min()))
         if stop_at_zero and best == 0:
             break
@@ -464,11 +472,11 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
     agree = mismatch = witness_bad = budget = 0
     for items in _per_trial(*_batch_items(config, model_kind, batch_index, count), count):
         try:
+            # sorted rows are the order of sorted_clauses() / sorted_edges()
             if config.kind == "sat":
-                formula = Formula(config.n, items)
-                verdict = decide_sat(formula, config.sat_core_budget)
+                verdict = _decide_sat(config.n, sorted(items), config.sat_core_budget)
                 oracle_max = _oracle_max_sat(items, config.n)
-                oracle_sat = oracle_max == formula.size
+                oracle_sat = oracle_max == len(items)
                 ok = (verdict.status == "SAT") == oracle_sat and \
                     verdict.max_satisfied == oracle_max
                 if verdict.status == "UNSAT" and not (
@@ -476,8 +484,8 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
                     witness_bad += 1
                     ok = False
             else:
-                graph = Hypergraph(config.n, items)
-                verdict = decide_colorable(graph, config.k, config.coloring_budget)
+                verdict = _decide_colorable(config.n, sorted(items), config.k,
+                                            config.coloring_budget)
                 ok = verdict.colorable == _oracle_colorable(items, config.n, config.k)
                 if not verdict.colorable and not is_min_non_k_colorable(
                         verdict.obstruction, config.k):

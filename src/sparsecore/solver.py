@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,22 +36,22 @@ def satisfies(formula: Formula, assignment: tuple[bool, ...]) -> bool:
 def count_satisfied(formula: Formula, assignment: tuple[bool, ...]) -> int:
     if len(assignment) != formula.order:
         raise ValueError("assignment length mismatch")
-    n = 0
-    for cl in formula.clauses:
-        if any((l > 0) == assignment[abs(l) - 1] for l in cl.literals):
-            n += 1
-    return n
+    return _count_satisfied([cl.literals for cl in formula.clauses], assignment)
+
+
+def _count_satisfied(clauses, assignment: tuple[bool, ...]) -> int:
+    return sum(any((l > 0) == assignment[abs(l) - 1] for l in lits) for lits in clauses)
 
 
 def proper_coloring(graph: Hypergraph, coloring: tuple[int, ...]) -> bool:
     """No edge monochromatic (weak hypergraph coloring)."""
     if len(coloring) != graph.order:
         raise ValueError("coloring length mismatch")
-    for e in graph.edges:
-        colors = {coloring[v - 1] for v in e}
-        if len(colors) == 1:
-            return False
-    return True
+    return _is_proper(graph.edges, coloring)
+
+
+def _is_proper(edges, coloring: tuple[int, ...]) -> bool:
+    return all(len({coloring[v - 1] for v in e}) > 1 for e in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +115,26 @@ def max_satisfied_assignment(clauses, t: int) -> tuple[int, int]:
     return best_count, best_a
 
 
+@lru_cache(maxsize=32)  # a process meets few (k, low) pairs; the largest table is 1 MB
+def _digit_table(k: int, low: int) -> np.ndarray:
+    """Read-only (low, k^low) int8 table: row i holds digit i (most
+    significant first) of every code 0..k^low - 1 in base k."""
+    codes = np.arange(k ** low, dtype=np.int64)
+    table = np.empty((low, len(codes)), dtype=np.int8)
+    for i in range(low):
+        table[i] = (codes // k ** (low - 1 - i)) % k
+    table.flags.writeable = False
+    return table
+
+
 def least_coloring(edges, t: int, k: int) -> tuple[int, ...] | None:
     """Least proper k-coloring (vertex 1 most significant digit), or None.
 
     Scans chunks of k^low colorings, the largest power of k within
-    ``_CHUNK``.  The low vertices' digits come from one table built per
-    call and the high vertices' digits are fixed within a chunk, so an
-    edge among low vertices masks every chunk alike and is checked once.
+    ``_CHUNK``.  The low vertices' digits come from one table per
+    (k, low), kept for the life of the process, and the high vertices'
+    digits are fixed within a chunk, so an edge among low vertices masks
+    every chunk alike and is checked once.
     """
     if t == 0:
         return ()
@@ -128,12 +142,12 @@ def least_coloring(edges, t: int, k: int) -> tuple[int, ...] | None:
     while low < t and k ** (low + 1) <= _CHUNK:
         low += 1
     high = t - low
-    codes = np.arange(k ** low, dtype=np.int64)
-    digits = {v: (codes // k ** (t - v)) % k for v in range(high + 1, t + 1)}
-    base = np.ones(len(codes), dtype=bool)
-    mixed = []  # (high vertices, low digit tables) of edges with a high vertex
+    digits = _digit_table(k, low)  # row v - high - 1 is vertex v's digit
+    base = np.ones(digits.shape[1], dtype=bool)
+    mixed = []  # (high vertices, low digit rows) of edges with a high vertex
     for e in edges:
-        tops, lows = [v for v in e if v <= high], [digits[v] for v in e if v > high]
+        tops = [v for v in e if v <= high]
+        lows = [digits[v - high - 1] for v in e if v > high]
         if tops:
             mixed.append((tops, lows))
         else:
@@ -150,7 +164,7 @@ def least_coloring(edges, t: int, k: int) -> tuple[int, ...] | None:
                     break
         hits = np.flatnonzero(ok)
         if len(hits):
-            a = chunk * len(codes) + int(hits[0])
+            a = chunk * digits.shape[1] + int(hits[0])
             return tuple((a // k ** (t - v)) % k + 1 for v in range(1, t + 1))
     return None
 
@@ -177,20 +191,25 @@ def decide_sat(formula: Formula, core_budget: int = 28) -> SatVerdict:
     + MaxSAT(core).  A core larger than ``core_budget`` raises
     BudgetExceededError; the answer is never guessed.
     """
-    core, trace = _pure_literal_trace(
-        formula.order, [cl.literals for cl in formula.sorted_clauses()])
+    return _decide_sat(formula.order, [cl.literals for cl in formula.sorted_clauses()],
+                       core_budget)
+
+
+def _decide_sat(order: int, clauses: list, core_budget: int) -> SatVerdict:
+    """``decide_sat`` on distinct sorted literal tuples over 1..order."""
+    core, trace = _pure_literal_trace(order, clauses)
     t = len(trace.core_variables)
     if t > core_budget:
         raise BudgetExceededError(f"core order {t} exceeds budget {core_budget}")
     a = least_satisfying(core, t)
-    max_sat = formula.size
+    max_sat = len(clauses)
     if a is None:
         best_count, a = max_satisfied_assignment(core, t)
         max_sat -= len(core) - best_count
     assignment = trace.extend_assignment(_assignment_tuple(a, t))
-    if count_satisfied(formula, assignment) != max_sat:
+    if _count_satisfied(clauses, assignment) != max_sat:
         raise RuntimeError("lifted assignment fails verification")
-    if max_sat == formula.size:
+    if max_sat == len(clauses):
         return SatVerdict("SAT", assignment, max_sat, None, None, t, len(core))
     support, muf = dense_relabel(_minimal(core, lambda kept: _is_unsat(kept, core_budget)))
     muf_vars = tuple(trace.core_variables[v - 1] for v in support)
@@ -261,14 +280,19 @@ def decide_colorable(graph: Hypergraph, k: int,
     extends greedily through the peel trace.  A non-colorable core is
     minimized edge-by-edge into a minimal non-k-colorable obstruction.
     """
-    core, trace = _k_core_trace(graph.order, list(graph.sorted_edges()), k)
+    return _decide_colorable(graph.order, list(graph.sorted_edges()), k, coloring_budget)
+
+
+def _decide_colorable(order: int, edges: list, k: int, coloring_budget: int) -> ColorVerdict:
+    """``decide_colorable`` on distinct sorted edge tuples over 1..order."""
+    core, trace = _k_core_trace(order, edges, k)
     t = len(trace.core_vertices)
     if k ** t > coloring_budget:
         raise BudgetExceededError(f"{k}^{t} colorings exceed budget {coloring_budget}")
     col = least_coloring(core, t, k)
     if col is not None:
         full = trace.extend_coloring(col)
-        if not proper_coloring(graph, full):
+        if not _is_proper(edges, full):
             raise RuntimeError("lifted coloring fails verification")
         return ColorVerdict(True, full, None, None, t, len(core))
     support, obstruction = dense_relabel(

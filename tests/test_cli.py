@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from sparsecore import Formula, from_dimacs, from_edge_list, to_dimacs, to_edge_list
 from sparsecore.cli import main
@@ -154,3 +158,37 @@ def test_mc_reports_refusals_in_one_line(capsys):
                         "--alpha", "0.5", "--trials", "10", "--seed", "1")
     assert code == 2
     assert out == "mc: kind 'kcore' needs k\n"
+
+
+def test_mc_rate_reports_a_refused_catalog(tmp_path, capsys):
+    # past the group-table cap the rate is still measured, with no prediction
+    json_out = tmp_path / "report.json"
+    code, out = run_cli(capsys, "mc", "rate", "--kind", "pl-fail", "--n", "20", "--r", "8",
+                        "--alpha", "0.5", "--trials", "10", "--seed", "1",
+                        "--json", str(json_out))
+    assert code == 0
+    assert "catalog_refused = sat cell (order 8, size 2)" in out
+    report = json.loads(json_out.read_text())
+    assert "predicted" not in report
+    assert report["catalog_refused"].startswith("sat cell (order 8, size 2)")
+
+    json_out = tmp_path / "plain.json"
+    run_cli(capsys, "mc", "rate", "--kind", "pl-fail", "--n", "20", "--r", "3",
+            "--alpha", "0.5", "--trials", "10", "--seed", "1", "--json", str(json_out))
+    assert "catalog_refused" not in json.loads(json_out.read_text())
+
+
+def test_module_entry_point_runs():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run(
+        [sys.executable, "-m", "sparsecore.cli", "mc", "rate", "--kind", "pl-fail",
+         "--n", "20", "--r", "3", "--alpha", "0.5", "--trials", "10", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "trials = 10" in result.stdout
+    result = subprocess.run([sys.executable, "-m", "sparsecore.cli", "mc"],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 2
+    assert "usage:" in result.stderr

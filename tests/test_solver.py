@@ -13,6 +13,7 @@ from sparsecore import (
     is_min_non_k_colorable,
     is_muf,
 )
+from sparsecore import solver
 from sparsecore.solver import count_satisfied, least_coloring, proper_coloring, satisfies
 
 from oracle_utils import brute_colorable, brute_max_sat, random_formula, random_hypergraph
@@ -170,13 +171,14 @@ def test_three_uniform_weak_coloring():
         assert verdict.colorable == brute_colorable(graph, 2)
 
 
-def test_least_coloring_is_lexicographically_least():
-    def brute(edges, t, k):
-        for colors in itertools.product(range(1, k + 1), repeat=t):
-            if all(len({colors[v - 1] for v in e}) > 1 for e in edges):
-                return colors
-        return None
+def _brute_least_coloring(edges, t, k):
+    for colors in itertools.product(range(1, k + 1), repeat=t):
+        if all(len({colors[v - 1] for v in e}) > 1 for e in edges):
+            return colors
+    return None
 
+
+def test_least_coloring_is_lexicographically_least():
     rng = random.Random(31)
     cases = []
     for _ in range(200):
@@ -205,6 +207,42 @@ def test_least_coloring_is_lexicographically_least():
         ([(1, 2, 17), (3, 16, 17)], 17, 2),
     ]
     for edges, t, k in cases:
-        assert least_coloring(edges, t, k) == brute(edges, t, k), (edges, t, k)
+        assert least_coloring(edges, t, k) == _brute_least_coloring(edges, t, k), \
+            (edges, t, k)
     for edges, t, k in late:
         assert least_coloring(edges, t, k)[1] == 2
+
+
+def test_least_coloring_shares_one_read_only_digit_table():
+    # t = 11 and t = 12 both scan chunks of 3^10 colorings, so the two
+    # calls read the same (k, low) = (3, 10) table
+    solver._digit_table.cache_clear()
+    k4 = [(a, b) for a, b in itertools.combinations((1, 9, 10, 11), 2)]
+    cases = [(k4, 11, 3), ([(1, 2), (2, 11), (2, 12), (11, 12)], 12, 3)]
+    for edges, t, k in cases:
+        assert least_coloring(edges, t, k) == _brute_least_coloring(edges, t, k)
+    assert solver._digit_table.cache_info().currsize == 1
+    table = solver._digit_table(3, 10)
+    assert table.dtype == "int8" and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+def test_row_level_deciders_match_the_structure_entry_points():
+    rng = random.Random(14)
+    verdicts = set()
+    for _ in range(120):
+        formula = random_formula(rng, 8, 3, rng.randint(0, 60))
+        rows = [cl.literals for cl in formula.clauses]
+        rng.shuffle(rows)
+        verdict = solver._decide_sat(8, sorted(rows), 28)
+        assert verdict == decide_sat(formula)
+        verdicts.add(verdict.status)
+
+        graph = random_hypergraph(rng, 7, 2, rng.randint(0, 14))
+        edges = list(graph.edges)
+        rng.shuffle(edges)
+        verdict = solver._decide_colorable(7, sorted(edges), 3, 300_000_000)
+        assert verdict == decide_colorable(graph, 3)
+        verdicts.add(verdict.colorable)
+    assert verdicts == {"SAT", "UNSAT", True, False}
