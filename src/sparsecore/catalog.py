@@ -18,7 +18,7 @@ Entries are classified by brute force (satisfiability over 2^t
 assignments, weak colorability over k^t colorings) and, when the catalog
 is complete, by minimality: the structure has a nonempty core and no
 single-item deletion of it has one (the failure test of the event the
-catalog serves, ``predictor.EVENT_FAILS``).  Catalogs serialize to JSON
+catalog serves, ``predictor.EVENTS``).  Catalogs serialize to JSON
 so expensive enumerations are computed once.
 """
 
@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import isomorph
-from .predictor import EVENT_FAILS, EVENT_FLAGS
+from .predictor import EVENTS
 from .sampling import candidate_clauses, candidate_edges
 from .solver import least_coloring, least_satisfying
 from .structures import (
@@ -314,8 +314,7 @@ def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> C
     catalog incomplete; only a complete catalog gets the event's minimality
     flag, a deletion check of its failure test (a failing proper
     substructure holds a full, or k-dense, one of smaller excess)."""
-    kind, flag = EVENT_FLAGS[event]
-    fails = EVENT_FAILS[event]
+    kind, flag, _, fails = EVENTS[event]
     items = isomorph._MODELS[_kind(kind).structure][3]
     bound = floor(r * max_excess / ((degree - 1) * (r - 1) - 1))
     t_max = bound if order_cap is None else min(order_cap, bound)

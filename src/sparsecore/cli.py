@@ -23,6 +23,8 @@ from .catalog import (
     save_catalog,
 )
 from .experiments import (
+    RATE_KINDS,
+    VALIDATE_KINDS,
     ExperimentConfig,
     run_core_census,
     run_failure_probability,
@@ -36,7 +38,7 @@ from .sampling import (
     sample_formula,
     sample_hypergraph,
 )
-from .solver import decide_colorable, decide_sat
+from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, decide_colorable, decide_sat
 from .structures import (
     BudgetExceededError,
     excess_formula,
@@ -129,7 +131,7 @@ def _cmd_solve(args) -> int:
     try:
         if args.kind == "sat":
             formula = from_dimacs(text)
-            verdict = decide_sat(formula, args.budget if args.budget is not None else 28)
+            verdict = decide_sat(formula, SAT_CORE_BUDGET if args.budget is None else args.budget)
             if verdict.status == "SAT":
                 print("s SATISFIABLE")
                 lits = [v if val else -v for v, val in enumerate(verdict.assignment, start=1)]
@@ -146,7 +148,7 @@ def _cmd_solve(args) -> int:
         if args.k is None:
             raise SystemExit("solve --kind hypergraph needs --k")
         verdict = decide_colorable(
-            graph, args.k, args.budget if args.budget is not None else 300_000_000)
+            graph, args.k, COLORING_BUDGET if args.budget is None else args.budget)
         if verdict.colorable:
             print("s COLORABLE")
             for v, c in enumerate(verdict.coloring, start=1):
@@ -237,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="exact 1/n expansion of a failure probability")
     p.add_argument("--catalog", required=True)
-    p.add_argument("--event", choices=["pl-fail", "kcore", "unsat", "noncolorable"],
-                   required=True)
+    p.add_argument("--event", choices=RATE_KINDS, required=True)
     p.add_argument("--smax", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--alpha", type=float)
@@ -256,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo experiments")
     p.add_argument("mode", choices=["rate", "census", "validate"])
-    p.add_argument("--kind", required=True,
-                   choices=["pl-fail", "kcore", "unsat", "noncolorable", "sat", "coloring"])
+    p.add_argument("--kind", required=True, choices=RATE_KINDS + VALIDATE_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int)

@@ -33,20 +33,20 @@ from .catalog import (
     is_muf,
 )
 from .isomorph import canonical_key, find_copies
-from .predictor import EVENT_FLAGS, _sign_factor, core_type_distribution
+from .predictor import EVENTS, _sign_factor, core_type_distribution
 from .reduction import _k_core_batch, _pure_literal_batch
-from .sampling import params_from_alpha, sample_batch
+from .sampling import _rng, params_from_alpha, sample_batch
 from .structures import (
     BudgetExceededError,
     dense_relabel,
     is_full,
     is_k_dense,
 )
-from .solver import _decide_colorable, _decide_sat, _is_noncolorable, _is_unsat
+from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _decide_colorable, _decide_sat
 
 REPORT_FORMAT_VERSION = 1
 
-RATE_KINDS = ("pl-fail", "kcore", "unsat", "noncolorable")
+RATE_KINDS = tuple(EVENTS)
 VALIDATE_KINDS = ("sat", "coloring")
 
 _SAT_ORACLE_MAX_N = 18
@@ -75,8 +75,6 @@ class ExperimentConfig:
     k: int | None = None
     workers: int = 1
     batch_size: int = 4096
-    sat_core_budget: int = 28
-    coloring_budget: int = 300_000_000
     catalog: Catalog | None = None
     exclude_below_excess: int | None = None
 
@@ -135,8 +133,9 @@ class ExperimentReport:
 
 def _config_echo(config: ExperimentConfig) -> dict:
     d = {f: getattr(config, f) for f in (
-        "kind", "n", "r", "alpha", "trials", "seed", "k", "workers", "batch_size",
-        "sat_core_budget", "coloring_budget", "exclude_below_excess")}
+        "kind", "n", "r", "alpha", "trials", "seed", "k", "workers", "batch_size")}
+    d.update(sat_core_budget=SAT_CORE_BUDGET, coloring_budget=COLORING_BUDGET,
+             exclude_below_excess=config.exclude_below_excess)
     d["catalog"] = None if config.catalog is None else (
         f"{config.catalog.kind} r={config.catalog.r} k={config.catalog.k} "
         f"max_excess={config.catalog.max_excess} entries={len(config.catalog.entries)}"
@@ -147,15 +146,11 @@ def _config_echo(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # sampling and reduction of a whole batch
 
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(batch_index,)))
-
-
 def _batch_items(config: ExperimentConfig, model_kind: str, batch_index: int, count: int):
     """(owner trial, item rows) of one batch: clause rows of signed literals
     or edge rows of vertices, sorted by trial."""
     params = params_from_alpha(config.n, config.r, config.alpha, model_kind)
-    return sample_batch(params, _batch_rng(config.seed, batch_index), count)
+    return sample_batch(params, _rng(config.seed, batch_index), count)
 
 
 def _per_trial(trial: np.ndarray, rows: np.ndarray, count: int) -> list[list[tuple]]:
@@ -201,7 +196,7 @@ def _classify_core(kind: str, core_items, max_order: int, shapes):
 # rate / census engine
 
 def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: bool):
-    model_kind, flag = EVENT_FLAGS[config.kind]
+    model_kind, flag, core_decides, fails = EVENTS[config.kind]
     failures = budget = 0
     census_counts: Counter = Counter()
     other = large = excluded = 0
@@ -224,10 +219,7 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
     owners = trial[np.diff(trial, prepend=-1) != 0]  # np.unique raised peak RSS by 1 MB
     for core_items in _per_owner(trial, items, owners):
         try:
-            if config.kind == "unsat" and not _is_unsat(core_items, config.sat_core_budget):
-                continue
-            if config.kind == "noncolorable" and not _is_noncolorable(
-                    config.n, core_items, config.k, config.coloring_budget):
+            if not (core_decides or fails(core_items, config.n, config.k)):
                 continue
         except BudgetExceededError:
             budget += 1
@@ -275,7 +267,7 @@ def _auto_catalog(config: ExperimentConfig) -> Catalog | None:
     None where the model has none.  A catalog whose group table would pass
     the cap raises BudgetExceededError."""
     try:
-        if config.kind in ("pl-fail", "unsat"):
+        if EVENTS[config.kind].model == "sat":
             return enumerate_full(config.r, config.r - 2)
         if config.r == 2:
             return enumerate_k_dense(2, config.k, (config.k - 2) * (config.k + 1) // 2)
@@ -290,8 +282,7 @@ def _prediction(config: ExperimentConfig, catalog: Catalog | None):
         return None, None
     if config.alpha <= 0:
         return 0.0, None
-    _, flag = EVENT_FLAGS[config.kind]
-    entries = catalog.with_flag(flag)
+    entries = catalog.with_flag(EVENTS[config.kind].flag)
     if not entries:
         return None, None
     min_excess = min(e.excess for e in entries)
@@ -474,7 +465,7 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
         try:
             # sorted rows are the order of sorted_clauses() / sorted_edges()
             if config.kind == "sat":
-                verdict = _decide_sat(config.n, sorted(items), config.sat_core_budget)
+                verdict = _decide_sat(config.n, sorted(items), SAT_CORE_BUDGET)
                 oracle_max = _oracle_max_sat(items, config.n)
                 oracle_sat = oracle_max == len(items)
                 ok = (verdict.status == "SAT") == oracle_sat and \
@@ -484,8 +475,7 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
                     witness_bad += 1
                     ok = False
             else:
-                verdict = _decide_colorable(config.n, sorted(items), config.k,
-                                            config.coloring_budget)
+                verdict = _decide_colorable(config.n, sorted(items), config.k, COLORING_BUDGET)
                 ok = verdict.colorable == _oracle_colorable(items, config.n, config.k)
                 if not verdict.colorable and not is_min_non_k_colorable(
                         verdict.obstruction, config.k):

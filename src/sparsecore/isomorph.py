@@ -169,17 +169,8 @@ def _canonical_dfs(t: int, rows: list[tuple[int, ...]], signed: bool):
                 candidates.append((block, u, f))
         candidates.sort(key=lambda c: c[0])
         for block, u, f in candidates:
-            if best is not None:
-                # lexicographic verdict of (stream + block) against the incumbent
-                pos = len(stream)
-                prune = False
-                for j in range(pos + len(block)):
-                    key = stream[j] if j < pos else block[j - pos]
-                    if key != best[j]:
-                        prune = key > best[j]
-                        break
-                if prune:
-                    continue
+            if best is not None and stream + block > best[:len(stream) + len(block)]:
+                continue
             label[u] = step
             flip[u] = f
             for ci in by_var[u]:

@@ -22,11 +22,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .isomorph import _MODELS, automorphism_count
 from .reduction import _k_core_raw, _pure_literal_raw
-from .solver import _is_noncolorable, _is_unsat
+from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _is_noncolorable, _is_unsat
 from .structures import (
     Formula,
     Hypergraph,
@@ -39,21 +39,26 @@ from .structures import (
 if TYPE_CHECKING:
     from .catalog import Catalog
 
-EVENT_FLAGS = {
-    "pl-fail": ("sat", "mff"),
-    "unsat": ("sat", "muf"),
-    "kcore": ("hypergraph", "minimal_k_dense"),
-    "noncolorable": ("hypergraph", "min_non_k_colorable"),
-}
 
-# Each event's failure test on int-tuple items over 1..order, monotone in
-# the items; k is the degree or color count.  The budgets are the solver's
-# defaults, which no catalog entry (order <= r*s/(r-2) at most) comes near.
-EVENT_FAILS = {
-    "pl-fail": lambda items, order, k: bool(_pure_literal_raw(list(items))[0]),
-    "unsat": lambda items, order, k: _is_unsat(items, 28),
-    "kcore": lambda items, order, k: bool(_k_core_raw(order, list(items), k)[0]),
-    "noncolorable": lambda items, order, k: _is_noncolorable(order, items, k, 300_000_000),
+class Event(NamedTuple):
+    model: str  # "sat" | "hypergraph"
+    flag: str  # catalog flag of the event's minimal obstructions
+    core_decides: bool  # a nonempty core is the failure: no test runs past the peel
+    fails: Callable  # (int-tuple items over 1..order, order, k) -> bool, monotone in the items
+
+
+# The event table, in report order.  The budgets are the solver's defaults,
+# which no catalog entry (order <= r*s/(r-2) at most) comes near.
+EVENTS = {
+    "pl-fail": Event("sat", "mff", True,
+                     lambda items, order, k: bool(_pure_literal_raw(list(items))[0])),
+    "kcore": Event("hypergraph", "minimal_k_dense", True,
+                   lambda items, order, k: bool(_k_core_raw(order, list(items), k)[0])),
+    "unsat": Event("sat", "muf", False,
+                   lambda items, order, k: _is_unsat(items, SAT_CORE_BUDGET)),
+    "noncolorable": Event(
+        "hypergraph", "min_non_k_colorable", False,
+        lambda items, order, k: _is_noncolorable(order, items, k, COLORING_BUDGET)),
 }
 
 
@@ -276,9 +281,9 @@ def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPoly
     event's obstruction class; refuses otherwise rather than emitting
     uncertifiable coefficients.
     """
-    if event not in EVENT_FLAGS:
-        raise ValueError(f"unknown event {event!r}; one of {sorted(EVENT_FLAGS)}")
-    kind, _ = EVENT_FLAGS[event]
+    if event not in EVENTS:
+        raise ValueError(f"unknown event {event!r}; one of {sorted(EVENTS)}")
+    kind = EVENTS[event].model
     if catalog.kind != kind:
         raise ValueError(f"event {event!r} needs a {kind!r} catalog")
     if s_max < 1:
@@ -292,7 +297,7 @@ def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPoly
     for w in catalog.entries:
         if w.excess > s_max:
             continue
-        sigma = _cover_weight(w.structure, EVENT_FAILS[event], catalog.k)
+        sigma = _cover_weight(w.structure, EVENTS[event].fails, catalog.k)
         if sigma == 0:
             continue
         base_coeff = Fraction(sigma * _sign_factor(kind, w.order), w.aut_count)

@@ -137,7 +137,7 @@ def _pure_literal_raw(clauses: list[tuple[int, ...]]):
             break
         for v in gone:
             active.discard(v)
-        for lit in sorted(pure, key=lambda l: (abs(l), l < 0)):
+        for lit in pure:  # in variable order, as ``active`` was scanned
             removed = [ci for ci in by_var[abs(lit)] if alive[ci]]
             for ci in removed:
                 alive[ci] = False

@@ -3,13 +3,15 @@
 Every candidate clause (2^r * C(n,r) of them) or edge (C(n,r)) is included
 independently with probability p = alpha * n^{-(r-1)}.  Candidates are
 enumerated in a fixed lexicographic order: variable r-sets ascending, then
-sign patterns by bit pattern (bit j set = variable j negated).  The dense
-sampler draws one uniform per candidate, so two samples sharing a seed are
-coupled monotonically across p.  Above ``DENSE_CANDIDATE_LIMIT`` candidates
-``sample_formula`` / ``sample_hypergraph`` switch to ``sample_batch``, the
-O(m) sampler the Monte Carlo harness uses at every size: a Binomial count
-per sample and that many distinct uniform candidates, drawn directly as
-rows of r variables (plus sign bits), with no unranking.  It is equally
+sign patterns by bit pattern (bit j set = variable j negated); the order
+lives in one place, the table ``_candidates``.  The dense sampler draws
+one uniform per candidate and reads the kept candidates' rows from that
+table, so two samples sharing a seed are coupled monotonically across p.
+Above ``DENSE_CANDIDATE_LIMIT`` candidates ``sample_formula`` /
+``sample_hypergraph`` switch to ``sample_batch``, the O(m) sampler the
+Monte Carlo harness uses at every size: a Binomial count per sample and
+that many distinct uniform candidates, drawn directly as rows of r
+variables (plus sign bits), with no table.  It is equally
 seed-deterministic but not coupled across p.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -67,62 +69,35 @@ def params_from_alpha(n: int, r: int, alpha: float, kind: str = FORMULA) -> Mode
 
 
 # ---------------------------------------------------------------------------
-# candidate enumeration and unranking
+# the candidate order
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)  # a process meets few (n, r); 200,000 rows of 3 take 4.6 MB
+def _candidates(n: int, r: int, kind: str) -> np.ndarray:
+    """Read-only (candidates, r) int64 array of every candidate in the fixed
+    order: rows of signed literals (formulas) or of vertices (hypergraphs)."""
+    combos = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), r)),
+                         dtype=np.int64, count=r * math.comb(n, r)).reshape(-1, r)
+    if kind == FORMULA:  # bit j of the sign pattern negates variable j
+        signs = 1 - 2 * (np.arange(2 ** r)[:, None] >> np.arange(r) & 1)
+        combos = (combos[:, None, :] * signs).reshape(-1, r)
+    combos.flags.writeable = False
+    return combos
+
+
 def candidate_clauses(n: int, r: int) -> list[tuple[int, ...]]:
     """All candidate clauses in the fixed lexicographic order."""
-    out = []
-    for combo in combinations(range(1, n + 1), r):
-        for bits in range(2 ** r):
-            out.append(tuple(-v if (bits >> j) & 1 else v for j, v in enumerate(combo)))
-    return out
+    return list(map(tuple, _candidates(n, r, FORMULA).tolist()))
 
 
-@lru_cache(maxsize=32)
 def candidate_edges(n: int, r: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(1, n + 1), r))
+    return list(map(tuple, _candidates(n, r, HYPERGRAPH).tolist()))
 
 
 @lru_cache(maxsize=32)
 def _colex_tables(n: int, r: int) -> list:
-    """Binomial tables for vectorized ranking and unranking: T[j][c] = C(c, r-j)."""
+    """Binomial tables for vectorized ranking: T[j][c] = C(c, r-j)."""
     return [np.array([math.comb(c, r - j) for c in range(n)], dtype=np.int64)
             for j in range(r)]
-
-
-def unrank_combinations(indices, n: int, r: int) -> np.ndarray:
-    """The index-th r-subsets of 1..n in lexicographic order, vectorized.
-
-    Uses the complement identity: lexicographic rank R satisfies
-    C(n,r) - 1 - R = sum_j C(n - v_j, r - j), so each position decodes by
-    a search in a fixed binomial table.
-    """
-    rp = math.comb(n, r) - 1 - np.asarray(indices, dtype=np.int64)
-    out = np.empty((len(rp), r), dtype=np.int64)
-    for j, table in enumerate(_colex_tables(n, r)):
-        c = np.searchsorted(table, rp, side="right") - 1
-        rp = rp - table[c]
-        out[:, j] = n - c
-    return out
-
-
-def unrank_combination(index: int, n: int, r: int) -> tuple[int, ...]:
-    """The index-th r-subset of 1..n in lexicographic order."""
-    return tuple(int(v) for v in unrank_combinations([index], n, r)[0])
-
-
-def unrank_clauses(indices, n: int, r: int) -> np.ndarray:
-    """Candidate clauses at the given indices, in the fixed dense order, as
-    rows of signed literals."""
-    indices = np.asarray(indices, dtype=np.int64)
-    combos = unrank_combinations(indices >> r, n, r)
-    bits = indices & (2 ** r - 1)
-    return combos * (1 - 2 * ((bits[:, None] >> np.arange(r)) & 1))
-
-
-def unrank_clause(index: int, n: int, r: int) -> tuple[int, ...]:
-    return tuple(unrank_clauses([index], n, r)[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +170,11 @@ def sample_batch(params: ModelParams, rng: np.random.Generator,
 
 
 def candidate_indices(rows: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Candidate index of each row, from the complement identity of
-    ``unrank_combinations`` as a sum of table gathers."""
+    """Candidate index of each row, the inverse of the fixed order.
+
+    The lexicographic rank R of an r-set v_1 < ... < v_r of 1..n satisfies
+    C(n,r) - 1 - R = sum_j C(n - v_j, r - j), a sum of table gathers.
+    """
     n, r = params.n, params.r
     variables = np.abs(rows)
     tables = _colex_tables(n, r)
@@ -222,8 +200,7 @@ def _sample_rows(params: ModelParams, seed: int, kind: str) -> list[list[int]]:
     rng = _rng(seed)
     if params.candidate_count > DENSE_CANDIDATE_LIMIT:
         return sample_batch(params, rng, 1)[1].tolist()
-    decode = unrank_clauses if kind == FORMULA else unrank_combinations
-    return decode(sample_indices(params, rng), params.n, params.r).tolist()
+    return _candidates(params.n, params.r, kind)[sample_indices(params, rng)].tolist()
 
 
 def sample_formula(params: ModelParams, seed: int) -> Formula:
@@ -250,34 +227,21 @@ def pure_literal_objective(r: int, y: float) -> float:
 
 
 def pure_literal_threshold(r: int, tol: float = 1e-8) -> ThresholdResult:
-    """Minimum of the objective over y > 0 to absolute tolerance ``tol``.
+    """Minimum of the objective over y > 0, with y* to absolute tolerance ``tol``.
 
-    Brackets the minimum by a coarse scan of (1e-6, 50), then converges by
-    golden-section search.  The objective diverges at both ends (like
-    y^(2-r) at 0 and linearly at infinity), so it is unimodal in between.
+    The objective's logarithmic derivative 1/y - (r-1)/(e^y - 1) vanishes
+    only at the root of g(y) = e^y - 1 - (r-1)*y on y > 0.  g is convex,
+    negative at its minimum log(r-1) and positive at y = r, so bisection
+    on (log(r-1), r) finds y*.
     """
     if r < 3:
         raise ValueError("the pure literal threshold needs r >= 3")
-    grid = np.linspace(1e-6, 50.0, 5001)
-    values = [pure_literal_objective(r, y) for y in grid]
-    i = int(np.argmin(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = pure_literal_objective(r, c)
-    fd = pure_literal_objective(r, d)
+    a, b = math.log(r - 1), float(r)
     while b - a > tol / 10:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = pure_literal_objective(r, c)
+        mid = (a + b) / 2
+        if math.expm1(mid) > (r - 1) * mid:
+            b = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = pure_literal_objective(r, d)
+            a = mid
     y_star = (a + b) / 2
     return ThresholdResult(alpha_star=pure_literal_objective(r, y_star), y_star=y_star)

@@ -25,6 +25,9 @@ from .reduction import _k_core_raw, _k_core_trace, _pure_literal_raw, _pure_lite
 
 _CHUNK = 1 << 16
 
+SAT_CORE_BUDGET = 28  # largest core order t whose 2^t assignments are scanned
+COLORING_BUDGET = 300_000_000  # most k^t colorings scanned
+
 
 # ---------------------------------------------------------------------------
 # checking helpers
@@ -86,9 +89,10 @@ def least_satisfying(clauses, t: int) -> int | None:
     full = np.uint64(2 ** t - 1)
     for start in range(0, 2 ** t, _CHUNK):
         arr = np.arange(start, min(start + _CHUNK, 2 ** t), dtype=np.uint64)
+        false = ~arr & full  # the variables each assignment sets False
         ok = np.ones(len(arr), dtype=bool)
         for p, m in zip(pos, neg):
-            ok &= ((arr & p) != 0) | ((~arr & full) & m != 0)
+            ok &= ((arr & p) != 0) | ((false & m) != 0)
             if not ok.any():
                 break
         hits = np.flatnonzero(ok)
@@ -106,9 +110,10 @@ def max_satisfied_assignment(clauses, t: int) -> tuple[int, int]:
     best_count, best_a = -1, 0
     for start in range(0, 2 ** t, _CHUNK):
         arr = np.arange(start, min(start + _CHUNK, 2 ** t), dtype=np.uint64)
+        false = ~arr & full
         counts = np.zeros(len(arr), dtype=np.int32)
         for p, m in zip(pos, neg):
-            counts += (((arr & p) != 0) | ((~arr & full) & m != 0))
+            counts += ((arr & p) != 0) | ((false & m) != 0)
         i = int(np.argmax(counts))
         if int(counts[i]) > best_count:
             best_count, best_a = int(counts[i]), start + i
@@ -183,7 +188,7 @@ class SatVerdict:
     core_size: int
 
 
-def decide_sat(formula: Formula, core_budget: int = 28) -> SatVerdict:
+def decide_sat(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> SatVerdict:
     """Pure-literal reduction, then exhaustion of the core.
 
     MaxSAT decomposes: clauses removed by the trace are all satisfied once
@@ -245,7 +250,7 @@ def _is_unsat(clause_literals, core_budget: int) -> bool:
     return least_satisfying(core, len(support)) is None
 
 
-def extract_muf(formula: Formula, core_budget: int = 28) -> Formula:
+def extract_muf(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> Formula:
     """Deletion-minimal unsatisfiable subformula, unused variables dropped.
 
     The result is unsatisfiable and every single-clause deletion of it is
@@ -273,7 +278,7 @@ class ColorVerdict:
 
 
 def decide_colorable(graph: Hypergraph, k: int,
-                     coloring_budget: int = 300_000_000) -> ColorVerdict:
+                     coloring_budget: int = COLORING_BUDGET) -> ColorVerdict:
     """k-core reduction, then exhaustion of the core's k^t colorings.
 
     A graph is k-colorable iff its k-core is, and a coloring of the core

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from sparsecore import AlphaPoly, Formula, Hypergraph, canonical_key, isomorph
 from sparsecore.isomorph import find_copies
-from sparsecore.predictor import EVENT_FLAGS
+from sparsecore.predictor import EVENTS
 from sparsecore.sampling import candidate_clauses, candidate_edges
 
 
@@ -114,7 +114,7 @@ def reference_expansion_terms(catalog, event: str, s_max: int) -> dict:
     copies covering w exactly and images(w) * C(n, t) counts its labeled
     placements.
     """
-    kind, flag = EVENT_FLAGS[event]
+    kind, flag = EVENTS[event][:2]
     make = Formula if kind == "sat" else Hypergraph
     bases = [e.structure for e in catalog.with_flag(flag) if e.excess <= s_max]
     images = [images_of(b) for b in bases]

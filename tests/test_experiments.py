@@ -28,7 +28,7 @@ from sparsecore import (
     wilson_interval,
 )
 from sparsecore import experiments
-from sparsecore.predictor import EVENT_FLAGS
+from sparsecore.predictor import EVENTS
 from sparsecore.reduction import _k_core_batch, _pure_literal_batch
 from sparsecore.sampling import candidate_clauses
 
@@ -131,6 +131,29 @@ def test_unsat_kind_runs_solver_on_core():
     plain = run_failure_probability(
         ExperimentConfig(kind="pl-fail", n=12, r=3, alpha=1.2, trials=2000, seed=13))
     assert report.failures <= plain.failures
+
+
+@pytest.mark.parametrize("kind,base", [("unsat", dict(n=12, r=3, alpha=3.0)),
+                                       ("noncolorable", dict(n=12, r=2, k=3, alpha=2.5))])
+def test_exhausted_rate_counts_the_event_test(kind, base):
+    """Batch for batch, the rate counts the trials whose peeled core fails
+    the event's own test, the one the expansion's weights come from; on
+    the whole trial the test gives the same count."""
+    config = ExperimentConfig(kind=kind, trials=600, seed=13, batch_size=200, **base)
+    event = EVENTS[kind]
+    total = 0
+    for b, count in experiments._split_batches(config.trials, config.batch_size):
+        trial, items = experiments._batch_items(config, event.model, b, count)
+        alive = (_pure_literal_batch(items, trial, config.n) if event.model == "sat"
+                 else _k_core_batch(items, trial, config.n, config.k))
+        cores = experiments._per_trial(trial[alive], items[alive], count)
+        expected = sum(event.fails(core, config.n, config.k) for core in cores)
+        assert expected == sum(event.fails(whole, config.n, config.k)
+                               for whole in experiments._per_trial(trial, items, count))
+        got = experiments._rate_batch(config, b, count, census=False)
+        assert (got["failures"], got["budget"]) == (expected, 0)
+        total += expected
+    assert total > 0
 
 
 def test_validation_maps_the_witness_back_to_the_input():
@@ -274,6 +297,15 @@ def test_report_serialization(full_catalog_r3, tmp_path):
     assert csv.startswith("config,statistic,value")
     assert "rate," in csv
     assert f"sanity_checks,{report.sanity_checks}" in csv
+    # the budgets are the solver's constants, echoed where the config fields were
+    assert list(data["config"]) == [
+        "kind", "n", "r", "alpha", "trials", "seed", "k", "workers", "batch_size",
+        "sat_core_budget", "coloring_budget", "exclude_below_excess", "catalog"]
+    assert (data["config"]["sat_core_budget"], data["config"]["coloring_budget"]) == \
+        (28, 300_000_000)
+    with pytest.raises(TypeError):
+        ExperimentConfig(kind="pl-fail", n=20, r=3, alpha=1.0, trials=1, seed=1,
+                         sat_core_budget=5)
 
 
 def test_key_memo_is_bounded():
@@ -290,7 +322,7 @@ def test_key_memo_is_bounded():
 def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> Counter:
     """Census tally of one batch with every failing core built densely and
     keyed, checking ``_classify_core``'s bucket core by core on the way."""
-    model_kind, flag = EVENT_FLAGS[config.kind]
+    model_kind, flag = EVENTS[config.kind][:2]
     catalog = config.catalog
     known, max_order = catalog.by_key(), catalog.max_order()
     shapes = {(e.order, e.size) for e in catalog.entries}

@@ -19,7 +19,7 @@ from sparsecore import (
     tail_bound_hypergraph,
 )
 from sparsecore.catalog import FLAG_ATTRS
-from sparsecore.predictor import EVENT_FAILS, EVENT_FLAGS, _cover_weight
+from sparsecore.predictor import EVENTS, _cover_weight
 
 from oracle_utils import (
     copy_cover_weight,
@@ -158,15 +158,15 @@ def test_failure_tests_match_copy_search(make, events):
     the signed count of copy covers, at every certified order, and the
     deletion-check minimality flags are the copy-based ones."""
     catalog = make()
-    attr = FLAG_ATTRS[EVENT_FLAGS[events[0]][1]]
+    attr = FLAG_ATTRS[EVENTS[events[0]].flag]
     assert copy_minimal_flags(list(catalog.entries), attr) == list(catalog.entries)
     for event in events:
-        _, flag = EVENT_FLAGS[event]
+        flag = EVENTS[event].flag
         for s_max in range(1, catalog.max_excess + 1):
             bases = [e.structure for e in catalog.with_flag(flag) if e.excess <= s_max]
             for w in catalog.entries:
                 if w.excess <= s_max:
-                    assert (_cover_weight(w.structure, EVENT_FAILS[event], catalog.k)
+                    assert (_cover_weight(w.structure, EVENTS[event].fails, catalog.k)
                             == copy_cover_weight(w.structure, bases)), (event, s_max, w.iso_key)
 
 

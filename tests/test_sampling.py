@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,19 +15,16 @@ from sparsecore import (
     sample_formula,
     sample_hypergraph,
 )
-from sparsecore.experiments import _batch_rng
 from sparsecore.sampling import (
     DENSE_CANDIDATE_LIMIT,
+    _candidates,
+    _rng,
     candidate_clauses,
     candidate_edges,
     candidate_indices,
     pure_literal_objective,
     sample_batch,
     sample_indices,
-    unrank_clause,
-    unrank_clauses,
-    unrank_combination,
-    unrank_combinations,
 )
 
 
@@ -117,7 +117,7 @@ def _check_rows(rows, params):
 def test_batch_sampler_distinct_sorted_binomial(n, r, kind, alpha):
     params = params_from_alpha(n, r, alpha, kind)
     trials = 2000
-    trial, rows = sample_batch(params, _batch_rng(7, 0), trials)
+    trial, rows = sample_batch(params, _rng(7, 0), trials)
     _check_rows(rows, params)
     index = candidate_indices(rows, params)
     assert index.min() >= 0 and index.max() < params.candidate_count
@@ -131,10 +131,10 @@ def test_batch_sampler_distinct_sorted_binomial(n, r, kind, alpha):
 
 def test_batch_sampler_depends_on_seed_and_batch_only():
     params = params_from_alpha(30, 3, 0.8, "sat")
-    first = sample_batch(params, _batch_rng(3, 5), 300)
-    again = sample_batch(params, _batch_rng(3, 5), 300)
+    first = sample_batch(params, _rng(3, 5), 300)
+    again = sample_batch(params, _rng(3, 5), 300)
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    other = sample_batch(params, _batch_rng(3, 6), 300)
+    other = sample_batch(params, _rng(3, 6), 300)
     assert not np.array_equal(first[1], other[1])
 
 
@@ -151,7 +151,7 @@ def test_batch_sampler_uniform_over_candidates(n, r, kind, p):
     # draws repeat a variable or a candidate, so the redraw loop runs often
     params = params_from_alpha(n, r, p * n ** (r - 1), kind)
     trials = 20_000
-    trial, rows = sample_batch(params, _batch_rng(11, 0), trials)
+    trial, rows = sample_batch(params, _rng(11, 0), trials)
     _check_rows(rows, params)
     counts = np.bincount(candidate_indices(rows, params), minlength=params.candidate_count)
     assert len(counts) == params.candidate_count
@@ -165,13 +165,13 @@ def test_batch_sampler_uniform_over_candidates(n, r, kind, p):
 def test_sample_indices_rank_the_batch_rows(n, kind, alpha):
     params = params_from_alpha(n, 3, alpha, kind)
     assert params.candidate_count > DENSE_CANDIDATE_LIMIT  # the sparse branch
-    decode = unrank_clauses if kind == "sat" else unrank_combinations
+    table = _candidates(n, 3, kind)
     build, sample = (Formula, sample_formula) if kind == "sat" else (Hypergraph, sample_hypergraph)
     for seed in range(20):
         index = sample_indices(params, np.random.default_rng(seed))
         rows = sample_batch(params, np.random.default_rng(seed), 1)[1]
         assert len(rows) > 0 and np.all(np.diff(index) > 0)
-        assert np.array_equal(decode(index, n, 3), rows)
+        assert np.array_equal(table[index], rows)
         # the same seed's sample is those rows
         assert sample(params, seed) == build(n, rows.tolist())
 
@@ -223,18 +223,81 @@ def test_batch_sampler_overflow_guard_raises_before_allocating():
 
 
 def test_unranking_matches_dense_order():
+    # the candidate table against the order written out as loops
+    for n, r in ((9, 3), (6, 2), (7, 4), (3, 3), (2, 3)):
+        assert candidate_edges(n, r) == list(itertools.combinations(range(1, n + 1), r))
+        assert candidate_clauses(n, r) == [
+            tuple(-v if bits >> j & 1 else v for j, v in enumerate(combo))
+            for combo in itertools.combinations(range(1, n + 1), r) for bits in range(2 ** r)]
     table = candidate_clauses(9, 3)
-    for index in (0, 1, 7, 8, 100, len(table) - 1):
-        assert unrank_clause(index, 9, 3) == table[index]
-    assert unrank_clauses(range(len(table)), 9, 3).tolist() == [list(c) for c in table]
-    combos = [unrank_combination(i, 6, 3) for i in range(math.comb(6, 3))]
+    combos = candidate_edges(6, 3)
     assert combos == sorted(combos) and len(set(combos)) == len(combos)
-    # ranking is the inverse of unranking, for every candidate
+    assert not _candidates(9, 3, "sat").flags.writeable
+    # ranking is the inverse of the candidate order, for every candidate
     formulas = params_from_alpha(9, 3, 1.0, "sat")
     assert candidate_indices(np.array(table), formulas).tolist() == list(range(len(table)))
     edges = params_from_alpha(9, 3, 1.0, "hypergraph")
     assert candidate_indices(np.array(candidate_edges(9, 3)), edges).tolist() == \
         list(range(math.comb(9, 3)))
+
+
+# sha256 (first 16 hex digits) of repr((order, sorted items)) of seeds 0..4;
+# a changed digest is a changed random stream, which only a deliberate
+# change may bring.  The first four points take the dense branch.
+SAMPLE_PINS = [
+    ((100, 3, 1.0, "hypergraph"), "4d9aada14e71e2a9"),
+    ((30, 3, 0.8, "sat"), "3bc8398d8ea97054"),
+    ((12, 4, 2.0, "sat"), "4c236f2287cc7217"),
+    ((40, 2, 1.5, "hypergraph"), "9cadc0b86d6e54fd"),
+    ((150, 3, 1.0, "hypergraph"), "695129f94a6b2a53"),
+    ((80, 3, 1.0, "sat"), "6f721ef83772da2f"),
+    ((200, 3, 1.2, "hypergraph"), "1ce45773c192a9a8"),
+    ((700, 2, 1.5, "hypergraph"), "cea0b911053ac3a9"),
+]
+
+
+@pytest.mark.parametrize("point,digest", SAMPLE_PINS)
+def test_fixed_seed_samples_are_pinned(point, digest):
+    n, r, alpha, kind = point
+    params = params_from_alpha(n, r, alpha, kind)
+    assert (params.candidate_count <= DENSE_CANDIDATE_LIMIT) == (n <= 40 or n == 100)
+    h = hashlib.sha256()
+    for seed in range(5):
+        if kind == "sat":
+            sample = sample_formula(params, seed)
+            rows = [c.literals for c in sample.sorted_clauses()]
+        else:
+            sample = sample_hypergraph(params, seed)
+            rows = list(sample.sorted_edges())
+        h.update(repr((sample.order, rows)).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+def test_fixed_seed_small_samples():
+    formula = sample_formula(params_from_alpha(8, 3, 2.0, "sat"), 0)
+    assert sorted(c.literals for c in formula.clauses) == [
+        (-4, -6, 8), (-3, 5, -7), (-3, 7, -8), (-2, 6, -7), (-1, -4, -7), (-1, -2, 3),
+        (-1, -2, 4), (-1, 4, 8), (1, -6, -7), (1, 2, -5), (1, 4, -5), (2, 3, -7), (3, 5, -8)]
+    graph = sample_hypergraph(params_from_alpha(9, 3, 2.0, "hypergraph"), 0)
+    assert sorted(graph.edges) == [(1, 2, 6), (1, 3, 8)]
+
+
+def _threshold_root(r: int) -> Decimal:
+    """Root of e^y - 1 = (r-1) y on y > 0 by Newton's method at 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        y = Decimal(r)
+        for _ in range(60):
+            y -= (y.exp() - 1 - (r - 1) * y) / (y.exp() - (r - 1))
+        return y
+
+
+def test_threshold_solves_its_equation():
+    for r in range(3, 9):
+        res = pure_literal_threshold(r)
+        assert abs(Decimal(res.y_star) - _threshold_root(r)) < Decimal("1e-8"), r
+        assert type(res.y_star) is float and type(res.alpha_star) is float
+    assert abs(pure_literal_threshold(3).alpha_star - 1.227703741142064) < 1e-12
 
 
 def test_threshold_values():
