@@ -14,12 +14,12 @@ yields the automorphism count and canonical key for free.  A cell whose
 group table would pass ``isomorph._TABLE_ENTRY_CAP`` raises
 BudgetExceededError before any cell is searched.
 
-Entries are classified by brute force (satisfiability over 2^t
-assignments, weak colorability over k^t colorings) and, when the catalog
-is complete, by minimality: the structure has a nonempty core and no
-single-item deletion of it has one (the failure test of the event the
-catalog serves, ``predictor.EVENTS``).  Catalogs serialize to JSON
-so expensive enumerations are computed once.
+Entries are classified by brute force within the solver's budgets
+(satisfiability over 2^t assignments, weak colorability over k^t
+colorings) and, when the catalog is complete, by minimality: the
+structure has a nonempty core and no single-item deletion of it has one
+(the failure test of the event the catalog serves, ``predictor.EVENTS``).
+Catalogs serialize to JSON so expensive enumerations are computed once.
 """
 
 from __future__ import annotations
@@ -34,12 +34,8 @@ from typing import NamedTuple
 from . import isomorph
 from .predictor import EVENTS
 from .sampling import candidate_clauses, candidate_edges
-from .solver import least_coloring, least_satisfying
-from .structures import (
-    BudgetExceededError,
-    Formula,
-    Hypergraph,
-)
+from .solver import check_coloring_budget, check_sat_budget, least_coloring, least_satisfying
+from .structures import Formula, Hypergraph
 
 CATALOG_FORMAT_VERSION = 1
 
@@ -107,7 +103,7 @@ class Catalog:
 
     def to_json_dict(self) -> dict:
         row = _kind(self.kind)
-        items = isomorph._MODELS[row.structure][3]
+        items = isomorph._MODELS[row.structure][2]
         entries = [{
             "order": e.order, "size": e.size, "excess": e.excess,
             "aut_count": e.aut_count, "iso_key": e.iso_key.decode("ascii"),
@@ -153,11 +149,6 @@ def load_catalog(path) -> Catalog:
 # ---------------------------------------------------------------------------
 # brute-force classification
 
-def _check_order(structure, order_cap: int) -> None:
-    if structure.order > order_cap:
-        raise BudgetExceededError(f"order {structure.order} exceeds cap {order_cap}")
-
-
 def _minimal_failing(items: list, fails) -> bool:
     """``fails(items)`` holds and fails for no single-item deletion.
 
@@ -168,30 +159,30 @@ def _minimal_failing(items: list, fails) -> bool:
                                     for i in range(len(items)))
 
 
-def classify_sat(formula: Formula, order_cap: int = 24) -> bool:
+def classify_sat(formula: Formula) -> bool:
     """Satisfiability by exhausting all 2^order assignments."""
-    _check_order(formula, order_cap)
+    check_sat_budget(formula.order)
     lits = [cl.literals for cl in formula.sorted_clauses()]
     return least_satisfying(lits, formula.order) is not None
 
 
-def is_muf(formula: Formula, order_cap: int = 24) -> bool:
+def is_muf(formula: Formula) -> bool:
     """Unsatisfiable, each clause-deleted subformula satisfiable, no unused variables."""
-    _check_order(formula, order_cap)
+    check_sat_budget(formula.order)
     clauses = [cl.literals for cl in formula.sorted_clauses()]
     return len(formula.support) == formula.order and _minimal_failing(
         clauses, lambda cs: least_satisfying(cs, formula.order) is None)
 
 
-def classify_colorable(graph: Hypergraph, k: int, order_cap: int = 20) -> bool:
+def classify_colorable(graph: Hypergraph, k: int) -> bool:
     """Weak k-colorability (no monochromatic edge) over all k^order colorings."""
-    _check_order(graph, order_cap)
+    check_coloring_budget(k, graph.order)
     return least_coloring(list(graph.sorted_edges()), graph.order, k) is not None
 
 
-def is_min_non_k_colorable(graph: Hypergraph, k: int, order_cap: int = 20) -> bool:
+def is_min_non_k_colorable(graph: Hypergraph, k: int) -> bool:
     """Non-colorable, each edge-deleted subhypergraph colorable, no isolated vertices."""
-    _check_order(graph, order_cap)
+    check_coloring_budget(k, graph.order)
     return len(graph.support) == graph.order and _minimal_failing(
         list(graph.sorted_edges()), lambda es: least_coloring(es, graph.order, k) is None)
 
@@ -315,7 +306,7 @@ def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> C
     flag, a deletion check of its failure test (a failing proper
     substructure holds a full, or k-dense, one of smaller excess)."""
     kind, flag, _, fails = EVENTS[event]
-    items = isomorph._MODELS[_kind(kind).structure][3]
+    items = isomorph._MODELS[_kind(kind).structure][2]
     bound = floor(r * max_excess / ((degree - 1) * (r - 1) - 1))
     t_max = bound if order_cap is None else min(order_cap, bound)
     size_needed = max(

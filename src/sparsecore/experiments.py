@@ -19,7 +19,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -350,7 +350,7 @@ def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
     except BudgetExceededError as exc:  # the rate needs no catalog; only its prediction does
         catalog, refused = None, str(exc)
     predicted, _ = _prediction(config, catalog)
-    results = _run_batches(config, _rate_worker_plain,
+    results = _run_batches(config, partial(_rate_batch, census=False),
                            _split_batches(config.trials, config.batch_size))
     report = _assemble_rate_report(config, results, False, t0, predicted, None)
     report.catalog_refused = refused
@@ -364,19 +364,15 @@ def run_core_census(config: ExperimentConfig) -> ExperimentReport:
         config = replace(config, catalog=_auto_catalog(config))
     if config.catalog is None:
         raise ValueError("core census needs a catalog")
+    s = config.exclude_below_excess
+    if s is not None and not (config.catalog.complete and config.catalog.max_excess >= s - 1):
+        raise ValueError(f"excluding cores below excess {s} needs a complete catalog "
+                         f"through excess {s - 1}")
     t0 = time.perf_counter()
     predicted, predicted_census = _prediction(config, config.catalog)
-    results = _run_batches(config, _rate_worker_census,
+    results = _run_batches(config, partial(_rate_batch, census=True),
                            _split_batches(config.trials, config.batch_size))
     return _assemble_rate_report(config, results, True, t0, predicted, predicted_census)
-
-
-def _rate_worker_plain(config, batch_index, count):
-    return _rate_batch(config, batch_index, count, census=False)
-
-
-def _rate_worker_census(config, batch_index, count):
-    return _rate_batch(config, batch_index, count, census=True)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ variables and optionally swap a variable's two literals: a group of size
 2^t * t! on support size t); hypergraphs under vertex permutations.  Keys
 are exact: equal keys iff isomorphic.
 
-Two engines compute the same canonical form.  For small supports every
-group element's image of the labeled structure is formed with numpy, as
-rows of clause bitmasks; the least row is the canonical form, the number
-of elements reaching it is the automorphism count, and the distinct rows
-are the labeled images of the structure.  Above the orbit limit a
-pruned branch-and-bound search over label assignments is used.  Both
+Two engines compute the same canonical form.  For one clause width and a
+group table within ``_TABLE_ENTRY_CAP``, every group element's image is
+formed with numpy, as rows of clause bitmasks; the least row is the
+canonical form, the number of elements reaching it is the automorphism
+count, and the distinct rows are the labeled images of the structure.
+Otherwise a pruned branch-and-bound search over labelings is used.  Both
 minimize the same encoding: clauses written as descending literal-id
 tuples, listed in ascending order.  Isolated variables are split off
 first; they only contribute a count to the key and a factorial (times
@@ -33,11 +33,9 @@ from .structures import (
     dense_relabel,
 )
 
-DEFAULT_ORDER_CAP = 16
-_FORMULA_ORBIT_MAX = 7
-_HYPERGRAPH_ORBIT_MAX = 8
-# Largest group table built, in entries: the signed table at support 7 has
-# 9.0M and the unsigned one at 9 has 3.3M; the signed one at 8 has 165M.
+DEFAULT_ORDER_CAP = 16  # largest order keyed or counted
+# Largest group table built, in entries: 9.0M signed at support 7 and 3.3M
+# unsigned at 9 fit; 165M signed at 8 and 36M unsigned at 10 do not.
 _TABLE_ENTRY_CAP = 1 << 24
 
 
@@ -57,10 +55,15 @@ def _signed_lit_maps(t: int) -> np.ndarray:
     return maps.reshape(-1, 2 * t)
 
 
+def _table_entries(t: int, signed: bool) -> int:
+    """Entries of the group table of support ``t``: one per (element, id)."""
+    return (2 ** t * 2 * t if signed else t) * factorial(t)
+
+
 def _check_table(t: int, signed: bool, what: str) -> None:
     """Raise BudgetExceededError, naming ``what``, if the group table of
     support ``t`` would exceed ``_TABLE_ENTRY_CAP`` entries."""
-    entries = (2 ** t * 2 * t if signed else t) * factorial(t)
+    entries = _table_entries(t, signed)
     if entries > _TABLE_ENTRY_CAP:
         raise BudgetExceededError(
             f"{what}: group table of {entries:,} entries exceeds cap {_TABLE_ENTRY_CAP:,}")
@@ -192,11 +195,11 @@ def _canonical_dfs(t: int, rows: list[tuple[int, ...]], signed: bool):
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _support_canonical(t, rows, signed, orbit_max):
+def _support_canonical(t, rows, signed):
     """(encoding, support automorphism count) for a structure with no isolates."""
     if t == 0:
         return (), 1
-    if t <= orbit_max and len({len(r) for r in rows}) == 1:
+    if len({len(r) for r in rows}) == 1 and _table_entries(t, signed) <= _TABLE_ENTRY_CAP:
         row, aut = _least_image(t, rows, signed)
         return _decode_orbit_row(row), aut
     return _canonical_dfs(t, rows, signed)
@@ -207,11 +210,11 @@ def _render(kind: str, t: int, isolated: int, encoding) -> bytes:
     return f"{kind}|{t}|{isolated}|{body}".encode("ascii")
 
 
-# Per structure type: key letter, signed group, orbit limit, and the items
-# as sorted int tuples (signed literals or vertices; abs() is the variable).
+# Per structure type: key letter, signed group, and the items as sorted
+# int tuples (signed literals or vertices; abs() is the variable).
 _MODELS = {
-    Formula: ("F", True, _FORMULA_ORBIT_MAX, lambda f: sorted(c.literals for c in f.clauses)),
-    Hypergraph: ("G", False, _HYPERGRAPH_ORBIT_MAX, lambda g: sorted(g.edges)),
+    Formula: ("F", True, lambda f: sorted(c.literals for c in f.clauses)),
+    Hypergraph: ("G", False, lambda g: sorted(g.edges)),
 }
 
 
@@ -221,50 +224,48 @@ def _model(structure, action: str):
     return _MODELS[type(structure)]
 
 
-def _parts(structure, action: str, order_cap: int | None = None):
-    """(key letter, support size, rows, isolated count, signed, orbit limit).
+def _parts(structure, action: str):
+    """(key letter, support size, rows, isolated count, signed).
 
     Rows are the items on the dense support as literal ids: 2*(v-1), plus
     1 for a negative literal, for formulas; v-1 for hypergraphs.
     """
-    letter, signed, omax, items = _model(structure, action)
-    if order_cap is not None and structure.order > order_cap:
+    letter, signed, items = _model(structure, action)
+    if structure.order > DEFAULT_ORDER_CAP:
         raise BudgetExceededError(
-            f"order {structure.order} exceeds canonicalization cap {order_cap}"
+            f"order {structure.order} exceeds canonicalization cap {DEFAULT_ORDER_CAP}"
         )
     support, dense = dense_relabel(items(structure))
     step = 2 if signed else 1
     rows = [tuple(step * (abs(x) - 1) + (x < 0) for x in item) for item in dense]
-    return letter, len(support), rows, structure.order - len(support), signed, omax
+    return letter, len(support), rows, structure.order - len(support), signed
 
 
-def canonical_key(structure, order_cap: int = DEFAULT_ORDER_CAP) -> bytes:
+def canonical_key(structure) -> bytes:
     """Deterministic key equal for two structures iff they are isomorphic."""
-    kind, t, rows, isolated, signed, omax = _parts(structure, "canonicalize", order_cap)
-    encoding, _ = _support_canonical(t, rows, signed, omax)
+    kind, t, rows, isolated, signed = _parts(structure, "canonicalize")
+    encoding, _ = _support_canonical(t, rows, signed)
     return _render(kind, t, isolated, encoding)
 
 
-def automorphism_count(structure, order_cap: int = DEFAULT_ORDER_CAP) -> int:
+def automorphism_count(structure) -> int:
     """Size of the automorphism group (signed permutations for formulas)."""
-    _, t, rows, isolated, signed, omax = _parts(structure, "count automorphisms of", order_cap)
-    _, aut = _support_canonical(t, rows, signed, omax)
+    _, t, rows, isolated, signed = _parts(structure, "count automorphisms of")
+    _, aut = _support_canonical(t, rows, signed)
     return aut * (2 ** isolated if signed else 1) * factorial(isolated)
 
 
 def distinct_relabelings(structure):
     """All distinct labeled forms of a structure on its own (dense) support.
 
-    Requires no isolated variables and a support within the orbit limit.
-    The list has length group_size / automorphism_count.
+    Requires no isolated variables, one clause width and a group table
+    within the cap.  The list has length group_size / automorphism_count.
     """
-    _, t, rows, isolated, signed, omax = _parts(structure, "relabel")
+    _, t, rows, isolated, signed = _parts(structure, "relabel")
     if isolated:
         raise ValueError("structure has isolated variables")
     if t == 0:
         return [structure]
-    if t > omax:
-        raise BudgetExceededError(f"support {t} exceeds orbit limit {omax}")
     if len({len(r) for r in rows}) != 1:
         raise ValueError("mixed clause widths")
     return [_from_encoding(t, _decode_orbit_row(row), signed)
@@ -282,7 +283,7 @@ def _from_encoding(t: int, encoding, signed: bool):
 # ---------------------------------------------------------------------------
 # copy finding
 
-def find_copies(pattern, host, order_cap: int = DEFAULT_ORDER_CAP):
+def find_copies(pattern, host):
     """Yield each substructure of ``host`` isomorphic to ``pattern`` less its
     isolated variables, once, as (variables, items).
 
@@ -292,22 +293,22 @@ def find_copies(pattern, host, order_cap: int = DEFAULT_ORDER_CAP):
     and compared.  Nothing is yielded when the pattern has more variables
     or items than the host, so a copy exists iff ``count_copies`` > 0.
     """
-    _, _, _, items = _model(pattern, "find copies of")
+    _, _, items = _model(pattern, "find copies of")
     if type(host) is not type(pattern):
         raise TypeError("pattern and host must be the same kind")
     if pattern.order > host.order or pattern.size > host.size:
         return
     support, dense = dense_relabel(items(pattern))
-    target = canonical_key(type(pattern)(len(support), dense), order_cap)
+    target = canonical_key(type(pattern)(len(support), dense))
     for subset in itertools.combinations(items(host), pattern.size):
         used = frozenset(abs(x) for item in subset for x in item)
         if len(used) != len(support):
             continue
-        if canonical_key(type(host)(len(used), dense_relabel(subset)[1]), order_cap) == target:
+        if canonical_key(type(host)(len(used), dense_relabel(subset)[1])) == target:
             yield used, frozenset(subset)
 
 
-def count_copies(pattern, host, order_cap: int = DEFAULT_ORDER_CAP) -> int:
+def count_copies(pattern, host) -> int:
     """Number of distinct substructures of ``host`` isomorphic to ``pattern``.
 
     A substructure is a variable subset together with a clause subset over
@@ -315,4 +316,4 @@ def count_copies(pattern, host, order_cap: int = DEFAULT_ORDER_CAP) -> int:
     host variables.
     """
     return sum(comb(host.order - len(used), pattern.order - len(used))
-               for used, _ in find_copies(pattern, host, order_cap))
+               for used, _ in find_copies(pattern, host))

@@ -260,7 +260,7 @@ def _cover_weight(w, fails, k) -> int:
     full, or k-dense, of no larger excess: catalog obstructions), so by
     Moebius inversion over item sets this is the sum over item subsets T
     of (-1)^(|w|-|T|) [T fails]."""
-    items = _MODELS[type(w)][3](w)
+    items = _MODELS[type(w)][2](w)
     m = len(items)
     return sum((-1) ** (m - j) for j in range(m + 1)
                for subset in itertools.combinations(items, j) if fails(subset, w.order, k))

@@ -29,6 +29,18 @@ SAT_CORE_BUDGET = 28  # largest core order t whose 2^t assignments are scanned
 COLORING_BUDGET = 300_000_000  # most k^t colorings scanned
 
 
+def check_sat_budget(t: int, budget: int = SAT_CORE_BUDGET) -> None:
+    """Raise BudgetExceededError unless order ``t`` is at most ``budget``."""
+    if t > budget:
+        raise BudgetExceededError(f"core order {t} exceeds budget {budget}")
+
+
+def check_coloring_budget(k: int, t: int, budget: int = COLORING_BUDGET) -> None:
+    """Raise BudgetExceededError unless k^t colorings are at most ``budget``."""
+    if k ** t > budget:
+        raise BudgetExceededError(f"{k}^{t} colorings exceed budget {budget}")
+
+
 # ---------------------------------------------------------------------------
 # checking helpers
 
@@ -204,8 +216,7 @@ def _decide_sat(order: int, clauses: list, core_budget: int) -> SatVerdict:
     """``decide_sat`` on distinct sorted literal tuples over 1..order."""
     core, trace = _pure_literal_trace(order, clauses)
     t = len(trace.core_variables)
-    if t > core_budget:
-        raise BudgetExceededError(f"core order {t} exceeds budget {core_budget}")
+    check_sat_budget(t, core_budget)
     a = least_satisfying(core, t)
     max_sat = len(clauses)
     if a is None:
@@ -243,10 +254,7 @@ def _is_unsat(clause_literals, core_budget: int) -> bool:
     if not core_idx:
         return False
     support, core = dense_relabel([clause_literals[i] for i in core_idx])
-    if len(support) > core_budget:
-        raise BudgetExceededError(
-            f"core order {len(support)} exceeds budget {core_budget}"
-        )
+    check_sat_budget(len(support), core_budget)
     return least_satisfying(core, len(support)) is None
 
 
@@ -292,8 +300,7 @@ def _decide_colorable(order: int, edges: list, k: int, coloring_budget: int) -> 
     """``decide_colorable`` on distinct sorted edge tuples over 1..order."""
     core, trace = _k_core_trace(order, edges, k)
     t = len(trace.core_vertices)
-    if k ** t > coloring_budget:
-        raise BudgetExceededError(f"{k}^{t} colorings exceed budget {coloring_budget}")
+    check_coloring_budget(k, t, coloring_budget)
     col = least_coloring(core, t, k)
     if col is not None:
         full = trace.extend_coloring(col)
@@ -312,8 +319,5 @@ def _is_noncolorable(n: int, edges, k: int, coloring_budget: int) -> bool:
     if not core_idx:
         return False
     support, core = dense_relabel([edges[i] for i in core_idx])
-    if k ** len(support) > coloring_budget:
-        raise BudgetExceededError(
-            f"{k}^{len(support)} colorings exceed budget {coloring_budget}"
-        )
+    check_coloring_budget(k, len(support), coloring_budget)
     return least_coloring(core, len(support), k) is None

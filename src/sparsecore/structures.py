@@ -297,7 +297,7 @@ def to_edge_list(graph: Hypergraph, r: int | None = None) -> str:
 
 
 def from_edge_list(text: str) -> tuple[Hypergraph, int]:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    lines = [l for l in map(str.strip, text.splitlines()) if l and not l.startswith("#")]
     if not lines:
         raise ValueError("empty edge-list input")
     head = lines[0].split()

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -225,6 +226,38 @@ def test_classification_examples(f_pair, complete3, k4):
 def test_muf_requires_every_variable_used(complete3):
     padded = Formula(4, complete3.clauses)
     assert not is_muf(padded)
+
+
+def test_classifiers_read_the_solver_budgets():
+    # SAT_CORE_BUDGET is order 28; COLORING_BUDGET is 300M colorings
+    wide = Formula(29, [(1, 2, 3)])
+    for classify in (classify_sat, is_muf):
+        with pytest.raises(BudgetExceededError, match="core order 29 exceeds budget 28"):
+            classify(wide)
+    started = time.perf_counter()
+    for k, order in ((3, 18), (4, 15)):
+        graph = Hypergraph(order, [(1, 2)])
+        for classify in (classify_colorable, is_min_non_k_colorable):
+            with pytest.raises(BudgetExceededError, match=rf"{k}\^{order} colorings"):
+                classify(graph, k)
+    assert time.perf_counter() - started < 1.0
+    assert classify_sat(Formula(25, [(1, 2, 3)]))
+    assert classify_colorable(Hypergraph(21, [(1, 2)]), 2)
+
+
+@pytest.mark.parametrize("build, args, digest", [
+    (enumerate_full, (3, 2), "ebe619f3b41215dc"),
+    (enumerate_full, (4, 2), "4359a370a2e6640a"),
+    (enumerate_full, (5, 3), "57c8ea10ada1c053"),
+    (functools.partial(enumerate_full, order_cap=6), (3, 3), "0294d6fe5803e995"),
+    (enumerate_k_dense, (2, 3, 3), "4336ead4b41ca0f4"),
+    (enumerate_k_dense, (3, 2, 2), "df0a5132521656a6"),
+    (enumerate_k_dense, (3, 2, 3), "0ec833256226304a"),
+], ids=["full-3-2", "full-4-2", "full-5-3", "full-3-3-cap6", "dense-2-3-3", "dense-3-2-2",
+        "dense-3-2-3"])
+def test_catalog_json_hashes_are_pinned(build, args, digest):
+    data = json.dumps(build(*args).to_json_dict()).encode()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 def test_catalog_json_round_trip(tmp_path, full_catalog_r3, dense_catalog_k3):

@@ -159,6 +159,13 @@ def test_mc_reports_refusals_in_one_line(capsys):
     assert code == 2
     assert out == "mc: kind 'kcore' needs k\n"
 
+    # the auto catalog holds excess 1 only, so it cannot exclude below excess 3
+    code, out = run_cli(capsys, "mc", "census", "--kind", "pl-fail", "--n", "20", "--r", "3",
+                        "--alpha", "0.5", "--trials", "10", "--seed", "1",
+                        "--exclude-below-excess", "3")
+    assert code == 2
+    assert out == "mc: excluding cores below excess 3 needs a complete catalog through excess 2\n"
+
 
 def test_mc_rate_reports_a_refused_catalog(tmp_path, capsys):
     # past the group-table cap the rate is still measured, with no prediction

@@ -19,6 +19,7 @@ from sparsecore import (
     canonical_key,
     count_copies,
     decide_sat,
+    enumerate_full,
     filter_minimal_full,
     induced_formula,
     induced_hypergraph,
@@ -111,6 +112,19 @@ def test_census_exclusion_filter(full_catalog_r3):
     key1 = [e for e in full_catalog_r3.entries if e.excess == 1][0].iso_key.decode()
     assert filtered.census.get(key1, 0) == 0
     assert plain.failures == filtered.failures
+
+
+def test_census_exclusion_needs_a_complete_catalog_below_it(full_catalog_r3):
+    # excluding below excess s needs every obstruction of excess < s: the
+    # auto catalog stops at excess 1 and a truncated one certifies none
+    base = dict(kind="pl-fail", n=30, r=3, alpha=0.8, trials=10, seed=3)
+    for catalog, s in ((None, 3), (enumerate_full(3, 2, order_cap=4), 2)):
+        with pytest.raises(ValueError, match=f"complete catalog through excess {s - 1}"):
+            run_core_census(ExperimentConfig(**base, catalog=catalog, exclude_below_excess=s))
+    for catalog, s in ((None, 2), (full_catalog_r3, 3)):
+        report = run_core_census(ExperimentConfig(**base, catalog=catalog,
+                                                  exclude_below_excess=s))
+        assert report.trials == 10
 
 
 def test_kcore_census_matches_expectations(dense_catalog_k3):

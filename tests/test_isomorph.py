@@ -89,25 +89,36 @@ def _symmetric_cases():
     ]
 
 
+def _orbit_max(signed: bool) -> int:
+    """Largest support whose group table fits ``_TABLE_ENTRY_CAP``."""
+    t = 1
+    while isomorph._table_entries(t + 1, signed) <= isomorph._TABLE_ENTRY_CAP:
+        t += 1
+    return t
+
+
 def test_orbit_and_dfs_engines_agree():
     """Encoding and |Aut| of the bitmask orbit kernel equal the DFS's at
-    every support size the orbit engine serves."""
+    every support size the orbit engine serves: one clause width and a
+    group table within the cap."""
     rng = random.Random(97)
+    formula_max, graph_max = _orbit_max(True), _orbit_max(False)
+    assert (formula_max, graph_max) == (7, 9)
     cases = list(_symmetric_cases())
-    for t in range(3, isomorph._FORMULA_ORBIT_MAX + 1):
+    for t in range(3, formula_max + 1):
         cases += [_random_on_full_support(rng, random_formula, t, 3, (2, t + 2)) for _ in range(6)]
-    for t in range(2, isomorph._HYPERGRAPH_ORBIT_MAX + 1):
+    for t in range(2, graph_max + 1):
         sizes = (-(-t // 2), min(2 * t, math.comb(t, 2)))
         cases += [_random_on_full_support(rng, random_hypergraph, t, 2, sizes) for _ in range(6)]
-    for t in range(3, 8):
+    for t in range(3, graph_max + 1):
         sizes = (-(-t // 3), min(t + 2, math.comb(t, 3)))
         cases += [_random_on_full_support(rng, random_hypergraph, t, 3, sizes) for _ in range(6)]
     for structure in cases:
-        _, t, rows, _, signed, limit = isomorph._parts(structure, "test")
-        assert limit == (isomorph._FORMULA_ORBIT_MAX if isinstance(structure, Formula)
-                         else isomorph._HYPERGRAPH_ORBIT_MAX)
-        assert t <= limit
-        orbit = isomorph._support_canonical(t, rows, signed, limit)
+        _, t, rows, _, signed = isomorph._parts(structure, "test")
+        assert t <= (formula_max if signed else graph_max)
+        row, aut = isomorph._least_image(t, rows, signed)
+        orbit = isomorph._decode_orbit_row(row), aut
+        assert isomorph._support_canonical(t, rows, signed) == orbit
         assert orbit == isomorph._canonical_dfs(t, rows, signed), structure
 
 
@@ -244,9 +255,8 @@ def test_find_copies_refuses_mixed_kinds(f_pair, k4):
         count_copies((1, 2, 3), f_pair)
 
 
-def test_order_cap_raises(f_pair):
+def test_order_cap_raises():
     with pytest.raises(BudgetExceededError):
-        canonical_key(Formula(20), order_cap=16)
+        canonical_key(Formula(20))
     with pytest.raises(BudgetExceededError):
-        automorphism_count(Formula(20), order_cap=16)
-    assert canonical_key(f_pair, order_cap=3) == canonical_key(f_pair)
+        automorphism_count(Formula(20))

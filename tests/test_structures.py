@@ -125,3 +125,11 @@ def test_edge_list_rejects_malformed():
         from_edge_list("")
     with pytest.raises(ValueError):
         from_edge_list("4 2 1\n1 2 3\n")  # edge size mismatch
+
+
+def test_edge_list_skips_indented_comments(k4):
+    text = to_edge_list(k4, 2)
+    head, *edges = text.splitlines()
+    indented = "\n".join(["  # note", head, "\t# between", *edges, "   #"]) + "\n"
+    assert from_edge_list(indented) == (k4, 2)
+    assert from_edge_list("  # only a comment\n" * 2 + "3 2 0\n") == (Hypergraph(3), 2)
