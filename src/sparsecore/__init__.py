@@ -28,8 +28,6 @@ from .structures import (
 from .isomorph import (
     automorphism_count,
     canonical_key,
-    count_copies,
-    distinct_relabelings,
 )
 from .sampling import (
     ModelParams,

@@ -3,8 +3,9 @@
 Subcommands: sample, threshold, core, catalog, predict, solve, mc.
 `solve` exits 10 (satisfiable / colorable), 20 (unsatisfiable /
 non-colorable) or 30 (budget exceeded); `catalog` exits 30 when its
-enumeration would exceed a budget; `mc` exits 30 on a budget and 2 on an
-invalid configuration; everything else exits 0 on success.
+enumeration would exceed a budget; `catalog`, `predict` and `mc` exit 2
+on invalid parameters, and `mc` exits 30 on a budget; everything else
+exits 0 on success.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ def _cmd_catalog(args) -> int:
     except BudgetExceededError as exc:
         print(f"catalog: budget exceeded ({exc})")
         return 30
+    except ValueError as exc:
+        print(f"catalog: {exc}")
+        return 2
     save_catalog(cat, args.out)
     print(f"catalog: {len(cat.entries)} classes, complete={cat.complete}, "
           f"written to {args.out}")
@@ -114,8 +118,11 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    cat = load_catalog(args.catalog)
-    expansion = failure_expansion(cat, args.event, args.smax)
+    try:
+        expansion = failure_expansion(load_catalog(args.catalog), args.event, args.smax)
+    except ValueError as exc:
+        print(f"predict: {exc}")
+        return 2
     for s in range(1, args.smax + 1):
         print(f"p_{s}(a) = {expansion.terms[s]!r}")
     if args.n is not None and args.alpha is not None:

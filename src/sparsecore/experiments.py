@@ -13,6 +13,7 @@ fatal.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -27,12 +28,13 @@ import numpy as np
 from .catalog import (
     _KINDS,
     Catalog,
+    _minimal_failing,
     enumerate_full,
     enumerate_k_dense,
     is_min_non_k_colorable,
     is_muf,
 )
-from .isomorph import canonical_key, find_copies
+from .isomorph import canonical_key
 from .predictor import EVENTS, _sign_factor, core_type_distribution
 from .reduction import _k_core_batch, _pure_literal_batch
 from .sampling import _rng, params_from_alpha, sample_batch
@@ -78,7 +80,9 @@ class ExperimentConfig:
     catalog: Catalog | None = None
     exclude_below_excess: int | None = None
 
-    def validate(self, kinds) -> None:
+    def validate(self, kinds, uses=()) -> None:
+        """Raise ValueError on a bad kind or count, on a set option outside
+        ``uses`` (the run would ignore it), or on another model's, r's or k's catalog."""
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
         if self.trials < 0:
@@ -87,6 +91,14 @@ class ExperimentConfig:
             raise ValueError(f"kind {self.kind!r} needs k")
         if self.workers < 1 or self.batch_size < 1:
             raise ValueError("workers and batch_size must be positive")
+        for option in ("catalog", "exclude_below_excess"):
+            if getattr(self, option) is not None and option not in uses:
+                raise ValueError(f"{option} does not apply to this run")
+        cat = self.catalog
+        if cat is not None and (cat.kind != EVENTS[self.kind].model or cat.r != self.r
+                                or (cat.kind == "hypergraph" and cat.k != self.k)):
+            raise ValueError(f"catalog ({cat.kind} r={cat.r} k={cat.k}) does not fit "
+                             f"{self.kind} r={self.r} k={self.k}")
 
 
 @dataclass
@@ -175,12 +187,6 @@ def _memo_key(kind: str, order: int, items: tuple) -> bytes:
     return canonical_key(_KINDS[kind].structure(order, items))
 
 
-def _dense_core(kind: str, core_items):
-    """A core given by raw items, relabeled onto 1..order."""
-    support, items = dense_relabel(core_items)
-    return _KINDS[kind].structure(len(support), items)
-
-
 def _classify_core(kind: str, core_items, max_order: int, shapes):
     """Census bucket of a raw core: "large" above ``max_order``, None when no
     catalog class has its (order, size), else its iso key."""
@@ -190,6 +196,21 @@ def _classify_core(kind: str, core_items, max_order: int, shapes):
     if (order, len(core_items)) not in shapes:
         return None
     return _memo_key(kind, order, tuple(dense_relabel(core_items)[1]))
+
+
+def _holds_low_obstruction(core_items, shapes, fails, k) -> bool:
+    """Some item subset of the core with an (order, size) in ``shapes`` fails
+    the event's test and no single-item deletion of it does.  For the shapes
+    of a catalog's obstructions below an excess it is complete below, these
+    subsets are exactly the copies of those obstructions."""
+    support, items = dense_relabel(core_items)
+    test = lambda subset: fails(subset, len(support), k)
+    for size in sorted({e for _, e in shapes}):
+        for subset in itertools.combinations(items, size):
+            order = len({abs(v) for item in subset for v in item})
+            if (order, size) in shapes and _minimal_failing(list(subset), test):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +226,9 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
     known = catalog.by_key() if (census and catalog) else {}
     max_order = catalog.max_order() if (census and catalog) else 0
     shapes = {(e.order, e.size) for e in catalog.entries} if (census and catalog) else set()
-    low_entries = ()
-    if census and catalog and config.exclude_below_excess is not None:
-        low_entries = tuple(e.structure for e in catalog.with_flag(flag)
-                            if e.excess < config.exclude_below_excess)
+    s = config.exclude_below_excess  # set only for a census, which has a catalog
+    low_shapes = set() if s is None else {
+        (e.order, e.size) for e in catalog.with_flag(flag) if e.excess < s}
     trial, items = _batch_items(config, model_kind, batch_index, count)
     if model_kind == "sat":
         alive = _pure_literal_batch(items, trial, config.n)
@@ -226,14 +246,14 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
             continue
         failures += 1
         if census:
-            check = failures % 100 == 1  # 1% sanity sample: cores really are cores
-            dense = _dense_core(model_kind, core_items) if check or low_entries else None
-            if check:
+            if failures % 100 == 1:  # 1% sanity sample: cores really are cores
+                support, rows = dense_relabel(core_items)
+                dense = _KINDS[model_kind].structure(len(support), rows)
                 ok = is_full(dense) if model_kind == "sat" else is_k_dense(dense, config.k)
                 if not ok:
                     raise RuntimeError("reduction produced a non-core structure")
                 sanity += 1
-            if any(any(find_copies(b, dense)) for b in low_entries):
+            if low_shapes and _holds_low_obstruction(core_items, low_shapes, fails, config.k):
                 excluded += 1
                 continue
             key = _classify_core(model_kind, core_items, max_order, shapes)
@@ -342,7 +362,7 @@ def _assemble_rate_report(config, results, census: bool, t0: float,
 def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
     """Sample, reduce, and count nonempty cores (plus a solver pass for the
     unsatisfiability / non-colorability kinds)."""
-    config.validate(RATE_KINDS)
+    config.validate(RATE_KINDS, uses=("catalog",))
     t0 = time.perf_counter()
     refused = None
     try:
@@ -359,7 +379,7 @@ def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
 
 def run_core_census(config: ExperimentConfig) -> ExperimentReport:
     """Failure rate plus the isomorphism-class census of the failing cores."""
-    config.validate(RATE_KINDS)
+    config.validate(RATE_KINDS, uses=("catalog", "exclude_below_excess"))
     if config.catalog is None:
         config = replace(config, catalog=_auto_catalog(config))
     if config.catalog is None:

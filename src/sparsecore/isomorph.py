@@ -1,4 +1,4 @@
-"""Canonical keys, automorphism counts and copy finding for small structures.
+"""Canonical keys and automorphism counts of small structures.
 
 Formulas are isomorphic under signed variable permutations (relabel the
 variables and optionally swap a variable's two literals: a group of size
@@ -8,20 +8,19 @@ are exact: equal keys iff isomorphic.
 Two engines compute the same canonical form.  For one clause width and a
 group table within ``_TABLE_ENTRY_CAP``, every group element's image is
 formed with numpy, as rows of clause bitmasks; the least row is the
-canonical form, the number of elements reaching it is the automorphism
-count, and the distinct rows are the labeled images of the structure.
-Otherwise a pruned branch-and-bound search over labelings is used.  Both
-minimize the same encoding: clauses written as descending literal-id
-tuples, listed in ascending order.  Isolated variables are split off
-first; they only contribute a count to the key and a factorial (times
-2^m for formulas) to the automorphism count.
+canonical form and the number of elements reaching it is the
+automorphism count.  Otherwise a pruned branch-and-bound search over
+labelings is used.  Both minimize the same encoding: clauses written as
+descending literal-id tuples, listed in ascending order.  Isolated
+variables are split off first; they only contribute a count to the key
+and a factorial (times 2^m for formulas) to the automorphism count.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -87,13 +86,6 @@ def _orbit_masks(t: int, rows: list[tuple[int, ...]], signed: bool) -> np.ndarra
     for col in cols[1:]:
         masks |= table[:, col]
     return masks
-
-
-def _orbit_rows(t: int, rows: list[tuple[int, ...]], signed: bool) -> np.ndarray:
-    """Distinct labeled images as sorted rows of clause masks, sorted; one row per image."""
-    masks = _orbit_masks(t, rows, signed)
-    masks.sort(axis=1)
-    return np.unique(masks, axis=0)
 
 
 def _least_image(t: int, rows: list[tuple[int, ...]], signed: bool):
@@ -218,19 +210,15 @@ _MODELS = {
 }
 
 
-def _model(structure, action: str):
-    if type(structure) not in _MODELS:
-        raise TypeError(f"cannot {action} {type(structure).__name__}")
-    return _MODELS[type(structure)]
-
-
 def _parts(structure, action: str):
     """(key letter, support size, rows, isolated count, signed).
 
     Rows are the items on the dense support as literal ids: 2*(v-1), plus
     1 for a negative literal, for formulas; v-1 for hypergraphs.
     """
-    letter, signed, items = _model(structure, action)
+    if type(structure) not in _MODELS:
+        raise TypeError(f"cannot {action} {type(structure).__name__}")
+    letter, signed, items = _MODELS[type(structure)]
     if structure.order > DEFAULT_ORDER_CAP:
         raise BudgetExceededError(
             f"order {structure.order} exceeds canonicalization cap {DEFAULT_ORDER_CAP}"
@@ -255,23 +243,6 @@ def automorphism_count(structure) -> int:
     return aut * (2 ** isolated if signed else 1) * factorial(isolated)
 
 
-def distinct_relabelings(structure):
-    """All distinct labeled forms of a structure on its own (dense) support.
-
-    Requires no isolated variables, one clause width and a group table
-    within the cap.  The list has length group_size / automorphism_count.
-    """
-    _, t, rows, isolated, signed = _parts(structure, "relabel")
-    if isolated:
-        raise ValueError("structure has isolated variables")
-    if t == 0:
-        return [structure]
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("mixed clause widths")
-    return [_from_encoding(t, _decode_orbit_row(row), signed)
-            for row in _orbit_rows(t, rows, signed)]
-
-
 def _from_encoding(t: int, encoding, signed: bool):
     """The structure on 1..t whose clauses are the given literal-id tuples."""
     if signed:
@@ -279,41 +250,3 @@ def _from_encoding(t: int, encoding, signed: bool):
                            for cl in encoding])
     return Hypergraph(t, [tuple(sorted(l + 1 for l in cl)) for cl in encoding])
 
-
-# ---------------------------------------------------------------------------
-# copy finding
-
-def find_copies(pattern, host):
-    """Yield each substructure of ``host`` isomorphic to ``pattern`` less its
-    isolated variables, once, as (variables, items).
-
-    Both are frozensets in host labels; items are int tuples (signed
-    literals or vertices).  Every subset of host items of the pattern's
-    size that touches as many variables as the pattern's support is keyed
-    and compared.  Nothing is yielded when the pattern has more variables
-    or items than the host, so a copy exists iff ``count_copies`` > 0.
-    """
-    _, _, items = _model(pattern, "find copies of")
-    if type(host) is not type(pattern):
-        raise TypeError("pattern and host must be the same kind")
-    if pattern.order > host.order or pattern.size > host.size:
-        return
-    support, dense = dense_relabel(items(pattern))
-    target = canonical_key(type(pattern)(len(support), dense))
-    for subset in itertools.combinations(items(host), pattern.size):
-        used = frozenset(abs(x) for item in subset for x in item)
-        if len(used) != len(support):
-            continue
-        if canonical_key(type(host)(len(used), dense_relabel(subset)[1])) == target:
-            yield used, frozenset(subset)
-
-
-def count_copies(pattern, host) -> int:
-    """Number of distinct substructures of ``host`` isomorphic to ``pattern``.
-
-    A substructure is a variable subset together with a clause subset over
-    it; isolated variables of the pattern are matched by arbitrary extra
-    host variables.
-    """
-    return sum(comb(host.order - len(used), pattern.order - len(used))
-               for used, _ in find_copies(pattern, host))

@@ -3,13 +3,14 @@
 Nothing here goes through the library's canonicalization, reduction or
 search code: group actions, copies, satisfiability, colorability and
 pure-literal fixpoints are recomputed from first principles so the tests
-check the library against a second, dumber route.  Two exceptions: the
-slow expansion reference deduplicates its configurations with the
-library's canonical_key (itself checked against brute force), the
-copy-based cover weight and minimality references find copies with the
-library's find_copies (also checked against brute force), and the
-unanchored catalog cell reference takes whole orbits from the library's
-orbit kernel.
+check the library against a second, dumber route.  Three exceptions,
+all resting on the library's canonical_key (itself checked against brute
+force): the slow expansion reference deduplicates its configurations
+with it; find_copies, the subset-scan copy finder that the copy-based
+cover weight, minimality and census-exclusion references use, keys every
+candidate item subset with it (and is checked against brute_copies); and
+the unanchored catalog cell reference takes whole orbits from the
+library's orbit kernel.
 """
 
 import itertools
@@ -18,10 +19,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
+
 from sparsecore import AlphaPoly, Formula, Hypergraph, canonical_key, isomorph
-from sparsecore.isomorph import find_copies
 from sparsecore.predictor import EVENTS
 from sparsecore.sampling import candidate_clauses, candidate_edges
+from sparsecore.structures import dense_relabel
 
 
 def apply_signed(formula: Formula, perm, flips) -> Formula:
@@ -100,6 +103,41 @@ def brute_copies(pattern, host, images=None) -> set:
             if placed <= host_items:
                 out.add((frozenset(chosen), placed))
     return out
+
+
+def find_copies(pattern, host):
+    """Yield each substructure of ``host`` isomorphic to ``pattern`` less its
+    isolated variables, once, as (variables, items).
+
+    Both are frozensets in host labels; items are int tuples (signed
+    literals or vertices).  Every subset of host items of the pattern's
+    size that touches as many variables as the pattern's support is keyed
+    and compared.  Nothing is yielded when the pattern has more variables
+    or items than the host, so a copy exists iff ``count_copies`` > 0.
+    """
+    if type(pattern) not in (Formula, Hypergraph) or type(host) is not type(pattern):
+        raise TypeError("pattern and host must be structures of the same kind")
+    if pattern.order > host.order or pattern.size > host.size:
+        return
+    support, dense = dense_relabel(sorted(items_of(pattern)))
+    target = canonical_key(type(pattern)(len(support), dense))
+    for subset in itertools.combinations(sorted(items_of(host)), pattern.size):
+        used = frozenset(abs(x) for item in subset for x in item)
+        if len(used) != len(support):
+            continue
+        if canonical_key(type(host)(len(used), dense_relabel(subset)[1])) == target:
+            yield used, frozenset(subset)
+
+
+def count_copies(pattern, host) -> int:
+    """Number of distinct substructures of ``host`` isomorphic to ``pattern``.
+
+    A substructure is a variable subset together with a clause subset over
+    it; isolated variables of the pattern are matched by arbitrary extra
+    host variables.
+    """
+    return sum(math.comb(host.order - len(used), pattern.order - len(used))
+               for used, _ in find_copies(pattern, host))
 
 
 def reference_expansion_terms(catalog, event: str, s_max: int) -> dict:
@@ -251,9 +289,10 @@ def reference_cell(kind, r, k, t, e):
     """``catalog._enumerate_cell`` the slow way, plus the labeled cover count.
 
     Every labeled cover of the cell is listed; the first time one is seen,
-    its whole orbit (``isomorph._orbit_rows``) enters the seen-set, its
-    least row is the canonical form and |G| / |orbit| its automorphism
-    count.  Returns ([(structure, aut_count, iso_key)], labeled covers).
+    its whole orbit (the distinct sorted rows of ``isomorph._orbit_masks``)
+    enters the seen-set, its least row is the canonical form and
+    |G| / |orbit| its automorphism count.  Returns
+    ([(structure, aut_count, iso_key)], labeled covers).
     """
     signed = kind == "sat"
     if signed:
@@ -273,7 +312,9 @@ def reference_cell(kind, r, k, t, e):
     for ids in covers:
         if tuple(sorted(packed[i] for i in ids)) in seen:
             continue
-        orbit = isomorph._orbit_rows(t, [rows[i] for i in ids], signed)
+        masks = isomorph._orbit_masks(t, [rows[i] for i in ids], signed)
+        masks.sort(axis=1)
+        orbit = np.unique(masks, axis=0)
         seen.update(map(tuple, orbit.tolist()))
         encoding = isomorph._decode_orbit_row(orbit[0])
         classes.append((isomorph._from_encoding(t, encoding, signed), group // len(orbit),

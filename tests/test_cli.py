@@ -88,6 +88,22 @@ def test_catalog_reports_a_budget_hit(tmp_path, capsys):
     assert not cat_file.exists()
 
 
+def test_catalog_and_predict_report_invalid_parameters_in_one_line(tmp_path, capsys):
+    cat_file = tmp_path / "cat.json"
+    for argv in (("--r", "3", "--max-excess", "2", "--order-cap", "2"), ("--r", "2")):
+        code, out = run_cli(capsys, "catalog", "--kind", "sat", "--max-excess", "1", *argv,
+                            "--out", str(cat_file))
+        assert code == 2 and out.startswith("catalog: ")
+        assert len(out.strip().splitlines()) == 1
+    assert not cat_file.exists()
+    run_cli(capsys, "catalog", "--kind", "sat", "--r", "3", "--max-excess", "2",
+            "--out", str(cat_file))
+    for argv in (("--event", "pl-fail", "--smax", "3"), ("--event", "kcore", "--smax", "1")):
+        code, out = run_cli(capsys, "predict", "--catalog", str(cat_file), *argv)
+        assert code == 2 and out.startswith("predict: ")
+        assert len(out.strip().splitlines()) == 1
+
+
 def test_solve_exit_codes(tmp_path, capsys, f_pair, complete3):
     sat_path = tmp_path / "sat.cnf"
     sat_path.write_text(to_dimacs(f_pair))
@@ -165,6 +181,20 @@ def test_mc_reports_refusals_in_one_line(capsys):
                         "--exclude-below-excess", "3")
     assert code == 2
     assert out == "mc: excluding cores below excess 3 needs a complete catalog through excess 2\n"
+
+
+def test_mc_refuses_options_a_mode_ignores(tmp_path, capsys):
+    cat_file = tmp_path / "cat.json"
+    run_cli(capsys, "catalog", "--kind", "sat", "--r", "3", "--max-excess", "1",
+            "--out", str(cat_file))
+    common = ("--n", "10", "--r", "3", "--alpha", "1.0", "--trials", "20", "--seed", "1")
+    for argv in (("rate", "--kind", "pl-fail", "--exclude-below-excess", "2"),
+                 ("validate", "--kind", "sat", "--exclude-below-excess", "2"),
+                 ("validate", "--kind", "sat", "--catalog", str(cat_file)),
+                 ("rate", "--kind", "pl-fail", "--r", "4", "--catalog", str(cat_file))):
+        code, out = run_cli(capsys, "mc", *argv[:3], *common, *argv[3:])
+        assert code == 2 and out.startswith("mc: ")
+        assert len(out.strip().splitlines()) == 1
 
 
 def test_mc_rate_reports_a_refused_catalog(tmp_path, capsys):

@@ -17,7 +17,6 @@ from sparsecore import (
     Formula,
     Hypergraph,
     canonical_key,
-    count_copies,
     decide_sat,
     enumerate_full,
     filter_minimal_full,
@@ -33,7 +32,13 @@ from sparsecore.predictor import EVENTS
 from sparsecore.reduction import _k_core_batch, _pure_literal_batch
 from sparsecore.sampling import candidate_clauses
 
-from oracle_utils import brute_colorable, brute_max_sat, random_formula, random_hypergraph
+from oracle_utils import (
+    brute_colorable,
+    brute_max_sat,
+    count_copies,
+    random_formula,
+    random_hypergraph,
+)
 
 
 def test_wilson_interval_behaviour():
@@ -125,6 +130,35 @@ def test_census_exclusion_needs_a_complete_catalog_below_it(full_catalog_r3):
         report = run_core_census(ExperimentConfig(**base, catalog=catalog,
                                                   exclude_below_excess=s))
         assert report.trials == 10
+
+
+def test_runs_refuse_a_catalog_built_for_other_parameters(full_catalog_r3, dense_catalog_k3):
+    # a catalog of another model, r or k would predict, and classify, the wrong structures
+    cases = [
+        (run_failure_probability, dict(kind="pl-fail", r=4, alpha=2.0), full_catalog_r3),
+        (run_core_census, dict(kind="kcore", r=2, k=4, alpha=2.0), dense_catalog_k3),
+        (run_core_census, dict(kind="pl-fail", r=3, alpha=0.8), dense_catalog_k3),
+        (run_failure_probability, dict(kind="noncolorable", r=2, k=3, alpha=2.0),
+         full_catalog_r3),
+    ]
+    for run, params, catalog in cases:
+        with pytest.raises(ValueError, match="does not fit"):
+            run(ExperimentConfig(n=30, trials=10, seed=1, catalog=catalog, **params))
+    for kind in ("pl-fail", "unsat"):  # both events read the r=3 full-formula catalog
+        config = ExperimentConfig(kind=kind, n=30, r=3, alpha=0.8, trials=10, seed=1,
+                                  catalog=full_catalog_r3)
+        assert run_failure_probability(config).trials == 10
+
+
+def test_runs_refuse_options_they_ignore(full_catalog_r3):
+    rate = dict(kind="pl-fail", n=20, r=3, alpha=0.5, trials=10, seed=1)
+    with pytest.raises(ValueError, match="exclude_below_excess does not apply"):
+        run_failure_probability(ExperimentConfig(**rate, exclude_below_excess=2))
+    validate = dict(kind="sat", n=10, r=3, alpha=1.0, trials=20, seed=1)
+    with pytest.raises(ValueError, match="catalog does not apply"):
+        run_solver_validation(ExperimentConfig(**validate, catalog=full_catalog_r3))
+    with pytest.raises(ValueError, match="exclude_below_excess does not apply"):
+        run_solver_validation(ExperimentConfig(**validate, exclude_below_excess=2))
 
 
 def test_kcore_census_matches_expectations(dense_catalog_k3):
@@ -371,7 +405,8 @@ def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> 
     return tally
 
 
-@pytest.mark.parametrize("case", ["pl-fail", "pl-fail-minimal", "kcore", "excluded"])
+@pytest.mark.parametrize("case", ["pl-fail", "pl-fail-minimal", "kcore", "excluded",
+                                  "excluded-s3", "kcore-excluded-s3"])
 def test_classification_matches_dense_reference(case, full_catalog_r3, dense_catalog_k3):
     config = {
         "pl-fail": ExperimentConfig(kind="pl-fail", n=30, r=3, alpha=0.8, trials=0, seed=41,
@@ -382,16 +417,26 @@ def test_classification_matches_dense_reference(case, full_catalog_r3, dense_cat
                                   catalog=dense_catalog_k3),
         "excluded": ExperimentConfig(kind="pl-fail", n=30, r=3, alpha=1.0, trials=0, seed=12,
                                      catalog=full_catalog_r3, exclude_below_excess=2),
+        "excluded-s3": ExperimentConfig(kind="pl-fail", n=30, r=3, alpha=0.8, trials=0, seed=3,
+                                        catalog=full_catalog_r3, exclude_below_excess=3),
+        "kcore-excluded-s3": ExperimentConfig(kind="kcore", n=30, r=2, k=3, alpha=2.0, trials=0,
+                                              seed=16, catalog=dense_catalog_k3,
+                                              exclude_below_excess=3),
     }[case]
-    count = {"kcore": 20000, "excluded": 1500}.get(case, 4096)
+    count = {"kcore": 20000, "excluded": 1500, "excluded-s3": 1024,
+             "kcore-excluded-s3": 6000}.get(case, 4096)
     reference = _reference_tally(config, 0, count)
     got = experiments._rate_batch(config, 0, count, census=True)
-    assert reference["failures"] == got["failures"] > 100
-    assert reference["sanity"] == got["sanity"] >= 2
-    assert reference["excluded"] == got["excluded"]
+    # at s=3 every cataloged core (excess <= 2) holds an obstruction below 3, so none is keyed
+    least = {"excluded-s3": dict(failures=60, sanity=1, excluded=15, keyed=0),
+             "kcore-excluded-s3": dict(failures=30, sanity=1, excluded=8, keyed=0)}.get(
+        case, dict(failures=101, sanity=2, excluded=0, keyed=1))
+    assert reference["failures"] == got["failures"] >= least["failures"]
+    assert reference["sanity"] == got["sanity"] >= least["sanity"]
+    assert reference["excluded"] == got["excluded"] >= least["excluded"]
     assert reference["large"] == got["large"] > 0
     assert reference["other"] == got["other"]
-    assert reference["keyed"] == sum(got["census"].values()) > 0
+    assert reference["keyed"] == sum(got["census"].values()) >= least["keyed"]
     assert all(reference[key] == n for key, n in got["census"].items())
     if case == "excluded":
         assert got["excluded"] > 0

@@ -10,17 +10,16 @@ from sparsecore import (
     Hypergraph,
     automorphism_count,
     canonical_key,
-    count_copies,
-    distinct_relabelings,
 )
 from sparsecore import isomorph
-from sparsecore.isomorph import find_copies
 from sparsecore.structures import dense_relabel
 
 from oracle_utils import (
     apply_perm,
     apply_signed,
     brute_copies,
+    count_copies,
+    find_copies,
     items_of,
     random_formula,
     random_hypergraph,
@@ -175,12 +174,6 @@ def test_orbit_stabilizer_sanity():
             continue
         images = len(vertex_images(graph))
         assert images * automorphism_count(graph) == math.factorial(4)
-
-
-def test_distinct_relabelings(f_pair, k4):
-    assert len(distinct_relabelings(f_pair)) == 4
-    assert len(distinct_relabelings(k4)) == 1
-    assert {canonical_key(x) for x in distinct_relabelings(f_pair)} == {canonical_key(f_pair)}
 
 
 def test_isolated_variables_enter_aut_and_key():

@@ -6,7 +6,6 @@ import pytest
 from sparsecore import (
     Formula,
     Hypergraph,
-    count_copies,
     is_full,
     is_k_dense,
     k_core,
@@ -16,7 +15,7 @@ from sparsecore.reduction import _k_core_batch, _k_core_raw, _pure_literal_batch
 from sparsecore.sampling import params_from_alpha, sample_batch
 from sparsecore.solver import proper_coloring
 
-from oracle_utils import random_formula, random_hypergraph, random_pure_literal_core
+from oracle_utils import count_copies, random_formula, random_hypergraph, random_pure_literal_core
 
 
 def to_original_labels(core, trace):
