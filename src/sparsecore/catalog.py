@@ -29,33 +29,26 @@ import json
 from dataclasses import dataclass, replace
 from math import floor
 from pathlib import Path
-from typing import NamedTuple
 
 from . import isomorph
 from .predictor import EVENTS
-from .sampling import candidate_clauses, candidate_edges
+from .sampling import _candidates
 from .solver import check_coloring_budget, check_sat_budget, least_coloring, least_satisfying
-from .structures import Formula, Hypergraph
+from .structures import MODELS, Formula, Hypergraph
 
 CATALOG_FORMAT_VERSION = 1
 
-
-class _Kind(NamedTuple):
-    structure: type  # Formula | Hypergraph
-    items: str  # JSON name of the structure's items
-    flags: tuple[str, ...]  # flag attributes, in JSON order
-
-
+# Each model's catalog JSON vocabulary: the items' name and the flags, in order.
 _KINDS = {
-    "sat": _Kind(Formula, "clauses", ("is_full", "is_mff", "is_satisfiable", "is_muf")),
-    "hypergraph": _Kind(Hypergraph, "edges", ("is_k_dense", "is_minimal_k_dense",
-                                               "is_k_colorable", "is_min_non_k_colorable")),
+    "sat": ("clauses", ("is_full", "is_mff", "is_satisfiable", "is_muf")),
+    "hypergraph": ("edges", ("is_k_dense", "is_minimal_k_dense",
+                             "is_k_colorable", "is_min_non_k_colorable")),
 }
 
-FLAG_ATTRS = {attr.removeprefix("is_"): attr for row in _KINDS.values() for attr in row.flags}
+FLAG_ATTRS = {attr.removeprefix("is_"): attr for _, flags in _KINDS.values() for attr in flags}
 
 
-def _kind(kind: str) -> _Kind:
+def _kind(kind: str) -> tuple[str, tuple[str, ...]]:
     if kind not in _KINDS:
         raise ValueError(f"unknown catalog kind {kind!r}; one of {sorted(_KINDS)}")
     return _KINDS[kind]
@@ -102,13 +95,12 @@ class Catalog:
         return max((e.order for e in self.entries), default=0)
 
     def to_json_dict(self) -> dict:
-        row = _kind(self.kind)
-        items = isomorph._MODELS[row.structure][2]
+        items, flags = _kind(self.kind)
         entries = [{
             "order": e.order, "size": e.size, "excess": e.excess,
             "aut_count": e.aut_count, "iso_key": e.iso_key.decode("ascii"),
-            row.items: [list(item) for item in items(e.structure)],
-            "flags": {attr: getattr(e, attr) for attr in row.flags},
+            items: [list(item) for item in e.structure.rows()],
+            "flags": {attr: getattr(e, attr) for attr in flags},
         } for e in self.entries]
         return {
             "format_version": CATALOG_FORMAT_VERSION,
@@ -127,9 +119,9 @@ class Catalog:
         if data.get("format_version") != CATALOG_FORMAT_VERSION:
             raise ValueError(f"unsupported catalog format {data.get('format_version')}")
         kind = data["kind"]
-        row = _kind(kind)
+        items, _ = _kind(kind)
         entries = tuple(CatalogEntry(
-            kind=kind, structure=row.structure(rec["order"], [tuple(x) for x in rec[row.items]]),
+            kind=kind, structure=MODELS[kind](rec["order"], [tuple(x) for x in rec[items]]),
             order=rec["order"], size=rec["size"], excess=rec["excess"],
             aut_count=rec["aut_count"], iso_key=rec["iso_key"].encode("ascii"), **rec["flags"],
         ) for rec in data["entries"])
@@ -162,29 +154,27 @@ def _minimal_failing(items: list, fails) -> bool:
 def classify_sat(formula: Formula) -> bool:
     """Satisfiability by exhausting all 2^order assignments."""
     check_sat_budget(formula.order)
-    lits = [cl.literals for cl in formula.sorted_clauses()]
-    return least_satisfying(lits, formula.order) is not None
+    return least_satisfying(formula.rows(), formula.order) is not None
 
 
 def is_muf(formula: Formula) -> bool:
     """Unsatisfiable, each clause-deleted subformula satisfiable, no unused variables."""
     check_sat_budget(formula.order)
-    clauses = [cl.literals for cl in formula.sorted_clauses()]
     return len(formula.support) == formula.order and _minimal_failing(
-        clauses, lambda cs: least_satisfying(cs, formula.order) is None)
+        formula.rows(), lambda cs: least_satisfying(cs, formula.order) is None)
 
 
 def classify_colorable(graph: Hypergraph, k: int) -> bool:
     """Weak k-colorability (no monochromatic edge) over all k^order colorings."""
     check_coloring_budget(k, graph.order)
-    return least_coloring(list(graph.sorted_edges()), graph.order, k) is not None
+    return least_coloring(graph.rows(), graph.order, k) is not None
 
 
 def is_min_non_k_colorable(graph: Hypergraph, k: int) -> bool:
     """Non-colorable, each edge-deleted subhypergraph colorable, no isolated vertices."""
     check_coloring_budget(k, graph.order)
     return len(graph.support) == graph.order and _minimal_failing(
-        list(graph.sorted_edges()), lambda es: least_coloring(es, graph.order, k) is None)
+        graph.rows(), lambda es: least_coloring(es, graph.order, k) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +250,12 @@ def _enumerate_cell(kind, r, k, t, e):
     covers through item 0 and its least row starts with item 0: only those
     covers are searched, and only the orbit rows through item 0 are kept.
     """
-    signed = kind == "sat"
-    if signed:
-        raw = candidate_clauses(t, r)
-        rows = [tuple(2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in lits) for lits in raw]
-        units = {u: 1 for u in range(2 * t)}
-        need_units = lambda u: u // 2  # distinct variables within a clause
-    else:
-        raw = candidate_edges(t, r)
-        rows = [tuple(v - 1 for v in edge) for edge in raw]
-        units = {v: k for v in range(t)}
-        need_units = lambda u: u
+    signed = MODELS[kind].signed
+    rows = [isomorph._ids(item, signed) for item in _candidates(t, r, kind).tolist()]
+    # a full formula owes each literal once, a k-dense hypergraph each vertex k times
+    step = 2 if signed else 1
+    units = dict.fromkeys(range(step * t), 1 if signed else k)
+    need_units = lambda u: u // step  # the variable of a unit: distinct within an item
     covers = [frozenset(row) for row in rows]
     packed = [isomorph._pack_row(row) for row in rows]
     seen: set[tuple[int, ...]] = set()
@@ -306,7 +291,6 @@ def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> C
     flag, a deletion check of its failure test (a failing proper
     substructure holds a full, or k-dense, one of smaller excess)."""
     kind, flag, _, fails = EVENTS[event]
-    items = isomorph._MODELS[_kind(kind).structure][2]
     bound = floor(r * max_excess / ((degree - 1) * (r - 1) - 1))
     t_max = bound if order_cap is None else min(order_cap, bound)
     size_needed = max(
@@ -318,12 +302,12 @@ def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> C
              for e in range(-(-degree * t // r), min((t + max_excess) // (r - 1), e_cap) + 1)
              if 1 <= (r - 1) * e - t <= max_excess]
     for t, e in cells:  # refuse up front, before any cell is searched
-        isomorph._check_table(t, kind == "sat", f"{kind} cell (order {t}, size {e})")
+        isomorph._check_table(t, MODELS[kind].signed, f"{kind} cell (order {t}, size {e})")
     entries: list[CatalogEntry] = []
     for t, e in cells:
         for structure, aut, iso_key in _enumerate_cell(kind, r, k, t, e):
             minimal = {FLAG_ATTRS[flag]: _minimal_failing(
-                items(structure), lambda its: fails(its, t, k))} if complete else {}
+                structure.rows(), lambda its: fails(its, t, k))} if complete else {}
             entries.append(CatalogEntry(
                 kind=kind, structure=structure, order=t, size=e,
                 excess=(r - 1) * e - t, aut_count=aut, iso_key=iso_key,

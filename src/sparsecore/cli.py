@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: sample, threshold, core, catalog, predict, solve, mc.
-`solve` exits 10 (satisfiable / colorable), 20 (unsatisfiable /
-non-colorable) or 30 (budget exceeded); `catalog` exits 30 when its
-enumeration would exceed a budget; `catalog`, `predict` and `mc` exit 2
-on invalid parameters, and `mc` exits 30 on a budget; everything else
-exits 0 on success.
+Each exits 0 on success.  On invalid input (bad parameters, or an
+unreadable or malformed file) it prints one line ``<command>: <reason>``
+and exits 2; on a budget, ``<command>: budget exceeded (<reason>)`` and
+exits 30.  `solve` exits 10 (satisfiable / colorable) or 20
+(unsatisfiable / non-colorable), and prints ``s BUDGET EXCEEDED`` (30).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .sampling import (
 )
 from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, decide_colorable, decide_sat
 from .structures import (
+    MODELS,
     BudgetExceededError,
     excess_formula,
     excess_hypergraph,
@@ -56,6 +57,12 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _k(args) -> int:
+    if args.k is None:
+        raise ValueError("--kind hypergraph needs --k")
+    return args.k
 
 
 def _cmd_sample(args) -> int:
@@ -78,39 +85,25 @@ def _cmd_threshold(args) -> int:
 def _cmd_core(args) -> int:
     text = Path(args.infile).read_text()
     if args.kind == "sat":
-        formula = from_dimacs(text)
-        core, _ = pure_literal_core(formula)
-        print(f"core order = {core.order}")
-        print(f"core size  = {core.size}")
-        print(f"core excess = {excess_formula(core)}")
-        sys.stdout.write(to_dimacs(core))
+        core, _ = pure_literal_core(from_dimacs(text))
+        excess, body = excess_formula(core), to_dimacs(core)
     else:
         graph, r = from_edge_list(text)
-        if args.k is None:
-            raise SystemExit("core --kind hypergraph needs --k")
-        core, _ = k_core(graph, args.k)
-        print(f"core order = {core.order}")
-        print(f"core size  = {core.size}")
-        print(f"core excess = {excess_hypergraph(core, r)}")
-        sys.stdout.write(to_edge_list(core, r))
+        core, _ = k_core(graph, _k(args))
+        excess, body = excess_hypergraph(core, r), to_edge_list(core, r)
+    print(f"core order = {core.order}")
+    print(f"core size  = {core.size}")
+    print(f"core excess = {excess}")
+    sys.stdout.write(body)
     return 0
 
 
 def _cmd_catalog(args) -> int:
-    if args.kind == "hypergraph" and args.k is None:
-        raise SystemExit("catalog --kind hypergraph needs --k")
-    try:
-        if args.kind == "sat":
-            cat = enumerate_full(args.r, args.max_excess, args.order_cap, args.size_cap)
-        else:
-            cat = enumerate_k_dense(args.r, args.k, args.max_excess, args.order_cap,
-                                    args.size_cap)
-    except BudgetExceededError as exc:
-        print(f"catalog: budget exceeded ({exc})")
-        return 30
-    except ValueError as exc:
-        print(f"catalog: {exc}")
-        return 2
+    if args.kind == "sat":
+        cat = enumerate_full(args.r, args.max_excess, args.order_cap, args.size_cap)
+    else:
+        cat = enumerate_k_dense(args.r, _k(args), args.max_excess, args.order_cap,
+                                args.size_cap)
     save_catalog(cat, args.out)
     print(f"catalog: {len(cat.entries)} classes, complete={cat.complete}, "
           f"written to {args.out}")
@@ -118,11 +111,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    try:
-        expansion = failure_expansion(load_catalog(args.catalog), args.event, args.smax)
-    except ValueError as exc:
-        print(f"predict: {exc}")
-        return 2
+    expansion = failure_expansion(load_catalog(args.catalog), args.event, args.smax)
     for s in range(1, args.smax + 1):
         print(f"p_{s}(a) = {expansion.terms[s]!r}")
     if args.n is not None and args.alpha is not None:
@@ -152,10 +141,8 @@ def _cmd_solve(args) -> int:
                 sys.stdout.write(to_dimacs(verdict.muf))
             return 20
         graph, _ = from_edge_list(text)
-        if args.k is None:
-            raise SystemExit("solve --kind hypergraph needs --k")
         verdict = decide_colorable(
-            graph, args.k, COLORING_BUDGET if args.budget is None else args.budget)
+            graph, _k(args), COLORING_BUDGET if args.budget is None else args.budget)
         if verdict.colorable:
             print("s COLORABLE")
             for v, c in enumerate(verdict.coloring, start=1):
@@ -179,15 +166,8 @@ def _cmd_mc(args) -> int:
         seed=args.seed, k=args.k, workers=args.workers, catalog=catalog,
         exclude_below_excess=args.exclude_below_excess,
     )
-    try:
-        report = {"rate": run_failure_probability, "census": run_core_census,
-                  "validate": run_solver_validation}[args.mode](config)
-    except BudgetExceededError as exc:
-        print(f"mc: budget exceeded ({exc})")
-        return 30
-    except ValueError as exc:
-        print(f"mc: {exc}")
-        return 2
+    report = {"rate": run_failure_probability, "census": run_core_census,
+              "validate": run_solver_validation}[args.mode](config)
     if args.mode == "census" and report.predicted is not None:
         print(f"expected failures at first order: {report.predicted * config.trials:.1f}")
     for key, value in report.to_json_dict().items():
@@ -216,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw one random instance")
-    p.add_argument("--kind", choices=["sat", "hypergraph"], required=True)
+    p.add_argument("--kind", choices=list(MODELS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
@@ -229,13 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("core", help="reduce an instance to its core")
-    p.add_argument("--kind", choices=["sat", "hypergraph"], required=True)
+    p.add_argument("--kind", choices=list(MODELS), required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=_cmd_core)
 
     p = sub.add_parser("catalog", help="enumerate small obstructions up to isomorphism")
-    p.add_argument("--kind", choices=["sat", "hypergraph"], required=True)
+    p.add_argument("--kind", choices=list(MODELS), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--max-excess", type=int, required=True)
@@ -255,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide satisfiability / colorability")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--kind", choices=["sat", "hypergraph"], default="sat")
+    p.add_argument("--kind", choices=list(MODELS), default="sat")
     p.add_argument("--k", type=int)
     p.add_argument("--budget", type=int,
                    help="max core order (sat) / max number of colorings (hypergraph)")
@@ -264,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo experiments")
     p.add_argument("mode", choices=["rate", "census", "validate"])
-    p.add_argument("--kind", required=True, choices=RATE_KINDS + VALIDATE_KINDS)
+    p.add_argument("--kind", required=True, choices=RATE_KINDS + tuple(VALIDATE_KINDS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int)
@@ -282,7 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceededError as exc:
+        print(f"{args.command}: budget exceeded ({exc})")
+        return 30
+    except (ValueError, OSError) as exc:  # OSError: an unreadable --in or --catalog file
+        print(f"{args.command}: {exc}")
+        return 2
 
 
 def run() -> None:

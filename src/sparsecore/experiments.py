@@ -26,7 +26,6 @@ from itertools import chain
 import numpy as np
 
 from .catalog import (
-    _KINDS,
     Catalog,
     _minimal_failing,
     enumerate_full,
@@ -35,28 +34,31 @@ from .catalog import (
     is_muf,
 )
 from .isomorph import canonical_key
-from .predictor import EVENTS, _sign_factor, core_type_distribution
+from .predictor import EVENTS, core_type_distribution
 from .reduction import _k_core_batch, _pure_literal_batch
 from .sampling import _rng, params_from_alpha, sample_batch
 from .structures import (
+    MODELS,
     BudgetExceededError,
     dense_relabel,
     is_full,
     is_k_dense,
+    sign_factor,
 )
 from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _decide_colorable, _decide_sat
 
 REPORT_FORMAT_VERSION = 1
 
 RATE_KINDS = tuple(EVENTS)
-VALIDATE_KINDS = ("sat", "coloring")
+VALIDATE_KINDS = {"sat": "sat", "coloring": "hypergraph"}  # kind -> model it samples
 
 _SAT_ORACLE_MAX_N = 18
 _COLOR_ORACLE_MAX_N = 13
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """95% Wilson score interval; behaves sensibly at rare-event counts."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = 1.96); behaves sensibly at rare-event counts."""
+    z = 1.96
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -81,22 +83,24 @@ class ExperimentConfig:
     exclude_below_excess: int | None = None
 
     def validate(self, kinds, uses=()) -> None:
-        """Raise ValueError on a bad kind or count, on a set option outside
+        """Raise ValueError on a bad kind, count or k, on a set option outside
         ``uses`` (the run would ignore it), or on another model's, r's or k's catalog."""
         if self.kind not in kinds:
-            raise ValueError(f"kind must be one of {kinds}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(kinds)}, got {self.kind!r}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
-        if self.kind in ("kcore", "noncolorable", "coloring") and self.k is None:
+        model = EVENTS[self.kind].model if self.kind in EVENTS else VALIDATE_KINDS[self.kind]
+        if self.k is None and not MODELS[model].signed:
             raise ValueError(f"kind {self.kind!r} needs k")
+        if self.k is not None and MODELS[model].signed:  # k counts colors or degree
+            raise ValueError(f"k does not apply to kind {self.kind!r}")
         if self.workers < 1 or self.batch_size < 1:
             raise ValueError("workers and batch_size must be positive")
         for option in ("catalog", "exclude_below_excess"):
             if getattr(self, option) is not None and option not in uses:
                 raise ValueError(f"{option} does not apply to this run")
         cat = self.catalog
-        if cat is not None and (cat.kind != EVENTS[self.kind].model or cat.r != self.r
-                                or (cat.kind == "hypergraph" and cat.k != self.k)):
+        if cat is not None and (cat.kind != model or cat.r != self.r or cat.k != self.k):
             raise ValueError(f"catalog ({cat.kind} r={cat.r} k={cat.k}) does not fit "
                              f"{self.kind} r={self.r} k={self.k}")
 
@@ -184,7 +188,7 @@ def _per_owner(trial: np.ndarray, rows: np.ndarray, owners: np.ndarray) -> list[
 @lru_cache(maxsize=4096)  # far above the distinct small cores a census process meets
 def _memo_key(kind: str, order: int, items: tuple) -> bytes:
     """Canonical key of a dense core, memoized for the life of the process."""
-    return canonical_key(_KINDS[kind].structure(order, items))
+    return canonical_key(MODELS[kind](order, items))
 
 
 def _classify_core(kind: str, core_items, max_order: int, shapes):
@@ -218,6 +222,7 @@ def _holds_low_obstruction(core_items, shapes, fails, k) -> bool:
 
 def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: bool):
     model_kind, flag, core_decides, fails = EVENTS[config.kind]
+    signed = MODELS[model_kind].signed
     failures = budget = 0
     census_counts: Counter = Counter()
     other = large = excluded = 0
@@ -230,7 +235,7 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
     low_shapes = set() if s is None else {
         (e.order, e.size) for e in catalog.with_flag(flag) if e.excess < s}
     trial, items = _batch_items(config, model_kind, batch_index, count)
-    if model_kind == "sat":
+    if signed:
         alive = _pure_literal_batch(items, trial, config.n)
     else:
         alive = _k_core_batch(items, trial, config.n, config.k)
@@ -248,8 +253,8 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
         if census:
             if failures % 100 == 1:  # 1% sanity sample: cores really are cores
                 support, rows = dense_relabel(core_items)
-                dense = _KINDS[model_kind].structure(len(support), rows)
-                ok = is_full(dense) if model_kind == "sat" else is_k_dense(dense, config.k)
+                dense = MODELS[model_kind](len(support), rows)
+                ok = is_full(dense) if signed else is_k_dense(dense, config.k)
                 if not ok:
                     raise RuntimeError("reduction produced a non-core structure")
                 sanity += 1
@@ -308,7 +313,7 @@ def _prediction(config: ExperimentConfig, catalog: Catalog | None):
     min_excess = min(e.excess for e in entries)
     leading = [e for e in entries if e.excess == min_excess]
     rate = sum(
-        _sign_factor(e.kind, e.order) / e.aut_count * config.alpha ** e.size
+        sign_factor(e.kind, e.order) / e.aut_count * config.alpha ** e.size
         * config.n ** (-e.excess)
         for e in leading
     )
@@ -475,7 +480,7 @@ def _witness_in_input(verdict, items) -> bool:
 
 
 def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
-    model_kind = "sat" if config.kind == "sat" else "hypergraph"
+    model_kind = VALIDATE_KINDS[config.kind]
     agree = mismatch = witness_bad = budget = 0
     for items in _per_trial(*_batch_items(config, model_kind, batch_index, count), count):
         try:

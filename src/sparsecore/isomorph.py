@@ -25,11 +25,12 @@ from math import factorial
 import numpy as np
 
 from .structures import (
+    MODELS,
     BudgetExceededError,
-    Clause,
     Formula,
     Hypergraph,
     dense_relabel,
+    sign_factor,
 )
 
 DEFAULT_ORDER_CAP = 16  # largest order keyed or counted
@@ -202,31 +203,23 @@ def _render(kind: str, t: int, isolated: int, encoding) -> bytes:
     return f"{kind}|{t}|{isolated}|{body}".encode("ascii")
 
 
-# Per structure type: key letter, signed group, and the items as sorted
-# int tuples (signed literals or vertices; abs() is the variable).
-_MODELS = {
-    Formula: ("F", True, lambda f: sorted(c.literals for c in f.clauses)),
-    Hypergraph: ("G", False, lambda g: sorted(g.edges)),
-}
+def _ids(item, signed: bool) -> tuple[int, ...]:
+    """An item's literal ids: 2(v-1) + [negative] when signed, else v-1."""
+    return tuple(2 * (abs(x) - 1) + (x < 0) if signed else x - 1 for x in item)
 
 
 def _parts(structure, action: str):
-    """(key letter, support size, rows, isolated count, signed).
-
-    Rows are the items on the dense support as literal ids: 2*(v-1), plus
-    1 for a negative literal, for formulas; v-1 for hypergraphs.
-    """
-    if type(structure) not in _MODELS:
+    """(key letter, support size, dense items as ids, isolated count, signed)."""
+    if type(structure) not in MODELS.values():
         raise TypeError(f"cannot {action} {type(structure).__name__}")
-    letter, signed, items = _MODELS[type(structure)]
     if structure.order > DEFAULT_ORDER_CAP:
         raise BudgetExceededError(
             f"order {structure.order} exceeds canonicalization cap {DEFAULT_ORDER_CAP}"
         )
-    support, dense = dense_relabel(items(structure))
-    step = 2 if signed else 1
-    rows = [tuple(step * (abs(x) - 1) + (x < 0) for x in item) for item in dense]
-    return letter, len(support), rows, structure.order - len(support), signed
+    signed = structure.signed
+    support, dense = dense_relabel(structure.rows())
+    rows = [_ids(item, signed) for item in dense]
+    return "F" if signed else "G", len(support), rows, structure.order - len(support), signed
 
 
 def canonical_key(structure) -> bytes:
@@ -240,13 +233,12 @@ def automorphism_count(structure) -> int:
     """Size of the automorphism group (signed permutations for formulas)."""
     _, t, rows, isolated, signed = _parts(structure, "count automorphisms of")
     _, aut = _support_canonical(t, rows, signed)
-    return aut * (2 ** isolated if signed else 1) * factorial(isolated)
+    return aut * sign_factor(structure.model, isolated) * factorial(isolated)
 
 
 def _from_encoding(t: int, encoding, signed: bool):
-    """The structure on 1..t whose clauses are the given literal-id tuples."""
+    """The structure on 1..t whose items have the given literal ids (see _ids)."""
     if signed:
-        return Formula(t, [Clause(tuple((l // 2 + 1) * (1 - 2 * (l % 2)) for l in cl))
-                           for cl in encoding])
-    return Hypergraph(t, [tuple(sorted(l + 1 for l in cl)) for cl in encoding])
+        return Formula(t, [[(l // 2 + 1) * (1 - 2 * (l % 2)) for l in cl] for cl in encoding])
+    return Hypergraph(t, [[l + 1 for l in cl] for cl in encoding])
 

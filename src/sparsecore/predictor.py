@@ -24,17 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .isomorph import _MODELS, automorphism_count
+from .isomorph import automorphism_count
 from .reduction import _k_core_raw, _pure_literal_raw
 from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _is_noncolorable, _is_unsat
-from .structures import (
-    Formula,
-    Hypergraph,
-    excess_formula,
-    excess_hypergraph,
-    is_full,
-    is_k_dense,
-)
+from .structures import MODELS, is_full, is_k_dense, sign_factor
 
 if TYPE_CHECKING:
     from .catalog import Catalog
@@ -111,18 +104,14 @@ class AlphaPoly:
 
 
 def _structure_facts(structure):
-    if not isinstance(structure, (Formula, Hypergraph)):
+    """(model, width, order, size, excess) of a nonempty uniform structure."""
+    if type(structure) not in MODELS.values():
         raise TypeError(f"unsupported structure {type(structure).__name__}")
     r = structure.width()
     if r is None:
         raise ValueError("empty structure has no clause width or edge size")
-    if isinstance(structure, Formula):
-        return "sat", r, structure.order, structure.size, excess_formula(structure)
-    return "hypergraph", r, structure.order, structure.size, excess_hypergraph(structure, r)
-
-
-def _sign_factor(kind: str, order: int) -> int:
-    return 2 ** order if kind == "sat" else 1
+    t, e = structure.order, structure.size
+    return structure.model, r, t, e, (r - 1) * e - t
 
 
 def expected_copies_exact(structure, n: int, alpha) -> Fraction | float:
@@ -137,7 +126,7 @@ def expected_copies_exact(structure, n: int, alpha) -> Fraction | float:
         return Fraction(0) if isinstance(alpha, (int, Fraction)) else 0.0
     aut = automorphism_count(structure)
     falling = math.perm(n, t)
-    coeff = Fraction(falling * _sign_factor(kind, t), aut)
+    coeff = Fraction(falling * sign_factor(kind, t), aut)
     if isinstance(alpha, (int, Fraction)):
         return coeff * Fraction(alpha) ** e / Fraction(n) ** ((r - 1) * e)
     return float(coeff) * float(alpha) ** e / float(n) ** ((r - 1) * e)
@@ -176,7 +165,7 @@ def first_order_containment(structure, k: int | None = None) -> FirstOrderTerm:
             raise ValueError("containment asymptotics require a k-dense hypergraph")
     aut = automorphism_count(structure)
     return FirstOrderTerm(
-        coefficient=Fraction(_sign_factor(kind, t), aut),
+        coefficient=Fraction(sign_factor(kind, t), aut),
         alpha_power=e,
         exponent=excess,
     )
@@ -191,9 +180,6 @@ class CoreTypeDistribution:
 
     weights: tuple[tuple[bytes, Fraction], ...]
 
-    def as_dict(self) -> dict[bytes, Fraction]:
-        return dict(self.weights)
-
 
 def core_type_distribution(entries, alpha) -> CoreTypeDistribution:
     """Weights alpha^size * 2^order / aut (formulas; drop 2^order for
@@ -207,7 +193,7 @@ def core_type_distribution(entries, alpha) -> CoreTypeDistribution:
         raise ValueError("alpha must be positive")
     a = Fraction(alpha)  # exact also for floats, which are binary rationals
     raw = [
-        (e.iso_key, a ** e.size * Fraction(_sign_factor(e.kind, e.order), e.aut_count))
+        (e.iso_key, a ** e.size * Fraction(sign_factor(e.kind, e.order), e.aut_count))
         for e in entries
     ]
     total = sum(w for _, w in raw)
@@ -260,7 +246,7 @@ def _cover_weight(w, fails, k) -> int:
     full, or k-dense, of no larger excess: catalog obstructions), so by
     Moebius inversion over item sets this is the sum over item subsets T
     of (-1)^(|w|-|T|) [T fails]."""
-    items = _MODELS[type(w)][2](w)
+    items = w.rows()
     m = len(items)
     return sum((-1) ** (m - j) for j in range(m + 1)
                for subset in itertools.combinations(items, j) if fails(subset, w.order, k))
@@ -300,7 +286,7 @@ def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPoly
         sigma = _cover_weight(w.structure, EVENTS[event].fails, catalog.k)
         if sigma == 0:
             continue
-        base_coeff = Fraction(sigma * _sign_factor(kind, w.order), w.aut_count)
+        base_coeff = Fraction(sigma * sign_factor(kind, w.order), w.aut_count)
         falling = _falling_coeffs(w.order, s_max - w.excess)
         for s in range(w.excess, s_max + 1):
             terms[s] = terms[s] + AlphaPoly.term(base_coeff * falling[s - w.excess], w.size)

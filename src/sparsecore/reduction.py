@@ -168,8 +168,7 @@ def pure_literal_core(formula: Formula) -> tuple[Formula, PureLiteralTrace]:
     The core is empty or has no pure literals; it does not depend on the
     order in which pure literals are chosen.
     """
-    core, trace = _pure_literal_trace(
-        formula.order, [cl.literals for cl in formula.sorted_clauses()])
+    core, trace = _pure_literal_trace(formula.order, formula.rows())
     return Formula(len(trace.core_variables), core), trace
 
 
@@ -226,7 +225,7 @@ def _k_core_trace(order: int, edges: list[tuple[int, ...]], k: int):
 
 def k_core(graph: Hypergraph, k: int) -> tuple[Hypergraph, PeelTrace]:
     """Maximal sub-hypergraph of minimum degree >= k (relabeled densely)."""
-    core, trace = _k_core_trace(graph.order, list(graph.sorted_edges()), k)
+    core, trace = _k_core_trace(graph.order, graph.rows(), k)
     return Hypergraph(len(trace.core_vertices), core), trace
 
 

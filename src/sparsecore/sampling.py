@@ -24,12 +24,9 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .structures import Formula, Hypergraph
+from .structures import MODELS, Formula, Hypergraph, sign_factor
 
 DENSE_CANDIDATE_LIMIT = 200_000
-
-FORMULA = "sat"
-HYPERGRAPH = "hypergraph"
 
 
 @dataclass(frozen=True)
@@ -45,17 +42,16 @@ class ModelParams:
     alpha: float
     p: float
     c: float
-    kind: str
+    kind: str  # the model, a key of structures.MODELS
 
     @property
     def candidate_count(self) -> int:
-        scale = 2 ** self.r if self.kind == FORMULA else 1
-        return scale * math.comb(self.n, self.r)
+        return sign_factor(self.kind, self.r) * math.comb(self.n, self.r)
 
 
-def params_from_alpha(n: int, r: int, alpha: float, kind: str = FORMULA) -> ModelParams:
-    if kind not in (FORMULA, HYPERGRAPH):
-        raise ValueError(f"kind must be {FORMULA!r} or {HYPERGRAPH!r}")
+def params_from_alpha(n: int, r: int, alpha: float, kind: str = "sat") -> ModelParams:
+    if kind not in MODELS:
+        raise ValueError(f"kind must be {' or '.join(map(repr, MODELS))}")
     if n < 1 or r < 2:
         raise ValueError("need n >= 1 and r >= 2")
     if alpha < 0:
@@ -63,8 +59,7 @@ def params_from_alpha(n: int, r: int, alpha: float, kind: str = FORMULA) -> Mode
     p = alpha * float(n) ** (-(r - 1))
     if p > 1.0:
         raise ValueError(f"alpha {alpha} gives clause probability {p} > 1")
-    scale = 2 ** r if kind == FORMULA else 1
-    c = p * scale * math.comb(n, r) / n
+    c = p * sign_factor(kind, r) * math.comb(n, r) / n
     return ModelParams(n=n, r=r, alpha=float(alpha), p=p, c=c, kind=kind)
 
 
@@ -77,7 +72,7 @@ def _candidates(n: int, r: int, kind: str) -> np.ndarray:
     order: rows of signed literals (formulas) or of vertices (hypergraphs)."""
     combos = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), r)),
                          dtype=np.int64, count=r * math.comb(n, r)).reshape(-1, r)
-    if kind == FORMULA:  # bit j of the sign pattern negates variable j
+    if MODELS[kind].signed:  # bit j of the sign pattern negates variable j
         signs = 1 - 2 * (np.arange(2 ** r)[:, None] >> np.arange(r) & 1)
         combos = (combos[:, None, :] * signs).reshape(-1, r)
     combos.flags.writeable = False
@@ -86,11 +81,11 @@ def _candidates(n: int, r: int, kind: str) -> np.ndarray:
 
 def candidate_clauses(n: int, r: int) -> list[tuple[int, ...]]:
     """All candidate clauses in the fixed lexicographic order."""
-    return list(map(tuple, _candidates(n, r, FORMULA).tolist()))
+    return list(map(tuple, _candidates(n, r, "sat").tolist()))
 
 
 def candidate_edges(n: int, r: int) -> list[tuple[int, ...]]:
-    return list(map(tuple, _candidates(n, r, HYPERGRAPH).tolist()))
+    return list(map(tuple, _candidates(n, r, "hypergraph").tolist()))
 
 
 @lru_cache(maxsize=32)
@@ -129,7 +124,7 @@ def sample_batch(params: ModelParams, rng: np.random.Generator,
     each column is contiguous.
     """
     n, r = params.n, params.r
-    sign_bits = r if params.kind == FORMULA else 0
+    sign_bits = r if MODELS[params.kind].signed else 0
     var_bits = max(1, (n - 1).bit_length())
     trial_shift = r * var_bits + sign_bits
     if max(count - 1, 0).bit_length() + trial_shift > 63:
@@ -179,7 +174,7 @@ def candidate_indices(rows: np.ndarray, params: ModelParams) -> np.ndarray:
     variables = np.abs(rows)
     tables = _colex_tables(n, r)
     index = math.comb(n, r) - 1 - sum(tables[j][n - variables[:, j]] for j in range(r))
-    if params.kind == FORMULA:
+    if MODELS[params.kind].signed:
         index = index << r | ((rows < 0) << np.arange(r)).sum(axis=1)
     return index
 
@@ -193,23 +188,25 @@ def sample_indices(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     return candidate_indices(sample_batch(params, rng, 1)[1], params)
 
 
-def _sample_rows(params: ModelParams, seed: int, kind: str) -> list[list[int]]:
-    """The items of one sample as rows; identical given (params, seed)."""
+def _sample(params: ModelParams, seed: int, kind: str):
+    """One draw of the ``kind`` model's structure; identical given (params, seed)."""
     if params.kind != kind:
         raise ValueError(f"params are not for the {kind} model")
     rng = _rng(seed)
     if params.candidate_count > DENSE_CANDIDATE_LIMIT:
-        return sample_batch(params, rng, 1)[1].tolist()
-    return _candidates(params.n, params.r, kind)[sample_indices(params, rng)].tolist()
+        rows = sample_batch(params, rng, 1)[1].tolist()
+    else:
+        rows = _candidates(params.n, params.r, kind)[sample_indices(params, rng)].tolist()
+    return MODELS[kind](params.n, rows)
 
 
 def sample_formula(params: ModelParams, seed: int) -> Formula:
     """One draw of the random formula; identical given (params, seed)."""
-    return Formula(params.n, _sample_rows(params, seed, FORMULA))
+    return _sample(params, seed, "sat")
 
 
 def sample_hypergraph(params: ModelParams, seed: int) -> Hypergraph:
-    return Hypergraph(params.n, _sample_rows(params, seed, HYPERGRAPH))
+    return _sample(params, seed, "hypergraph")
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +223,8 @@ def pure_literal_objective(r: int, y: float) -> float:
     return math.factorial(r - 1) * y / (2 ** (r - 1) * (1.0 - math.exp(-y)) ** (r - 1))
 
 
-def pure_literal_threshold(r: int, tol: float = 1e-8) -> ThresholdResult:
-    """Minimum of the objective over y > 0, with y* to absolute tolerance ``tol``.
+def pure_literal_threshold(r: int) -> ThresholdResult:
+    """Minimum of the objective over y > 0, with y* to absolute tolerance 1e-8.
 
     The objective's logarithmic derivative 1/y - (r-1)/(e^y - 1) vanishes
     only at the root of g(y) = e^y - 1 - (r-1)*y on y > 0.  g is convex,
@@ -237,7 +234,7 @@ def pure_literal_threshold(r: int, tol: float = 1e-8) -> ThresholdResult:
     if r < 3:
         raise ValueError("the pure literal threshold needs r >= 3")
     a, b = math.log(r - 1), float(r)
-    while b - a > tol / 10:
+    while b - a > 1e-9:  # a tenth of the tolerance
         mid = (a + b) / 2
         if math.expm1(mid) > (r - 1) * mid:
             b = mid

@@ -51,7 +51,7 @@ def satisfies(formula: Formula, assignment: tuple[bool, ...]) -> bool:
 def count_satisfied(formula: Formula, assignment: tuple[bool, ...]) -> int:
     if len(assignment) != formula.order:
         raise ValueError("assignment length mismatch")
-    return _count_satisfied([cl.literals for cl in formula.clauses], assignment)
+    return _count_satisfied(formula.rows(), assignment)
 
 
 def _count_satisfied(clauses, assignment: tuple[bool, ...]) -> int:
@@ -208,8 +208,7 @@ def decide_sat(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> SatVerdi
     + MaxSAT(core).  A core larger than ``core_budget`` raises
     BudgetExceededError; the answer is never guessed.
     """
-    return _decide_sat(formula.order, [cl.literals for cl in formula.sorted_clauses()],
-                       core_budget)
+    return _decide_sat(formula.order, formula.rows(), core_budget)
 
 
 def _decide_sat(order: int, clauses: list, core_budget: int) -> SatVerdict:
@@ -265,7 +264,7 @@ def extract_muf(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> Formula
     satisfiable.  Deletion candidates are re-checked through reduction
     plus exhaustion, so each of the O(size) checks touches only a core.
     """
-    clauses = [cl.literals for cl in formula.sorted_clauses()]
+    clauses = formula.rows()
     if not _is_unsat(clauses, core_budget):
         raise ValueError("input formula is satisfiable; no MUF exists")
     support, muf = dense_relabel(_minimal(clauses, lambda kept: _is_unsat(kept, core_budget)))
@@ -293,7 +292,7 @@ def decide_colorable(graph: Hypergraph, k: int,
     extends greedily through the peel trace.  A non-colorable core is
     minimized edge-by-edge into a minimal non-k-colorable obstruction.
     """
-    return _decide_colorable(graph.order, list(graph.sorted_edges()), k, coloring_budget)
+    return _decide_colorable(graph.order, graph.rows(), k, coloring_budget)
 
 
 def _decide_colorable(order: int, edges: list, k: int, coloring_budget: int) -> ColorVerdict:

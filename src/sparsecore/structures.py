@@ -4,6 +4,9 @@ Variables and vertices are labeled 1..order.  A literal is a nonzero
 integer: +v for the variable itself, -v for its negation.  All types are
 value objects: hashable, comparable and safe to share across threads.
 
+``MODELS`` maps each random model's name to its type; every other module
+reads a model's ``signed`` bit and its items, ``rows()``, from the type.
+
 The ranking parameter used throughout is the *excess*
 ``(width - 1) * size - order``: the only quantity in which the small
 obstructions of sparse random instances are finite in number.
@@ -76,6 +79,9 @@ def _as_clause(obj) -> Clause:
 class Formula:
     """A duplicate-free set of clauses over variables 1..order."""
 
+    model = "sat"  # the random model's name, a key of MODELS
+    signed = True  # items carry signs: a placement also chooses them
+
     order: int
     clauses: frozenset[Clause]
 
@@ -99,6 +105,10 @@ class Formula:
     def sorted_clauses(self) -> tuple[Clause, ...]:
         return tuple(sorted(self.clauses, key=lambda c: c.literals))
 
+    def rows(self) -> list[tuple[int, ...]]:
+        """The clauses as literal tuples, in ``sorted_clauses()`` order."""
+        return sorted(cl.literals for cl in self.clauses)
+
     def width(self) -> int | None:
         """Uniform clause width, None when empty.  Raises on mixed widths."""
         widths = {cl.width for cl in self.clauses}
@@ -116,6 +126,9 @@ class Formula:
 @dataclass(frozen=True)
 class Hypergraph:
     """A duplicate-free set of edges (vertex sets) over vertices 1..order."""
+
+    model = "hypergraph"
+    signed = False
 
     order: int
     edges: frozenset[tuple[int, ...]]
@@ -140,6 +153,10 @@ class Hypergraph:
     def sorted_edges(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.edges))
 
+    def rows(self) -> list[tuple[int, ...]]:
+        """The edges as vertex tuples, in ``sorted_edges()`` order."""
+        return sorted(self.edges)
+
     def width(self) -> int | None:
         widths = {len(e) for e in self.edges}
         if not widths:
@@ -158,6 +175,14 @@ class Hypergraph:
     def __str__(self):
         body = " ".join("{" + ",".join(map(str, e)) + "}" for e in self.sorted_edges())
         return f"Hypergraph(n={self.order}, m={self.size}): {body}"
+
+
+MODELS = {"sat": Formula, "hypergraph": Hypergraph}
+
+
+def sign_factor(model: str, order: int) -> int:
+    """2^order for a signed model, whose placements also choose signs; else 1."""
+    return 2 ** order if MODELS[model].signed else 1
 
 
 # ---------------------------------------------------------------------------

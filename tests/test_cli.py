@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sparsecore import Formula, from_dimacs, from_edge_list, to_dimacs, to_edge_list
 from sparsecore.cli import main
 
@@ -102,6 +104,34 @@ def test_catalog_and_predict_report_invalid_parameters_in_one_line(tmp_path, cap
         code, out = run_cli(capsys, "predict", "--catalog", str(cat_file), *argv)
         assert code == 2 and out.startswith("predict: ")
         assert len(out.strip().splitlines()) == 1
+
+
+INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
+               "graph": "3 2 2\n1 2\n2 3\n"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("threshold", "--r", "2"),
+    ("sample", "--kind", "sat", "--n", "5", "--r", "3", "--alpha", "100", "--seed", "1"),
+    ("core", "--kind", "sat", "--in", "{miscounted}"),
+    ("core", "--kind", "sat", "--in", "{missing}"),
+    ("solve", "--in", "{miscounted}"),
+    ("mc", "rate", "--kind", "pl-fail", "--n", "10", "--r", "3", "--alpha", "0.5",
+     "--trials", "10", "--seed", "1", "--catalog", "{not_json}"),
+    ("catalog", "--kind", "hypergraph", "--r", "2", "--max-excess", "1", "--out", "{out}"),
+    ("core", "--kind", "hypergraph", "--in", "{graph}"),
+    ("solve", "--kind", "hypergraph", "--in", "{graph}"),
+], ids=["threshold-r2", "sample-p-above-1", "core-miscounted-header", "core-missing-file",
+        "solve-miscounted-header", "mc-catalog-not-json", "catalog-no-k", "core-no-k",
+        "solve-no-k"])
+def test_invalid_input_is_reported_in_one_line(tmp_path, capsys, argv):
+    paths = {name: str(tmp_path / name) for name in (*INPUT_FILES, "missing", "out")}
+    for name, text in INPUT_FILES.items():
+        Path(paths[name]).write_text(text)
+    code, out = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out.startswith(f"{argv[0]}: ")
+    assert len(out.strip().splitlines()) == 1
+    assert not Path(paths["out"]).exists()
 
 
 def test_solve_exit_codes(tmp_path, capsys, f_pair, complete3):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -159,6 +160,50 @@ def test_runs_refuse_options_they_ignore(full_catalog_r3):
         run_solver_validation(ExperimentConfig(**validate, catalog=full_catalog_r3))
     with pytest.raises(ValueError, match="exclude_below_excess does not apply"):
         run_solver_validation(ExperimentConfig(**validate, exclude_below_excess=2))
+
+
+@pytest.mark.parametrize("run, kind", [
+    (run_failure_probability, "pl-fail"), (run_failure_probability, "unsat"),
+    (run_core_census, "pl-fail"), (run_solver_validation, "sat")])
+def test_k_applies_only_to_hypergraph_kinds(run, kind):
+    # k is a degree or a color count, and a formula model has neither
+    config = ExperimentConfig(kind=kind, n=10, r=3, alpha=0.5, trials=10, seed=1, k=3)
+    with pytest.raises(ValueError, match=f"k does not apply to kind '{kind}'"):
+        run(config)
+
+
+# Digests of fixed-seed reports, their JSON with elapsed_seconds dropped and
+# the key order kept.  A refactor keeps every one; only a deliberate change
+# of a random stream or of a report's fields may move one.  Census cases
+# read the conftest catalogs: enumerate_full(3, 2) and enumerate_k_dense(2, 3, 2).
+REPORT_PINS = [
+    (run_core_census, dict(kind="pl-fail", n=30, r=3, alpha=0.8, trials=2048, seed=3,
+                           exclude_below_excess=2), "9e08ebc48ba2a54d"),
+    (run_core_census, dict(kind="kcore", n=30, r=2, k=3, alpha=2.0, trials=4096, seed=16),
+     "e8f25c62b9a81788"),
+    (run_failure_probability, dict(kind="pl-fail", n=120, r=3, alpha=0.8, trials=2048, seed=5),
+     "b7039dcb299b2a26"),
+    (run_failure_probability, dict(kind="unsat", n=12, r=3, alpha=3.0, trials=400, seed=5),
+     "7ab0a6d8b91dc97c"),
+    (run_failure_probability, dict(kind="noncolorable", n=12, r=2, k=3, alpha=3.0, trials=400,
+                                   seed=5), "419dd3214d30971e"),
+    (run_solver_validation, dict(kind="sat", n=15, r=3, alpha=3.0, trials=100, seed=8),
+     "beeaba1402f1a3fc"),
+    (run_solver_validation, dict(kind="coloring", n=12, r=2, k=3, alpha=3.0, trials=60, seed=8),
+     "39923cfbae9dc608"),
+]
+
+
+@pytest.mark.parametrize("run, params, digest", REPORT_PINS, ids=[
+    "census-pl-fail-excluded", "census-kcore", "rate-sparse-sampler", "rate-unsat",
+    "rate-noncolorable", "validate-sat", "validate-coloring"])
+def test_fixed_seed_reports_are_pinned(run, params, digest, full_catalog_r3, dense_catalog_k3):
+    catalog = None
+    if run is run_core_census:
+        catalog = {"pl-fail": full_catalog_r3, "kcore": dense_catalog_k3}[params["kind"]]
+    data = run(ExperimentConfig(**params, catalog=catalog)).to_json_dict()
+    data.pop("elapsed_seconds")
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16] == digest
 
 
 def test_kcore_census_matches_expectations(dense_catalog_k3):
