@@ -116,18 +116,23 @@ class Catalog:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Catalog":
+        """The catalog of ``to_json_dict``; a missing field raises ValueError."""
         if data.get("format_version") != CATALOG_FORMAT_VERSION:
             raise ValueError(f"unsupported catalog format {data.get('format_version')}")
-        kind = data["kind"]
-        items, _ = _kind(kind)
-        entries = tuple(CatalogEntry(
-            kind=kind, structure=MODELS[kind](rec["order"], [tuple(x) for x in rec[items]]),
-            order=rec["order"], size=rec["size"], excess=rec["excess"],
-            aut_count=rec["aut_count"], iso_key=rec["iso_key"].encode("ascii"), **rec["flags"],
-        ) for rec in data["entries"])
-        return cls(kind=kind, r=data["r"], k=data["k"], max_excess=data["max_excess"],
-                   order_cap=data["order_cap"], size_cap=data["size_cap"],
-                   complete=data["complete"], entries=entries)
+        try:
+            kind = data["kind"]
+            items, _ = _kind(kind)
+            entries = tuple(CatalogEntry(
+                kind=kind, structure=MODELS[kind](rec["order"], [tuple(x) for x in rec[items]]),
+                order=rec["order"], size=rec["size"], excess=rec["excess"],
+                aut_count=rec["aut_count"], iso_key=rec["iso_key"].encode("ascii"),
+                **rec["flags"],
+            ) for rec in data["entries"])
+            return cls(kind=kind, r=data["r"], k=data["k"], max_excess=data["max_excess"],
+                       order_cap=data["order_cap"], size_cap=data["size_cap"],
+                       complete=data["complete"], entries=entries)
+        except KeyError as exc:
+            raise ValueError(f"catalog lacks field {exc.args[0]!r}") from None
 
 
 def save_catalog(catalog: Catalog, path) -> None:

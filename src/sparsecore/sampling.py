@@ -79,15 +79,6 @@ def _candidates(n: int, r: int, kind: str) -> np.ndarray:
     return combos
 
 
-def candidate_clauses(n: int, r: int) -> list[tuple[int, ...]]:
-    """All candidate clauses in the fixed lexicographic order."""
-    return list(map(tuple, _candidates(n, r, "sat").tolist()))
-
-
-def candidate_edges(n: int, r: int) -> list[tuple[int, ...]]:
-    return list(map(tuple, _candidates(n, r, "hypergraph").tolist()))
-
-
 @lru_cache(maxsize=32)
 def _colex_tables(n: int, r: int) -> list:
     """Binomial tables for vectorized ranking: T[j][c] = C(c, r-j)."""

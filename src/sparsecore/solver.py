@@ -5,7 +5,9 @@ subformula extraction by deletion, and the k-colorability analogue with
 minimal obstruction extraction.  Cores below the pure-literal / k-core
 thresholds are almost always tiny, so exhausting 2^t assignments or k^t
 colorings is cheap on typical inputs; a budget guards the exceptional
-case and exceeding it raises rather than guessing.
+case and exceeding it raises rather than guessing.  Assignments are
+exhausted as bitsets: one cached table per width gives each literal the
+packed set of assignments that falsify it (``_false_bits``).
 
 Witnesses are deterministic: the lexicographically least satisfying
 assignment / proper coloring of the core (variable 1 most significant,
@@ -73,63 +75,89 @@ def _is_proper(edges, coloring: tuple[int, ...]) -> bool:
 # exhaustive scans (assignment bit i encodes variable t-i: ascending ints
 # are lexicographically ascending assignment tuples)
 
-def _clause_masks(clauses, t: int):
-    pos = np.zeros(len(clauses), dtype=np.uint64)
-    neg = np.zeros(len(clauses), dtype=np.uint64)
-    for i, lits in enumerate(clauses):
-        p = m = 0
-        for l in lits:
-            bit = 1 << (t - abs(l))
-            if l > 0:
-                p |= bit
-            else:
-                m |= bit
-        pos[i] = p
-        neg[i] = m
-    return pos, neg
-
-
 def _assignment_tuple(a: int, t: int) -> tuple[bool, ...]:
     return tuple(bool((a >> (t - i)) & 1) for i in range(1, t + 1))
 
 
+@lru_cache(maxsize=17)  # one table per low <= 16, the largest 256 KB
+def _false_bits(low: int) -> np.ndarray:
+    """Read-only (2 low, max(1, 2^low / 64)) uint64 table of the
+    assignments of width ``low``: bit a % 64 of word a // 64 stands for
+    assignment a, and row 2(v-1) + [negative] (``isomorph._ids``) is the
+    bitset of the assignments under which literal +-v is false.  Below
+    low = 6 the one word repeats the 2^low assignments, so a pad bit past
+    2^low is falsified exactly when its copy a % 2^low is, and the first
+    zero bit of any union of rows is never a pad bit."""
+    index = np.arange(max(1, 2 ** low // 64), dtype=np.uint64)
+    table = np.empty((2 * low, len(index)), dtype=np.uint64)
+    for v in range(1, low + 1):
+        bit = low - v  # variable v is True in the assignments with this bit set
+        if bit < 6:
+            true = np.uint64(sum(1 << a for a in range(64) if a >> bit & 1))
+        else:
+            true = (index >> np.uint64(bit - 6) & np.uint64(1)) * np.uint64(2 ** 64 - 1)
+        table[2 * v - 2] = ~true
+        table[2 * v - 1] = true
+    table.flags.writeable = False
+    return table
+
+
+def _falsified_chunks(clauses, t: int):
+    """Yield (first assignment, rows) for each chunk of min(2^t, _CHUNK)
+    assignments, in ascending order.  A chunk fixes the t - low high
+    variables; ``rows`` holds, for every clause the high prefix leaves
+    unsatisfied, the bitset of the chunk's assignments that falsify it:
+    the AND of its low literals' ``_false_bits`` rows."""
+    low = min(t, _CHUNK.bit_length() - 1)
+    top = t - low
+    table = _false_bits(low)
+    width = max(map(len, clauses))
+    # literal ids (isomorph._ids) less the high variables' 2 top; a short
+    # clause repeats its first literal, which leaves its AND unchanged
+    ids = np.array([[2 * abs(x) - 2 + (x < 0) for x in c + c[:1] * (width - len(c))]
+                    for c in clauses]) - 2 * top
+    if not top:
+        yield 0, np.bitwise_and.reduce(table[ids], axis=1)
+        return
+    ids[ids < 0] = len(table)  # a high literal reads an all-ones row
+    table = np.vstack([table, np.full(table.shape[1], 2 ** 64 - 1, dtype=np.uint64)])
+    rows = np.bitwise_and.reduce(table[ids], axis=1)
+    pos = np.array([sum(1 << (top - x) for x in c if 0 < x <= top) for c in clauses])
+    neg = np.array([sum(1 << (top + x) for x in c if -top <= x < 0) for c in clauses])
+    for h in range(2 ** top):  # variable v <= top is bit top - v of h
+        yield h << low, rows[((h & pos) == 0) & ((h & neg) == neg)]
+
+
 def least_satisfying(clauses, t: int) -> int | None:
-    """Least satisfying assignment of width-t clauses, or None."""
+    """Least satisfying assignment of width-t clauses, or None: the first
+    assignment outside the union of the clauses' falsifying bitsets."""
     if not clauses:
         return 0
-    pos, neg = _clause_masks(clauses, t)
-    full = np.uint64(2 ** t - 1)
-    for start in range(0, 2 ** t, _CHUNK):
-        arr = np.arange(start, min(start + _CHUNK, 2 ** t), dtype=np.uint64)
-        false = ~arr & full  # the variables each assignment sets False
-        ok = np.ones(len(arr), dtype=bool)
-        for p, m in zip(pos, neg):
-            ok &= ((arr & p) != 0) | ((false & m) != 0)
-            if not ok.any():
-                break
-        hits = np.flatnonzero(ok)
+    for first, rows in _falsified_chunks(clauses, t):
+        free = ~np.bitwise_or.reduce(rows, axis=0)
+        hits = np.flatnonzero(free)
         if len(hits):
-            return start + int(hits[0])
+            word = int(free[hits[0]])
+            return first + 64 * int(hits[0]) + (word & -word).bit_length() - 1
     return None
 
 
 def max_satisfied_assignment(clauses, t: int) -> tuple[int, int]:
-    """(maximum satisfiable count, least assignment attaining it)."""
+    """(maximum satisfiable count, least assignment attaining it): the
+    first assignment falsifying the fewest clauses, counted by unpacking
+    the clauses' falsifying bitsets."""
     if not clauses:
         return 0, 0
-    pos, neg = _clause_masks(clauses, t)
-    full = np.uint64(2 ** t - 1)
-    best_count, best_a = -1, 0
-    for start in range(0, 2 ** t, _CHUNK):
-        arr = np.arange(start, min(start + _CHUNK, 2 ** t), dtype=np.uint64)
-        false = ~arr & full
-        counts = np.zeros(len(arr), dtype=np.int32)
-        for p, m in zip(pos, neg):
-            counts += ((arr & p) != 0) | ((false & m) != 0)
-        i = int(np.argmax(counts))
-        if int(counts[i]) > best_count:
-            best_count, best_a = int(counts[i]), start + i
-    return best_count, best_a
+    size = min(2 ** t, _CHUNK)
+    fewest, best = len(clauses) + 1, 0
+    for first, rows in _falsified_chunks(clauses, t):
+        bits = np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1,
+                             bitorder="little")[:, :size]
+        falsified = bits.sum(axis=0)
+        i = int(np.argmin(falsified))
+        if falsified[i] < fewest:
+            fewest, best = int(falsified[i]), first + i
+    return len(clauses) - fewest, best
 
 
 @lru_cache(maxsize=32)  # a process meets few (k, low) pairs; the largest table is 1 MB

@@ -23,8 +23,17 @@ import numpy as np
 
 from sparsecore import AlphaPoly, Formula, Hypergraph, canonical_key, isomorph
 from sparsecore.predictor import EVENTS
-from sparsecore.sampling import candidate_clauses, candidate_edges
+from sparsecore.sampling import _candidates
 from sparsecore.structures import dense_relabel
+
+
+def candidate_clauses(n: int, r: int) -> list[tuple[int, ...]]:
+    """All candidate clauses in the library's fixed candidate order."""
+    return list(map(tuple, _candidates(n, r, "sat").tolist()))
+
+
+def candidate_edges(n: int, r: int) -> list[tuple[int, ...]]:
+    return list(map(tuple, _candidates(n, r, "hypergraph").tolist()))
 
 
 def apply_signed(formula: Formula, perm, flips) -> Formula:
@@ -342,6 +351,66 @@ def brute_max_sat(formula: Formula) -> int:
         )
         best = max(best, sat)
     return best
+
+
+def _clause_masks(clauses, t: int):
+    pos = np.zeros(len(clauses), dtype=np.uint64)
+    neg = np.zeros(len(clauses), dtype=np.uint64)
+    for i, lits in enumerate(clauses):
+        p = m = 0
+        for l in lits:
+            bit = 1 << (t - abs(l))
+            if l > 0:
+                p |= bit
+            else:
+                m |= bit
+        pos[i] = p
+        neg[i] = m
+    return pos, neg
+
+
+_SCAN_CHUNK = 1 << 16
+
+
+def scan_least_satisfying(clauses, t: int) -> int | None:
+    """Slow reference for ``solver.least_satisfying``: every assignment of
+    a chunk as a uint64 (bit t - v is variable v), each clause tested by
+    masking it."""
+    if not clauses:
+        return 0
+    pos, neg = _clause_masks(clauses, t)
+    full = np.uint64(2 ** t - 1)
+    for start in range(0, 2 ** t, _SCAN_CHUNK):
+        arr = np.arange(start, min(start + _SCAN_CHUNK, 2 ** t), dtype=np.uint64)
+        false = ~arr & full  # the variables each assignment sets False
+        ok = np.ones(len(arr), dtype=bool)
+        for p, m in zip(pos, neg):
+            ok &= ((arr & p) != 0) | ((false & m) != 0)
+            if not ok.any():
+                break
+        hits = np.flatnonzero(ok)
+        if len(hits):
+            return start + int(hits[0])
+    return None
+
+
+def scan_max_satisfied(clauses, t: int) -> tuple[int, int]:
+    """Slow reference for ``solver.max_satisfied_assignment``."""
+    if not clauses:
+        return 0, 0
+    pos, neg = _clause_masks(clauses, t)
+    full = np.uint64(2 ** t - 1)
+    best_count, best_a = -1, 0
+    for start in range(0, 2 ** t, _SCAN_CHUNK):
+        arr = np.arange(start, min(start + _SCAN_CHUNK, 2 ** t), dtype=np.uint64)
+        false = ~arr & full
+        counts = np.zeros(len(arr), dtype=np.int32)
+        for p, m in zip(pos, neg):
+            counts += ((arr & p) != 0) | ((false & m) != 0)
+        i = int(np.argmax(counts))
+        if int(counts[i]) > best_count:
+            best_count, best_a = int(counts[i]), start + i
+    return best_count, best_a
 
 
 def brute_sat(formula: Formula) -> bool:

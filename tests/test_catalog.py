@@ -38,6 +38,8 @@ from oracle_utils import (
     apply_signed,
     brute_colorable,
     brute_sat,
+    candidate_clauses,
+    candidate_edges,
     reference_cell,
     signed_images,
 )
@@ -62,8 +64,6 @@ def test_enumeration_matches_naive_up_to_order_four(full_catalog_r3):
     # independent route: canonical keys of every full clause subset (k-dense
     # edge subset), cell by cell; formulas up to order four, hypergraphs
     # through their order bound
-    from sparsecore.sampling import candidate_clauses, candidate_edges
-
     cases = (
         (full_catalog_r3, 4, candidate_clauses, Formula, is_full),
         (enumerate_k_dense(2, 3, 3), 6, candidate_edges, Hypergraph,

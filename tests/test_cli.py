@@ -106,8 +106,13 @@ def test_catalog_and_predict_report_invalid_parameters_in_one_line(tmp_path, cap
         assert len(out.strip().splitlines()) == 1
 
 
+NO_ITEMS_ENTRY = {"order": 3, "size": 2, "excess": 1, "aut_count": 48, "iso_key": "x",
+                  "flags": {}}
 INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
-               "graph": "3 2 2\n1 2\n2 3\n"}
+               "graph": "3 2 2\n1 2\n2 3\n",
+               "no_kind": json.dumps({"format_version": 1, "entries": []}),
+               "no_items": json.dumps({"format_version": 1, "kind": "sat",
+                                       "entries": [NO_ITEMS_ENTRY]})}
 
 
 @pytest.mark.parametrize("argv", [
@@ -121,9 +126,12 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
     ("catalog", "--kind", "hypergraph", "--r", "2", "--max-excess", "1", "--out", "{out}"),
     ("core", "--kind", "hypergraph", "--in", "{graph}"),
     ("solve", "--kind", "hypergraph", "--in", "{graph}"),
+    ("mc", "rate", "--kind", "pl-fail", "--n", "10", "--r", "3", "--alpha", "0.5",
+     "--trials", "10", "--seed", "1", "--catalog", "{no_kind}"),
+    ("predict", "--catalog", "{no_items}", "--event", "pl-fail", "--smax", "1"),
 ], ids=["threshold-r2", "sample-p-above-1", "core-miscounted-header", "core-missing-file",
         "solve-miscounted-header", "mc-catalog-not-json", "catalog-no-k", "core-no-k",
-        "solve-no-k"])
+        "solve-no-k", "mc-catalog-no-kind", "predict-catalog-no-items"])
 def test_invalid_input_is_reported_in_one_line(tmp_path, capsys, argv):
     paths = {name: str(tmp_path / name) for name in (*INPUT_FILES, "missing", "out")}
     for name, text in INPUT_FILES.items():

@@ -31,11 +31,11 @@ from sparsecore import (
 from sparsecore import experiments
 from sparsecore.predictor import EVENTS
 from sparsecore.reduction import _k_core_batch, _pure_literal_batch
-from sparsecore.sampling import candidate_clauses
 
 from oracle_utils import (
     brute_colorable,
     brute_max_sat,
+    candidate_clauses,
     count_copies,
     random_formula,
     random_hypergraph,

@@ -19,13 +19,13 @@ from sparsecore.sampling import (
     DENSE_CANDIDATE_LIMIT,
     _candidates,
     _rng,
-    candidate_clauses,
-    candidate_edges,
     candidate_indices,
     pure_literal_objective,
     sample_batch,
     sample_indices,
 )
+
+from oracle_utils import candidate_clauses, candidate_edges
 
 
 def test_params_examples():

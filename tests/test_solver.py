@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -13,10 +15,25 @@ from sparsecore import (
     is_min_non_k_colorable,
     is_muf,
 )
-from sparsecore import solver
-from sparsecore.solver import count_satisfied, least_coloring, proper_coloring, satisfies
+from sparsecore import experiments, solver
+from sparsecore.experiments import ExperimentConfig
+from sparsecore.solver import (
+    count_satisfied,
+    least_coloring,
+    least_satisfying,
+    max_satisfied_assignment,
+    proper_coloring,
+    satisfies,
+)
 
-from oracle_utils import brute_colorable, brute_max_sat, random_formula, random_hypergraph
+from oracle_utils import (
+    brute_colorable,
+    brute_max_sat,
+    random_formula,
+    random_hypergraph,
+    scan_least_satisfying,
+    scan_max_satisfied,
+)
 
 
 def test_decide_sat_examples(f_pair, complete3):
@@ -246,3 +263,71 @@ def test_row_level_deciders_match_the_structure_entry_points():
         assert verdict == decide_colorable(graph, 3)
         verdicts.add(verdict.colorable)
     assert verdicts == {"SAT", "UNSAT", True, False}
+
+
+def test_false_bits_table_is_read_only_and_exact():
+    for low in range(10):
+        table = solver._false_bits(low)
+        assert table.dtype == "uint64" and not table.flags.writeable
+        assert table.shape == (2 * low, max(1, 2 ** low // 64))
+        for row, bits in enumerate(table.tolist()):
+            v, negative = row // 2 + 1, row % 2
+            value = sum(word << (64 * w) for w, word in enumerate(bits))
+            # +v is false iff variable v (bit low - v) is False; below low = 6
+            # the pad bits repeat the assignments, with the same bit low - v
+            for a in range(64 * len(bits)):
+                assert (value >> a & 1) == ((a >> (low - v) & 1) == negative)
+    assert solver._false_bits(16).shape == (32, 1024)
+    with pytest.raises(ValueError):
+        solver._false_bits(3)[0, 0] = 0
+
+
+def _mixed_clauses(rng, t, m):
+    """m random clauses of widths 1-3 on variables 1..t."""
+    clauses = []
+    for _ in range(m):
+        variables = sorted(rng.sample(range(1, t + 1), rng.randint(1, min(3, t))))
+        clauses.append(tuple(v * rng.choice((1, -1)) for v in variables))
+    return clauses
+
+
+def test_packed_scans_match_the_arange_reference():
+    """Both scans against the arange scans they replaced, at every core
+    order 0-18: past t = 16 they walk the high prefixes, and below t = 6
+    the one word's pad bits must never be chosen."""
+    rng = random.Random(19)
+    cases = [(_mixed_clauses(rng, t, m), t)
+             for t in range(1, 19) for m in (1, t // 2, t, 2 * t, 4 * t)]
+    cases.append(([], 0))
+    # every clause over t <= 5 variables: unsatisfiable, so a pad bit is
+    # the only assignment a scan could wrongly return
+    cases += [([tuple(v if (a >> (t - v)) & 1 else -v for v in range(1, t + 1))
+                for a in range(2 ** t)], t) for t in range(1, 6)]
+    # answers in the last high prefixes, and clauses on high variables only
+    cases += [([(1,), (2,), (-3, 17), (18,)], 18), ([(1, 2), (-1,), (-2,)], 18),
+              ([(-1, 2), (1,), (-2, 17), (-17, 16)], 17), ([(1, -2), (-1, 2)], 18)]
+    statuses = {t: set() for t in range(19)}
+    for clauses, t in cases:
+        least = least_satisfying(clauses, t)
+        assert least == scan_least_satisfying(clauses, t), (clauses, t)
+        assert max_satisfied_assignment(clauses, t) == scan_max_satisfied(clauses, t), \
+            (clauses, t)
+        statuses[t].add(least is None)
+    assert statuses.pop(0) == {False}
+    assert all(seen == {True, False} for seen in statuses.values())
+
+
+def test_fixed_seed_verdicts_are_pinned():
+    """Every verdict of 200 validate-sat trials at n=15, alpha=4.0, seed 8
+    (69 of them UNSAT) digested: status, assignment, MaxSAT, MUF rows and
+    MUF variables.  The report digest pins only their aggregate."""
+    config = ExperimentConfig(kind="sat", n=15, r=3, alpha=4.0, trials=200, seed=8)
+    records = []
+    for b, count in experiments._split_batches(config.trials, config.batch_size):
+        for items in experiments._per_trial(
+                *experiments._batch_items(config, "sat", b, count), count):
+            v = solver._decide_sat(config.n, sorted(items), solver.SAT_CORE_BUDGET)
+            records.append([v.status, v.assignment, v.max_satisfied,
+                            v.muf and v.muf.rows(), v.muf_variables])
+    assert sum(r[0] == "UNSAT" for r in records) == 69
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16] == "b830dd34443abcb2"
