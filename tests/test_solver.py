@@ -331,3 +331,21 @@ def test_fixed_seed_verdicts_are_pinned():
                             v.muf and v.muf.rows(), v.muf_variables])
     assert sum(r[0] == "UNSAT" for r in records) == 69
     assert hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16] == "b830dd34443abcb2"
+
+
+def test_fixed_seed_coloring_verdicts_are_pinned():
+    """Every verdict of 200 validate-coloring trials at n=12, r=2, k=3,
+    alpha=3.0, seed 8 (30 of them non-colorable) digested: colorable,
+    coloring, obstruction rows and obstruction vertices."""
+    config = ExperimentConfig(kind="coloring", n=12, r=2, alpha=3.0, trials=200, seed=8, k=3)
+    records = []
+    for b, count in experiments._split_batches(config.trials, config.batch_size):
+        for items in experiments._per_trial(
+                *experiments._batch_items(config, "hypergraph", b, count), count):
+            v = solver._decide_colorable(config.n, sorted(items), config.k,
+                                         solver.COLORING_BUDGET)
+            records.append([v.colorable, v.coloring, v.obstruction and v.obstruction.rows(),
+                            v.obstruction_vertices])
+    assert sum(r[0] for r in records) == 170
+    assert sum(not r[0] for r in records) == 30
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16] == "06d69cb837a1bfed"
