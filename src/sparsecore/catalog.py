@@ -276,7 +276,7 @@ def _enumerate_cell(kind, r, k, t, e):
         seen |= anchored
         aut = int((masks == key_row).all(axis=1).sum())
         encoding = isomorph._decode_orbit_row(min(anchored))
-        iso_key = isomorph._render("F" if signed else "G", t, 0, encoding)
+        iso_key = isomorph._render(signed, t, 0, encoding)
         classes.append((isomorph._from_encoding(t, encoding, signed), aut, iso_key))
     return classes
 

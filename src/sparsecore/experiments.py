@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError(f"kind {self.kind!r} needs k")
         if self.k is not None and MODELS[model].signed:  # k counts colors or degree
             raise ValueError(f"k does not apply to kind {self.kind!r}")
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
         if self.workers < 1 or self.batch_size < 1:
             raise ValueError("workers and batch_size must be positive")
         for option in ("catalog", "exclude_below_excess"):

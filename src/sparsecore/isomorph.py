@@ -198,9 +198,9 @@ def _support_canonical(t, rows, signed):
     return _canonical_dfs(t, rows, signed)
 
 
-def _render(kind: str, t: int, isolated: int, encoding) -> bytes:
+def _render(signed: bool, t: int, isolated: int, encoding) -> bytes:
     body = ";".join(",".join(map(str, cl)) for cl in encoding)
-    return f"{kind}|{t}|{isolated}|{body}".encode("ascii")
+    return f"{'F' if signed else 'G'}|{t}|{isolated}|{body}".encode("ascii")
 
 
 def _ids(item, signed: bool) -> tuple[int, ...]:
@@ -209,7 +209,7 @@ def _ids(item, signed: bool) -> tuple[int, ...]:
 
 
 def _parts(structure, action: str):
-    """(key letter, support size, dense items as ids, isolated count, signed)."""
+    """(support size, dense items as ids, isolated count, signed)."""
     if type(structure) not in MODELS.values():
         raise TypeError(f"cannot {action} {type(structure).__name__}")
     if structure.order > DEFAULT_ORDER_CAP:
@@ -219,19 +219,19 @@ def _parts(structure, action: str):
     signed = structure.signed
     support, dense = dense_relabel(structure.rows())
     rows = [_ids(item, signed) for item in dense]
-    return "F" if signed else "G", len(support), rows, structure.order - len(support), signed
+    return len(support), rows, structure.order - len(support), signed
 
 
 def canonical_key(structure) -> bytes:
     """Deterministic key equal for two structures iff they are isomorphic."""
-    kind, t, rows, isolated, signed = _parts(structure, "canonicalize")
+    t, rows, isolated, signed = _parts(structure, "canonicalize")
     encoding, _ = _support_canonical(t, rows, signed)
-    return _render(kind, t, isolated, encoding)
+    return _render(signed, t, isolated, encoding)
 
 
 def automorphism_count(structure) -> int:
     """Size of the automorphism group (signed permutations for formulas)."""
-    _, t, rows, isolated, signed = _parts(structure, "count automorphisms of")
+    t, rows, isolated, signed = _parts(structure, "count automorphisms of")
     _, aut = _support_canonical(t, rows, signed)
     return aut * sign_factor(structure.model, isolated) * factorial(isolated)
 

@@ -5,9 +5,11 @@ subformula extraction by deletion, and the k-colorability analogue with
 minimal obstruction extraction.  Cores below the pure-literal / k-core
 thresholds are almost always tiny, so exhausting 2^t assignments or k^t
 colorings is cheap on typical inputs; a budget guards the exceptional
-case and exceeding it raises rather than guessing.  Assignments are
-exhausted as bitsets: one cached table per width gives each literal the
-packed set of assignments that falsify it (``_false_bits``).
+case and exceeding it raises rather than guessing.  Both models share
+one exhaustion engine: a falsified clause, or an edge monochromatic in
+color c, is a demand row of (variable, value) ids, and the least model
+is the first assignment outside the union of the demand rows' packed
+bitsets, read from one cached table per (k, width) (``_value_bits``).
 
 Witnesses are deterministic: the lexicographically least satisfying
 assignment / proper coloring of the core (variable 1 most significant,
@@ -16,7 +18,6 @@ False < True, colors 1..k).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,68 +73,70 @@ def _is_proper(edges, coloring: tuple[int, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive scans (assignment bit i encodes variable t-i: ascending ints
-# are lexicographically ascending assignment tuples)
+# exhaustive scans.  Assignments of t variables with values 0..k-1 are
+# numbered with variable 1 the most significant base-k digit, so ascending
+# numbers are lexicographically ascending tuples.  A demand row is a set
+# of ids k(v-1) + c, "variable v takes value c"; both models are scanned
+# for the least assignment that meets none of their demand rows.
 
 def _assignment_tuple(a: int, t: int) -> tuple[bool, ...]:
     return tuple(bool((a >> (t - i)) & 1) for i in range(1, t + 1))
 
 
-@lru_cache(maxsize=17)  # one table per low <= 16, the largest 256 KB
-def _false_bits(low: int) -> np.ndarray:
-    """Read-only (2 low, max(1, 2^low / 64)) uint64 table of the
-    assignments of width ``low``: bit a % 64 of word a // 64 stands for
-    assignment a, and row 2(v-1) + [negative] (``isomorph._ids``) is the
-    bitset of the assignments under which literal +-v is false.  Below
-    low = 6 the one word repeats the 2^low assignments, so a pad bit past
-    2^low is falsified exactly when its copy a % 2^low is, and the first
-    zero bit of any union of rows is never a pad bit."""
-    index = np.arange(max(1, 2 ** low // 64), dtype=np.uint64)
-    table = np.empty((2 * low, len(index)), dtype=np.uint64)
-    for v in range(1, low + 1):
-        bit = low - v  # variable v is True in the assignments with this bit set
-        if bit < 6:
-            true = np.uint64(sum(1 << a for a in range(64) if a >> bit & 1))
-        else:
-            true = (index >> np.uint64(bit - 6) & np.uint64(1)) * np.uint64(2 ** 64 - 1)
-        table[2 * v - 2] = ~true
-        table[2 * v - 1] = true
+@lru_cache(maxsize=64)  # a process meets few (k, low) pairs; at k <= 4 a table is <= 270 KB
+def _value_bits(k: int, low: int) -> np.ndarray:
+    """Read-only (k low + 1, ceil(k^low / 64)) uint64 table of the k^low
+    assignments of ``low`` variables: bit a % 64 of word a // 64 stands
+    for assignment a, and row k(v-1) + c is the bitset of the assignments
+    under which variable v takes value c.  The last row is all ones, for
+    variables above the chunk.  Pad bits past k^low are set in every row,
+    so the first zero bit of an OR of ANDs of rows is never a pad bit."""
+    codes = np.arange(-(-k ** low // 64) * 64)
+    pad = codes >= k ** low
+    table = np.full((k * low + 1, len(codes) // 64), 2 ** 64 - 1, dtype=np.uint64)
+    for row in range(k * low):  # variable v = row // k + 1 is digit low - v of a code
+        meets = (codes // k ** (low - 1 - row // k) % k == row % k) | pad
+        table[row] = np.packbits(meets, bitorder="little").view("<u8")
     table.flags.writeable = False
     return table
 
 
-def _falsified_chunks(clauses, t: int):
-    """Yield (first assignment, rows) for each chunk of min(2^t, _CHUNK)
-    assignments, in ascending order.  A chunk fixes the t - low high
-    variables; ``rows`` holds, for every clause the high prefix leaves
-    unsatisfied, the bitset of the chunk's assignments that falsify it:
-    the AND of its low literals' ``_false_bits`` rows."""
-    low = min(t, _CHUNK.bit_length() - 1)
+def _padded(rows) -> np.ndarray:
+    """The rows as one int array; a short row repeats its first entry,
+    which leaves the AND of its rows unchanged."""
+    width = max(map(len, rows), default=1)
+    return np.array([r + r[:1] * (width - len(r)) for r in rows],
+                    dtype=np.int64).reshape(-1, width)
+
+
+def _demand_chunks(demand: np.ndarray, t: int, k: int):
+    """Yield (first assignment, rows) for each chunk of k^low assignments,
+    in ascending order, where k^low is the largest power of k within
+    ``_CHUNK``.  A chunk fixes the digits of the t - low high variables;
+    ``rows`` holds, for every demand row whose high ids the prefix meets,
+    the bitset of the chunk's assignments that meet the row: the AND of
+    its low ids' ``_value_bits`` rows."""
+    low = 0
+    while low < t and k ** (low + 1) <= _CHUNK:
+        low += 1
     top = t - low
-    table = _false_bits(low)
-    width = max(map(len, clauses))
-    # literal ids (isomorph._ids) less the high variables' 2 top; a short
-    # clause repeats its first literal, which leaves its AND unchanged
-    ids = np.array([[2 * abs(x) - 2 + (x < 0) for x in c + c[:1] * (width - len(c))]
-                    for c in clauses]) - 2 * top
+    table = _value_bits(k, low)
     if not top:
-        yield 0, np.bitwise_and.reduce(table[ids], axis=1)
+        yield 0, np.bitwise_and.reduce(table[demand], axis=1)
         return
-    ids[ids < 0] = len(table)  # a high literal reads an all-ones row
-    table = np.vstack([table, np.full(table.shape[1], 2 ** 64 - 1, dtype=np.uint64)])
-    rows = np.bitwise_and.reduce(table[ids], axis=1)
-    pos = np.array([sum(1 << (top - x) for x in c if 0 < x <= top) for c in clauses])
-    neg = np.array([sum(1 << (top + x) for x in c if -top <= x < 0) for c in clauses])
-    for h in range(2 ** top):  # variable v <= top is bit top - v of h
-        yield h << low, rows[((h & pos) == 0) & ((h & neg) == neg)]
+    high = demand < k * top  # a high id reads the all-ones row
+    rows = np.bitwise_and.reduce(table[np.where(high, len(table) - 1, demand - k * top)], axis=1)
+    var = np.where(high, demand // k, top)  # a low id compares digit 0 with 0
+    value = np.where(high, demand % k, 0)
+    for h in range(k ** top):
+        digits = np.array([h // k ** (top - v) % k for v in range(1, top + 1)] + [0])
+        yield h * k ** low, rows[(digits[var] == value).all(axis=1)]
 
 
-def least_satisfying(clauses, t: int) -> int | None:
-    """Least satisfying assignment of width-t clauses, or None: the first
-    assignment outside the union of the clauses' falsifying bitsets."""
-    if not clauses:
-        return 0
-    for first, rows in _falsified_chunks(clauses, t):
+def _least_unmet(demand: np.ndarray, t: int, k: int) -> int | None:
+    """Least assignment meeting no demand row, or None: the first zero
+    bit of the OR of the chunks' rows."""
+    for first, rows in _demand_chunks(demand, t, k):
         free = ~np.bitwise_or.reduce(rows, axis=0)
         hits = np.flatnonzero(free)
         if len(hits):
@@ -142,76 +145,40 @@ def least_satisfying(clauses, t: int) -> int | None:
     return None
 
 
+def _clause_demand(clauses) -> np.ndarray:
+    """One demand row per clause, the values that falsify it: literal +-v
+    is false when v takes value [negative] (the ids of ``isomorph._ids``)."""
+    literals = _padded(clauses)
+    return 2 * np.abs(literals) - 2 + (literals < 0)
+
+
+def least_satisfying(clauses, t: int) -> int | None:
+    """Least satisfying assignment of width-t clauses (bit t - v is
+    variable v), or None."""
+    return _least_unmet(_clause_demand(clauses), t, 2)
+
+
 def max_satisfied_assignment(clauses, t: int) -> tuple[int, int]:
     """(maximum satisfiable count, least assignment attaining it): the
     first assignment falsifying the fewest clauses, counted by unpacking
-    the clauses' falsifying bitsets."""
-    if not clauses:
-        return 0, 0
-    size = min(2 ** t, _CHUNK)
+    the clauses' falsifying bitsets (a pad bit falsifies every clause)."""
     fewest, best = len(clauses) + 1, 0
-    for first, rows in _falsified_chunks(clauses, t):
-        bits = np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1,
-                             bitorder="little")[:, :size]
-        falsified = bits.sum(axis=0)
+    for first, rows in _demand_chunks(_clause_demand(clauses), t, 2):
+        falsified = np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1,
+                                  bitorder="little").sum(axis=0)
         i = int(np.argmin(falsified))
         if falsified[i] < fewest:
             fewest, best = int(falsified[i]), first + i
     return len(clauses) - fewest, best
 
 
-@lru_cache(maxsize=32)  # a process meets few (k, low) pairs; the largest table is 1 MB
-def _digit_table(k: int, low: int) -> np.ndarray:
-    """Read-only (low, k^low) int8 table: row i holds digit i (most
-    significant first) of every code 0..k^low - 1 in base k."""
-    codes = np.arange(k ** low, dtype=np.int64)
-    table = np.empty((low, len(codes)), dtype=np.int8)
-    for i in range(low):
-        table[i] = (codes // k ** (low - 1 - i)) % k
-    table.flags.writeable = False
-    return table
-
-
 def least_coloring(edges, t: int, k: int) -> tuple[int, ...] | None:
-    """Least proper k-coloring (vertex 1 most significant digit), or None.
-
-    Scans chunks of k^low colorings, the largest power of k within
-    ``_CHUNK``.  The low vertices' digits come from one table per
-    (k, low), kept for the life of the process, and the high vertices'
-    digits are fixed within a chunk, so an edge among low vertices masks
-    every chunk alike and is checked once.
-    """
-    if t == 0:
-        return ()
-    low = 0
-    while low < t and k ** (low + 1) <= _CHUNK:
-        low += 1
-    high = t - low
-    digits = _digit_table(k, low)  # row v - high - 1 is vertex v's digit
-    base = np.ones(digits.shape[1], dtype=bool)
-    mixed = []  # (high vertices, low digit rows) of edges with a high vertex
-    for e in edges:
-        tops = [v for v in e if v <= high]
-        lows = [digits[v - high - 1] for v in e if v > high]
-        if tops:
-            mixed.append((tops, lows))
-        else:
-            base &= ~np.logical_and.reduce([d == lows[0] for d in lows[1:]])
-    if not base.any():
-        return None
-    for chunk, top in enumerate(itertools.product(range(k), repeat=high)):
-        ok = base
-        for tops, lows in mixed:
-            color = top[tops[0] - 1]
-            if all(top[v - 1] == color for v in tops):
-                ok = ok & ~np.logical_and.reduce([d == color for d in lows])
-                if not ok.any():
-                    break
-        hits = np.flatnonzero(ok)
-        if len(hits):
-            a = chunk * digits.shape[1] + int(hits[0])
-            return tuple((a // k ** (t - v)) % k + 1 for v in range(1, t + 1))
-    return None
+    """Least proper k-coloring (vertex 1 most significant digit), or None:
+    an edge is k demand rows, one per color its vertices could all take."""
+    vertices = _padded(edges) - 1
+    demand = (k * vertices[:, None, :] + np.arange(k)[:, None]).reshape(-1, vertices.shape[1])
+    a = _least_unmet(demand, t, k)
+    return None if a is None else tuple(a // k ** (t - v) % k + 1 for v in range(1, t + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,7 @@ def reference_cell(kind, r, k, t, e):
         seen.update(map(tuple, orbit.tolist()))
         encoding = isomorph._decode_orbit_row(orbit[0])
         classes.append((isomorph._from_encoding(t, encoding, signed), group // len(orbit),
-                        isomorph._render("F" if signed else "G", t, 0, encoding)))
+                        isomorph._render(signed, t, 0, encoding)))
     return classes, len(covers)
 
 

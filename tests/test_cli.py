@@ -129,9 +129,14 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
     ("mc", "rate", "--kind", "pl-fail", "--n", "10", "--r", "3", "--alpha", "0.5",
      "--trials", "10", "--seed", "1", "--catalog", "{no_kind}"),
     ("predict", "--catalog", "{no_items}", "--event", "pl-fail", "--smax", "1"),
+    ("mc", "rate", "--kind", "kcore", "--n", "20", "--r", "2", "--k", "0", "--alpha", "1",
+     "--trials", "10", "--seed", "1"),
+    ("mc", "validate", "--kind", "coloring", "--n", "10", "--r", "2", "--k", "0",
+     "--alpha", "1", "--trials", "0", "--seed", "1"),
 ], ids=["threshold-r2", "sample-p-above-1", "core-miscounted-header", "core-missing-file",
         "solve-miscounted-header", "mc-catalog-not-json", "catalog-no-k", "core-no-k",
-        "solve-no-k", "mc-catalog-no-kind", "predict-catalog-no-items"])
+        "solve-no-k", "mc-catalog-no-kind", "predict-catalog-no-items", "mc-rate-k-zero",
+        "mc-validate-k-zero"])
 def test_invalid_input_is_reported_in_one_line(tmp_path, capsys, argv):
     paths = {name: str(tmp_path / name) for name in (*INPUT_FILES, "missing", "out")}
     for name, text in INPUT_FILES.items():

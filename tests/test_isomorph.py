@@ -113,7 +113,7 @@ def test_orbit_and_dfs_engines_agree():
         sizes = (-(-t // 3), min(t + 2, math.comb(t, 3)))
         cases += [_random_on_full_support(rng, random_hypergraph, t, 3, sizes) for _ in range(6)]
     for structure in cases:
-        _, t, rows, _, signed = isomorph._parts(structure, "test")
+        t, rows, _, signed = isomorph._parts(structure, "test")
         assert t <= (formula_max if signed else graph_max)
         row, aut = isomorph._least_image(t, rows, signed)
         orbit = isomorph._decode_orbit_row(row), aut

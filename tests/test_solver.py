@@ -100,10 +100,11 @@ def test_extract_muf_agrees_with_decide_sat_past_the_core():
     # both minimize by the same deletion loop: extract_muf over all the
     # clauses, decide_sat over the pure-literal core only
     rng = random.Random(31)
-    found = 0
+    found = drawn = 0
     while found < 60:
         formula = random_formula(rng, 6, 3, rng.randint(12, 20))
-        if brute_max_sat(formula) == formula.size:
+        drawn += 1
+        if scan_least_satisfying(formula.rows(), 6) is not None:
             continue
         padded = list(formula.clauses)
         for v in (7, 8, 9):  # pure, so outside the core
@@ -114,6 +115,7 @@ def test_extract_muf_agrees_with_decide_sat_past_the_core():
         assert verdict.core_size < padded.size
         assert extract_muf(padded) == verdict.muf
         found += 1
+    assert drawn == 4963
 
 
 def test_sat_witness_is_lexicographically_least():
@@ -223,26 +225,16 @@ def test_least_coloring_is_lexicographically_least():
         ([tuple(sorted(at[v - 1] for v in e)) for e in fano], 17, 2),  # Fano plane
         ([(1, 2, 17), (3, 16, 17)], 17, 2),
     ]
+    # non-colorable in one chunk whose last word has pad bits past k^t:
+    # the answer must be None, never a pad index
+    k4 = list(itertools.combinations(range(1, 5), 2))
+    cases += [([(1, 2), (2, 3), (1, 3)], 3, 2),  # 8 colorings in one word
+              (k4, 4, 3), (k4, 5, 3)]  # 81 and 243 colorings
     for edges, t, k in cases:
         assert least_coloring(edges, t, k) == _brute_least_coloring(edges, t, k), \
             (edges, t, k)
     for edges, t, k in late:
         assert least_coloring(edges, t, k)[1] == 2
-
-
-def test_least_coloring_shares_one_read_only_digit_table():
-    # t = 11 and t = 12 both scan chunks of 3^10 colorings, so the two
-    # calls read the same (k, low) = (3, 10) table
-    solver._digit_table.cache_clear()
-    k4 = [(a, b) for a, b in itertools.combinations((1, 9, 10, 11), 2)]
-    cases = [(k4, 11, 3), ([(1, 2), (2, 11), (2, 12), (11, 12)], 12, 3)]
-    for edges, t, k in cases:
-        assert least_coloring(edges, t, k) == _brute_least_coloring(edges, t, k)
-    assert solver._digit_table.cache_info().currsize == 1
-    table = solver._digit_table(3, 10)
-    assert table.dtype == "int8" and not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 1
 
 
 def test_row_level_deciders_match_the_structure_entry_points():
@@ -265,21 +257,31 @@ def test_row_level_deciders_match_the_structure_entry_points():
     assert verdicts == {"SAT", "UNSAT", True, False}
 
 
-def test_false_bits_table_is_read_only_and_exact():
-    for low in range(10):
-        table = solver._false_bits(low)
-        assert table.dtype == "uint64" and not table.flags.writeable
-        assert table.shape == (2 * low, max(1, 2 ** low // 64))
-        for row, bits in enumerate(table.tolist()):
-            v, negative = row // 2 + 1, row % 2
-            value = sum(word << (64 * w) for w, word in enumerate(bits))
-            # +v is false iff variable v (bit low - v) is False; below low = 6
-            # the pad bits repeat the assignments, with the same bit low - v
-            for a in range(64 * len(bits)):
-                assert (value >> a & 1) == ((a >> (low - v) & 1) == negative)
-    assert solver._false_bits(16).shape == (32, 1024)
-    with pytest.raises(ValueError):
-        solver._false_bits(3)[0, 0] = 0
+def test_value_bits_table_is_read_only_exact_and_shared():
+    for k in (2, 3, 4):
+        for low in range(7):
+            table = solver._value_bits(k, low)
+            size = k ** low
+            assert table.dtype == "uint64" and not table.flags.writeable
+            assert table.shape == (k * low + 1, -(-size // 64))
+            for row, bits in enumerate(table.tolist()):
+                value = sum(word << (64 * w) for w, word in enumerate(bits))
+                v, c = row // k + 1, row % k
+                for a in range(64 * len(bits)):
+                    # pad bits past k^low are set in every row, like the
+                    # all-ones last row; variable v is digit low - v of a
+                    meets = a >= size or row == k * low or a // k ** (low - v) % k == c
+                    assert (value >> a & 1) == meets, (k, low, row, a)
+        with pytest.raises(ValueError):
+            solver._value_bits(k, 3)[0, 0] = 0
+    assert solver._value_bits(2, 16).shape == (33, 1024)
+    # t = 11 and t = 12 both scan chunks of 3^10 colorings, so the two
+    # calls read the same (k, low) = (3, 10) table
+    solver._value_bits.cache_clear()
+    k4 = [(a, b) for a, b in itertools.combinations((1, 9, 10, 11), 2)]
+    for edges, t in ((k4, 11), ([(1, 2), (2, 11), (2, 12), (11, 12)], 12)):
+        assert least_coloring(edges, t, 3) == _brute_least_coloring(edges, t, 3)
+    assert solver._value_bits.cache_info().currsize == 1
 
 
 def _mixed_clauses(rng, t, m):
