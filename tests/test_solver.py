@@ -257,7 +257,9 @@ def test_row_level_deciders_match_the_structure_entry_points():
     assert verdicts == {"SAT", "UNSAT", True, False}
 
 
-def test_value_bits_table_is_read_only_exact_and_shared():
+def test_false_bits_table_is_read_only_and_exact():
+    """The one demand-row table, read at k = 2 by the SAT scans and at
+    k = 3, 4 by the coloring scans."""
     for k in (2, 3, 4):
         for low in range(7):
             table = solver._value_bits(k, low)
@@ -275,6 +277,9 @@ def test_value_bits_table_is_read_only_exact_and_shared():
         with pytest.raises(ValueError):
             solver._value_bits(k, 3)[0, 0] = 0
     assert solver._value_bits(2, 16).shape == (33, 1024)
+
+
+def test_least_coloring_shares_one_read_only_digit_table():
     # t = 11 and t = 12 both scan chunks of 3^10 colorings, so the two
     # calls read the same (k, low) = (3, 10) table
     solver._value_bits.cache_clear()
@@ -282,6 +287,10 @@ def test_value_bits_table_is_read_only_exact_and_shared():
     for edges, t in ((k4, 11), ([(1, 2), (2, 11), (2, 12), (11, 12)], 12)):
         assert least_coloring(edges, t, 3) == _brute_least_coloring(edges, t, 3)
     assert solver._value_bits.cache_info().currsize == 1
+    table = solver._value_bits(3, 10)
+    assert table.dtype == "uint64" and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
 
 
 def _mixed_clauses(rng, t, m):
