@@ -34,7 +34,7 @@ from .catalog import (
     is_muf,
 )
 from .isomorph import canonical_key
-from .predictor import EVENTS, core_type_distribution
+from .predictor import EVENTS, core_type_distribution, failure_expansion
 from .reduction import _k_core_batch, _pure_literal_batch
 from .sampling import _rng, params_from_alpha, sample_batch
 from .structures import (
@@ -43,7 +43,6 @@ from .structures import (
     dense_relabel,
     is_full,
     is_k_dense,
-    sign_factor,
 )
 from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _decide_colorable, _decide_sat
 
@@ -304,28 +303,32 @@ def _auto_catalog(config: ExperimentConfig) -> Catalog | None:
 
 
 def _prediction(config: ExperimentConfig, catalog: Catalog | None):
-    """First-order predicted failure rate and census weights at (n, alpha)."""
+    """(rate, census weights, refusal) at (n, alpha): the leading term of
+    ``failure_expansion`` at the least excess s0 of the event's obstructions,
+    its classes' weights, and why an incomplete catalog predicts nothing."""
     if catalog is None:
-        return None, None
-    if config.alpha <= 0:
-        return 0.0, None
+        return None, None, None
+    if config.alpha <= 0:  # no item is drawn
+        return 0.0, None, None
     entries = catalog.with_flag(EVENTS[config.kind].flag)
     if not entries:
-        return None, None
-    min_excess = min(e.excess for e in entries)
-    leading = [e for e in entries if e.excess == min_excess]
-    rate = sum(
-        sign_factor(e.kind, e.order) / e.aut_count * config.alpha ** e.size
-        * config.n ** (-e.excess)
-        for e in leading
-    )
-    dist = core_type_distribution(leading, Fraction(config.alpha))
-    weights = {key.decode("ascii"): float(w) for key, w in dist.weights}
-    return rate, weights
+        return None, None, None
+    s0 = min(e.excess for e in entries)
+    try:
+        lead = failure_expansion(catalog, config.kind, s0).terms[s0]
+    except ValueError as exc:  # a catalog that is not complete certifies no term
+        return None, None, str(exc)
+    # power by power, each times n^-s0: the float of the sum over the classes,
+    # to the last bit (dividing the whole sum by n^s0 rounds differently)
+    rate = sum(float(c) * config.alpha ** p * config.n ** (-s0)
+               for p, c in sorted(lead.coeffs.items()))
+    dist = core_type_distribution([e for e in entries if e.excess == s0],
+                                  Fraction(config.alpha))
+    return rate, {key.decode("ascii"): float(w) for key, w in dist.weights}, None
 
 
 def _assemble_rate_report(config, results, census: bool, t0: float,
-                          predicted, predicted_census) -> ExperimentReport:
+                          predicted, predicted_census, refused) -> ExperimentReport:
     failures = sum(r["failures"] for r in results)
     budget = sum(r["budget"] for r in results)
     rate = failures / config.trials if config.trials else 0.0
@@ -342,6 +345,7 @@ def _assemble_rate_report(config, results, census: bool, t0: float,
         ratio=(rate / predicted) if predicted else None,
         budget_exceeded=budget,
         elapsed_seconds=time.perf_counter() - t0,
+        catalog_refused=refused,
     )
     if census:
         counts: Counter = Counter()
@@ -371,17 +375,13 @@ def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
     unsatisfiability / non-colorability kinds)."""
     config.validate(RATE_KINDS, uses=("catalog",))
     t0 = time.perf_counter()
-    refused = None
     try:
-        catalog = config.catalog or _auto_catalog(config)
+        prediction = _prediction(config, config.catalog or _auto_catalog(config))
     except BudgetExceededError as exc:  # the rate needs no catalog; only its prediction does
-        catalog, refused = None, str(exc)
-    predicted, _ = _prediction(config, catalog)
+        prediction = None, None, str(exc)
     results = _run_batches(config, partial(_rate_batch, census=False),
                            _split_batches(config.trials, config.batch_size))
-    report = _assemble_rate_report(config, results, False, t0, predicted, None)
-    report.catalog_refused = refused
-    return report
+    return _assemble_rate_report(config, results, False, t0, *prediction)
 
 
 def run_core_census(config: ExperimentConfig) -> ExperimentReport:
@@ -396,10 +396,10 @@ def run_core_census(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"excluding cores below excess {s} needs a complete catalog "
                          f"through excess {s - 1}")
     t0 = time.perf_counter()
-    predicted, predicted_census = _prediction(config, config.catalog)
+    prediction = _prediction(config, config.catalog)
     results = _run_batches(config, partial(_rate_batch, census=True),
                            _split_batches(config.trials, config.batch_size))
-    return _assemble_rate_report(config, results, True, t0, predicted, predicted_census)
+    return _assemble_rate_report(config, results, True, t0, *prediction)
 
 
 # ---------------------------------------------------------------------------

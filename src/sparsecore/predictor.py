@@ -114,6 +114,19 @@ def _structure_facts(structure):
     return structure.model, r, t, e, (r - 1) * e - t
 
 
+def class_weight(model: str, order: int, aut_count: int) -> Fraction:
+    """2^order/|Aut| (1/|Aut| for hypergraphs): a class's labeled copies on
+    ``order`` given variables over order!; a formula's copy also picks signs."""
+    return Fraction(sign_factor(model, order), aut_count)
+
+
+def _monomial(coefficient: Fraction, alpha, power: int, n: int, exponent: int):
+    """coefficient * alpha^power / n^exponent, a float unless alpha is exact."""
+    if isinstance(alpha, (int, Fraction)):
+        return coefficient * Fraction(alpha) ** power / Fraction(n) ** exponent
+    return float(coefficient) * float(alpha) ** power / float(n) ** exponent
+
+
 def expected_copies_exact(structure, n: int, alpha) -> Fraction | float:
     """Exact expected number of copies in the random model at (n, alpha).
 
@@ -122,14 +135,8 @@ def expected_copies_exact(structure, n: int, alpha) -> Fraction | float:
     int or Fraction.  Returns 0 when n < order.
     """
     kind, r, t, e, _ = _structure_facts(structure)
-    if n < t:
-        return Fraction(0) if isinstance(alpha, (int, Fraction)) else 0.0
-    aut = automorphism_count(structure)
-    falling = math.perm(n, t)
-    coeff = Fraction(falling * sign_factor(kind, t), aut)
-    if isinstance(alpha, (int, Fraction)):
-        return coeff * Fraction(alpha) ** e / Fraction(n) ** ((r - 1) * e)
-    return float(coeff) * float(alpha) ** e / float(n) ** ((r - 1) * e)
+    weight = math.perm(n, t) * class_weight(kind, t, automorphism_count(structure))
+    return _monomial(weight, alpha, e, n, (r - 1) * e)
 
 
 @dataclass(frozen=True)
@@ -141,18 +148,14 @@ class FirstOrderTerm:
     exponent: int
 
     def evaluate(self, n: int, alpha) -> Fraction | float:
-        if isinstance(alpha, (int, Fraction)):
-            return self.coefficient * Fraction(alpha) ** self.alpha_power / Fraction(n) ** self.exponent
-        return float(self.coefficient) * float(alpha) ** self.alpha_power / float(n) ** self.exponent
+        return _monomial(self.coefficient, alpha, self.alpha_power, n, self.exponent)
 
 
 def first_order_containment(structure, k: int | None = None) -> FirstOrderTerm:
     """Leading term of the containment probability for a minimal-core shape.
 
     The hypothesis requires a full formula or (given k) a k-dense
-    hypergraph.  The constant is 2^order/|aut| for formulas (the 2^order
-    is there because a placement chooses signs as well as variables) and
-    1/|aut| for hypergraphs.
+    hypergraph.  The constant is the shape's ``class_weight``.
     """
     kind, r, t, e, excess = _structure_facts(structure)
     if kind == "sat":
@@ -163,12 +166,8 @@ def first_order_containment(structure, k: int | None = None) -> FirstOrderTerm:
             raise ValueError("hypergraph containment needs k")
         if not is_k_dense(structure, k):
             raise ValueError("containment asymptotics require a k-dense hypergraph")
-    aut = automorphism_count(structure)
-    return FirstOrderTerm(
-        coefficient=Fraction(sign_factor(kind, t), aut),
-        alpha_power=e,
-        exponent=excess,
-    )
+    return FirstOrderTerm(coefficient=class_weight(kind, t, automorphism_count(structure)),
+                          alpha_power=e, exponent=excess)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +181,7 @@ class CoreTypeDistribution:
 
 
 def core_type_distribution(entries, alpha) -> CoreTypeDistribution:
-    """Weights alpha^size * 2^order / aut (formulas; drop 2^order for
-    hypergraphs), normalized.  Entries must share one excess level."""
+    """Weights alpha^size * class_weight, normalized; entries share one excess."""
     entries = list(entries)
     if not entries:
         raise ValueError("need at least one catalog entry")
@@ -192,10 +190,8 @@ def core_type_distribution(entries, alpha) -> CoreTypeDistribution:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     a = Fraction(alpha)  # exact also for floats, which are binary rationals
-    raw = [
-        (e.iso_key, a ** e.size * Fraction(sign_factor(e.kind, e.order), e.aut_count))
-        for e in entries
-    ]
+    raw = [(e.iso_key, a ** e.size * class_weight(e.kind, e.order, e.aut_count))
+           for e in entries]
     total = sum(w for _, w in raw)
     return CoreTypeDistribution(tuple((key, w / total) for key, w in raw))
 
@@ -286,7 +282,7 @@ def failure_expansion(catalog: Catalog, event: str, s_max: int) -> ExpansionPoly
         sigma = _cover_weight(w.structure, EVENTS[event].fails, catalog.k)
         if sigma == 0:
             continue
-        base_coeff = Fraction(sigma * sign_factor(kind, w.order), w.aut_count)
+        base_coeff = sigma * class_weight(kind, w.order, w.aut_count)
         falling = _falling_coeffs(w.order, s_max - w.excess)
         for s in range(w.excess, s_max + 1):
             terms[s] = terms[s] + AlphaPoly.term(base_coeff * falling[s - w.excess], w.size)

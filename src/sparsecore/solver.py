@@ -175,6 +175,7 @@ def max_satisfied_assignment(clauses, t: int) -> tuple[int, int]:
 def least_coloring(edges, t: int, k: int) -> tuple[int, ...] | None:
     """Least proper k-coloring (vertex 1 most significant digit), or None:
     an edge is k demand rows, one per color its vertices could all take."""
+    k = min(k, t)  # a vertex colored above t can move to a color no other vertex holds
     vertices = _padded(edges) - 1
     demand = (k * vertices[:, None, :] + np.arange(k)[:, None]).reshape(-1, vertices.shape[1])
     a = _least_unmet(demand, t, k)

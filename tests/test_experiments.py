@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from sparsecore import (
     canonical_key,
     decide_sat,
     enumerate_full,
+    enumerate_k_dense,
     filter_minimal_full,
     induced_formula,
     induced_hypergraph,
@@ -31,6 +33,7 @@ from sparsecore import (
 from sparsecore import experiments
 from sparsecore.predictor import EVENTS
 from sparsecore.reduction import _k_core_batch, _pure_literal_batch
+from sparsecore.structures import sign_factor
 
 from oracle_utils import (
     brute_colorable,
@@ -204,6 +207,40 @@ def test_fixed_seed_reports_are_pinned(run, params, digest, full_catalog_r3, den
     data = run(ExperimentConfig(**params, catalog=catalog)).to_json_dict()
     data.pop("elapsed_seconds")
     assert hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("kind, r, k", [("pl-fail", 3, None), ("pl-fail", 4, None),
+                                         ("kcore", 2, 3), ("kcore", 2, 4),
+                                         ("noncolorable", 2, 3)])
+def test_predicted_is_the_per_class_sum_to_the_last_bit(kind, r, k):
+    """``predicted`` reads the leading term of ``failure_expansion``; as a
+    float it equals, bit for bit, the sum over the least-excess classes
+    written out here.  Dividing the alpha sum by n^s0 instead, as
+    ``ExpansionPolynomial.evaluate`` does, moves the last bit at some of
+    these points for every model."""
+    base = ExperimentConfig(kind=kind, n=5, r=r, k=k, alpha=1.0, trials=0, seed=0)
+    catalog = experiments._auto_catalog(base)
+    flagged = catalog.with_flag(EVENTS[kind].flag)
+    leading = [e for e in flagged if e.excess == min(f.excess for f in flagged)]
+    for n in range(5, 398, 28):
+        for alpha in (i / 20 for i in range(1, 80, 6)):
+            reference = sum(sign_factor(e.kind, e.order) / e.aut_count * alpha ** e.size
+                            * n ** (-e.excess) for e in leading)
+            got, _, refused = experiments._prediction(replace(base, n=n, alpha=alpha), catalog)
+            assert got == reference and refused is None, (n, alpha)
+
+
+def test_incomplete_catalog_predicts_nothing_and_says_why():
+    # capped at order 4, the catalog still flags K4 as minimal
+    # non-3-colorable, but it certifies no term of the expansion
+    catalog = enumerate_k_dense(2, 3, 3, order_cap=4)
+    assert not catalog.complete and catalog.with_flag("min_non_k_colorable")
+    config = ExperimentConfig(kind="noncolorable", n=12, r=2, k=3, alpha=2.5, trials=300,
+                              seed=2, catalog=catalog)
+    for run in (run_failure_probability, run_core_census):
+        report = run(config).to_json_dict()
+        assert not {"predicted", "ratio", "predicted_census"} & set(report)
+        assert report["catalog_refused"].startswith("catalog certifies excess <= nothing")
 
 
 def test_kcore_census_matches_expectations(dense_catalog_k3):

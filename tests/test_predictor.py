@@ -34,7 +34,8 @@ def test_expected_copies_examples(f_pair):
     single = Formula(3, [(1, 2, 3)])
     assert expected_copies_exact(single, 3, 9) == 8  # p = 1: every labeled copy present
     assert expected_copies_exact(f_pair, 10, 0) == 0
-    assert expected_copies_exact(f_pair, 2, 1) == 0  # n below the order
+    for alpha in (1, 0.5):  # n below the order, exact and float
+        assert expected_copies_exact(f_pair, 2, alpha) == 0
 
 
 def test_expected_copies_match_labeled_oracle(f_pair, full_catalog_r3):
@@ -168,6 +169,33 @@ def test_failure_tests_match_copy_search(make, events):
                 if w.excess <= s_max:
                     assert (_cover_weight(w.structure, EVENTS[event].fails, catalog.k)
                             == copy_cover_weight(w.structure, bases)), (event, s_max, w.iso_key)
+
+
+@pytest.mark.parametrize("make, event", [
+    (lambda: enumerate_full(3, 2), "pl-fail"),
+    (lambda: enumerate_full(4, 2), "pl-fail"),
+    (lambda: enumerate_k_dense(2, 3, 2), "kcore"),
+    (lambda: enumerate_k_dense(2, 4, 5), "kcore"),
+    (lambda: enumerate_k_dense(3, 2, 2), "kcore"),
+    (lambda: enumerate_k_dense(2, 3, 2), "noncolorable"),
+    (lambda: enumerate_k_dense(2, 4, 5), "noncolorable"),
+    # the least unsatisfiable 3-CNF, all eight clauses on three variables,
+    # has excess 13: only a catalog capped at order 3 reaches it
+    (lambda: enumerate_full(3, 13, order_cap=3), "unsat"),
+], ids=["pl-fail-3", "pl-fail-4", "kcore-2-3", "kcore-2-4", "kcore-3-2",
+        "noncolorable-2-3", "noncolorable-2-4", "unsat-3"])
+def test_least_obstructions_have_cover_weight_one(make, event):
+    """The report's ``predicted`` reads the expansion's term at the least
+    excess s0 of the event's obstructions as the sum of their class
+    weights: each is covered by one copy, itself, and no other entry of
+    excess <= s0 is a union of copies."""
+    catalog = make()
+    flagged = catalog.with_flag(EVENTS[event].flag)
+    s0 = min(e.excess for e in flagged)
+    for w in catalog.entries:
+        if w.excess <= s0:
+            assert _cover_weight(w.structure, EVENTS[event].fails, catalog.k) == \
+                (w in flagged and w.excess == s0), w.iso_key
 
 
 def test_failure_expansion_at_excess_3():

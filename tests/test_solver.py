@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -235,6 +236,18 @@ def test_least_coloring_is_lexicographically_least():
             (edges, t, k)
     for edges, t, k in late:
         assert least_coloring(edges, t, k)[1] == 2
+
+
+def test_least_coloring_with_more_colors_than_vertices():
+    # a least coloring uses no color above t, so k = 10,000 scans what k = t does
+    tracemalloc.start()
+    try:
+        for edges, t in (([(1, 2)], 2), ([(1, 2), (2, 3), (1, 3)], 3), ([(1,)], 1)):
+            assert least_coloring(edges, t, 10_000) == _brute_least_coloring(edges, t, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_row_level_deciders_match_the_structure_entry_points():
