@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -12,7 +14,7 @@ from sparsecore import (
     pure_literal_core,
 )
 from sparsecore.reduction import _k_core_batch, _k_core_raw, _pure_literal_batch, _pure_literal_raw
-from sparsecore.sampling import params_from_alpha, sample_batch
+from sparsecore.sampling import params_from_alpha, sample_batch, sample_formula, sample_hypergraph
 from sparsecore.solver import proper_coloring
 
 from oracle_utils import count_copies, random_formula, random_hypergraph, random_pure_literal_core
@@ -201,3 +203,28 @@ def test_batched_reducers_on_an_empty_batch():
     owner = np.empty(0, dtype=np.int64)
     assert _pure_literal_batch(empty, owner, 5).shape == (0,)
     assert _k_core_batch(empty, owner, 5, 2).shape == (0,)
+
+
+@pytest.mark.parametrize("kind,n,r,alpha,k,nonempty,digest", [
+    ("sat", 15, 3, 1.2, None, 91, "6f5e843b3b65a946"),
+    ("hypergraph", 12, 2, 3.0, 3, 52, "d13f0a3df09ddec2"),
+    ("hypergraph", 12, 3, 4.0, 2, 36, "0ae6fc22ae33b247"),
+], ids=["sat-n15", "graph-n12-k3", "hypergraph-r3-n12-k2"])
+def test_fixed_seed_traces_are_pinned(kind, n, r, alpha, k, nonempty, digest):
+    """Every trace of 200 fixed-seed instances (seeds 0..199) digested:
+    step literals and removed clauses, or round vertices and edges, then
+    the core's original labels and its dense rows."""
+    params = params_from_alpha(n, r, alpha, kind)
+    records = []
+    for seed in range(200):
+        if kind == "sat":
+            core, trace = pure_literal_core(sample_formula(params, seed))
+            steps = [[s.literal, s.removed] for s in trace.steps]
+            labels = trace.core_variables
+        else:
+            core, trace = k_core(sample_hypergraph(params, seed), k)
+            steps = [[rnd.vertices, rnd.edges] for rnd in trace.rounds]
+            labels = trace.core_vertices
+        records.append([steps, labels, core.rows()])
+    assert sum(bool(rows) for _, _, rows in records) == nonempty
+    assert hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16] == digest
