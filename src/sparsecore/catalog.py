@@ -295,7 +295,7 @@ def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> C
     catalog incomplete; only a complete catalog gets the event's minimality
     flag, a deletion check of its failure test (a failing proper
     substructure holds a full, or k-dense, one of smaller excess)."""
-    kind, flag, _, fails = EVENTS[event]
+    kind, flag, _ = EVENTS[event]
     bound = floor(r * max_excess / ((degree - 1) * (r - 1) - 1))
     t_max = bound if order_cap is None else min(order_cap, bound)
     size_needed = max(
@@ -312,7 +312,7 @@ def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> C
     for t, e in cells:
         for structure, aut, iso_key in _enumerate_cell(kind, r, k, t, e):
             minimal = {FLAG_ATTRS[flag]: _minimal_failing(
-                structure.rows(), lambda its: fails(its, t, k))} if complete else {}
+                structure.rows(), lambda its: EVENTS[event].fails(its, t, k))} if complete else {}
             entries.append(CatalogEntry(
                 kind=kind, structure=structure, order=t, size=e,
                 excess=(r - 1) * e - t, aut_count=aut, iso_key=iso_key,

@@ -59,8 +59,10 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _k(args) -> int:
-    if args.k is None:
+def _k(args) -> int | None:
+    if args.kind == "sat" and args.k is not None:
+        raise ValueError("--k does not apply to --kind sat")
+    if args.kind == "hypergraph" and args.k is None:
         raise ValueError("--kind hypergraph needs --k")
     return args.k
 
@@ -83,13 +85,14 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_core(args) -> int:
+    k = _k(args)
     text = Path(args.infile).read_text()
     if args.kind == "sat":
         core, _ = pure_literal_core(from_dimacs(text))
         excess, body = excess_formula(core), to_dimacs(core)
     else:
         graph, r = from_edge_list(text)
-        core, _ = k_core(graph, _k(args))
+        core, _ = k_core(graph, k)
         excess, body = excess_hypergraph(core, r), to_edge_list(core, r)
     print(f"core order = {core.order}")
     print(f"core size  = {core.size}")
@@ -99,11 +102,11 @@ def _cmd_core(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    k = _k(args)
     if args.kind == "sat":
         cat = enumerate_full(args.r, args.max_excess, args.order_cap, args.size_cap)
     else:
-        cat = enumerate_k_dense(args.r, _k(args), args.max_excess, args.order_cap,
-                                args.size_cap)
+        cat = enumerate_k_dense(args.r, k, args.max_excess, args.order_cap, args.size_cap)
     save_catalog(cat, args.out)
     print(f"catalog: {len(cat.entries)} classes, complete={cat.complete}, "
           f"written to {args.out}")
@@ -111,10 +114,12 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if (args.n is None) != (args.alpha is None):
+        raise ValueError("--n and --alpha go together")
     expansion = failure_expansion(load_catalog(args.catalog), args.event, args.smax)
     for s in range(1, args.smax + 1):
         print(f"p_{s}(a) = {expansion.terms[s]!r}")
-    if args.n is not None and args.alpha is not None:
+    if args.n is not None:
         value = expansion.evaluate(args.n, Fraction(args.alpha))
         print(f"evaluated at n={args.n}, alpha={args.alpha}: {float(value):.6e}")
     if args.json:
@@ -123,6 +128,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    k = _k(args)
     text = Path(args.infile).read_text()
     try:
         if args.kind == "sat":
@@ -142,7 +148,7 @@ def _cmd_solve(args) -> int:
             return 20
         graph, _ = from_edge_list(text)
         verdict = decide_colorable(
-            graph, _k(args), COLORING_BUDGET if args.budget is None else args.budget)
+            graph, k, COLORING_BUDGET if args.budget is None else args.budget)
         if verdict.colorable:
             print("s COLORABLE")
             for v, c in enumerate(verdict.coloring, start=1):

@@ -170,11 +170,6 @@ def _batch_items(config: ExperimentConfig, model_kind: str, batch_index: int, co
     return sample_batch(params, _rng(config.seed, batch_index), count)
 
 
-def _per_trial(trial: np.ndarray, rows: np.ndarray, count: int) -> list[list[tuple]]:
-    """The item tuples of each of ``count`` trials, from rows sorted by trial."""
-    return _per_owner(trial, rows, np.arange(count))
-
-
 def _per_owner(trial: np.ndarray, rows: np.ndarray, owners: np.ndarray) -> list[list[tuple]]:
     """The item tuples of each trial in ``owners``, from rows sorted by
     trial; ``owners`` ascends and holds the owner of every row."""
@@ -203,13 +198,13 @@ def _classify_core(kind: str, core_items, max_order: int, shapes):
     return _memo_key(kind, order, tuple(dense_relabel(core_items)[1]))
 
 
-def _holds_low_obstruction(core_items, shapes, fails, k) -> bool:
+def _holds_low_obstruction(core_items, shapes, event, k) -> bool:
     """Some item subset of the core with an (order, size) in ``shapes`` fails
     the event's test and no single-item deletion of it does.  For the shapes
     of a catalog's obstructions below an excess it is complete below, these
     subsets are exactly the copies of those obstructions."""
     support, items = dense_relabel(core_items)
-    test = lambda subset: fails(subset, len(support), k)
+    test = lambda subset: event.fails(subset, len(support), k)
     for size in sorted({e for _, e in shapes}):
         for subset in itertools.combinations(items, size):
             order = len({abs(v) for item in subset for v in item})
@@ -222,7 +217,7 @@ def _holds_low_obstruction(core_items, shapes, fails, k) -> bool:
 # rate / census engine
 
 def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: bool):
-    model_kind, flag, core_decides, fails = EVENTS[config.kind]
+    model_kind, flag, core_decides = event = EVENTS[config.kind]
     signed = MODELS[model_kind].signed
     failures = budget = 0
     census_counts: Counter = Counter()
@@ -245,7 +240,7 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
     owners = trial[np.diff(trial, prepend=-1) != 0]  # np.unique raised peak RSS by 1 MB
     for core_items in _per_owner(trial, items, owners):
         try:
-            if not (core_decides or fails(core_items, config.n, config.k)):
+            if not (core_decides or event.fails(core_items, config.n, config.k)):
                 continue
         except BudgetExceededError:
             budget += 1
@@ -259,7 +254,7 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
                 if not ok:
                     raise RuntimeError("reduction produced a non-core structure")
                 sanity += 1
-            if low_shapes and _holds_low_obstruction(core_items, low_shapes, fails, config.k):
+            if low_shapes and _holds_low_obstruction(core_items, low_shapes, event, config.k):
                 excluded += 1
                 continue
             key = _classify_core(model_kind, core_items, max_order, shapes)
@@ -484,7 +479,8 @@ def _witness_in_input(verdict, items) -> bool:
 def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
     model_kind = VALIDATE_KINDS[config.kind]
     agree = mismatch = witness_bad = budget = 0
-    for items in _per_trial(*_batch_items(config, model_kind, batch_index, count), count):
+    trial, rows = _batch_items(config, model_kind, batch_index, count)
+    for items in _per_owner(trial, rows, np.arange(count)):
         try:
             # sorted rows are the order of sorted_clauses() / sorted_edges()
             if config.kind == "sat":

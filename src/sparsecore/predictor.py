@@ -22,11 +22,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .isomorph import automorphism_count
-from .reduction import _k_core_raw, _pure_literal_raw
-from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _is_noncolorable, _is_unsat
+from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _core_fails
 from .structures import MODELS, is_full, is_k_dense, sign_factor
 
 if TYPE_CHECKING:
@@ -37,21 +36,22 @@ class Event(NamedTuple):
     model: str  # "sat" | "hypergraph"
     flag: str  # catalog flag of the event's minimal obstructions
     core_decides: bool  # a nonempty core is the failure: no test runs past the peel
-    fails: Callable  # (int-tuple items over 1..order, order, k) -> bool, monotone in the items
+
+    def fails(self, items, order: int, k) -> bool:
+        """The failure test on int-tuple items over 1..order: a nonempty
+        core, exhausted unless ``core_decides``, within the solver's default
+        budgets, which no catalog entry (order <= r*s/(r-2)) comes near."""
+        if MODELS[self.model].signed:
+            return _core_fails(items, order, 1, True, not self.core_decides, SAT_CORE_BUDGET)
+        return _core_fails(items, order, k, False, not self.core_decides, COLORING_BUDGET)
 
 
-# The event table, in report order.  The budgets are the solver's defaults,
-# which no catalog entry (order <= r*s/(r-2) at most) comes near.
+# The event table, in report order.
 EVENTS = {
-    "pl-fail": Event("sat", "mff", True,
-                     lambda items, order, k: bool(_pure_literal_raw(list(items))[0])),
-    "kcore": Event("hypergraph", "minimal_k_dense", True,
-                   lambda items, order, k: bool(_k_core_raw(order, list(items), k)[0])),
-    "unsat": Event("sat", "muf", False,
-                   lambda items, order, k: _is_unsat(items, SAT_CORE_BUDGET)),
-    "noncolorable": Event(
-        "hypergraph", "min_non_k_colorable", False,
-        lambda items, order, k: _is_noncolorable(order, items, k, COLORING_BUDGET)),
+    "pl-fail": Event("sat", "mff", True),
+    "kcore": Event("hypergraph", "minimal_k_dense", True),
+    "unsat": Event("sat", "muf", False),
+    "noncolorable": Event("hypergraph", "min_non_k_colorable", False),
 }
 
 

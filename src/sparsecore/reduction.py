@@ -1,25 +1,31 @@
-"""Core extraction: the pure literal rule and round-based k-core peeling.
+"""Core extraction: the pure literal rule and k-core peeling, as one peel.
 
-Both reducers delete in rounds and record enough to reconstruct a witness:
-a satisfying assignment extends through a pure-literal trace by setting
-each eliminated literal True, and a proper coloring extends through a peel
-trace because every peeled vertex had at most k-1 incident edges when it
-was removed.  The surviving core is relabeled densely; the trace keeps the
-original labels.
+Items (clauses, or edges) sit on points (variables, or vertices).  In
+each round, every live point whose rarer literal occurs fewer than k
+times among the live items leaves with its live items: k = 1 for the
+pure literal rule, while for k-core peeling a vertex is its own literal,
+so the test reads its live degree.  What survives is the core, a full
+formula or a k-dense hypergraph, whatever the order of deletion.
 
-The batched reducers at the end find only the cores, with no trace, of
-many instances at once: the core of a disjoint union is the union of the
-cores of its parts, whatever the elimination order.  Variable v of
-instance t gets the direct code ``t * n + v - 1`` (for literals, twice
-that plus the sign bit), so no id has to be searched for; the count
-table has a slot for every code, which makes memory O(instances * n),
-within a constant of the item count for alpha bounded away from 0.
+The per-instance peel (``_peel_raw``) records its rounds, which is
+enough to lift a witness: a satisfying assignment of the core extends
+by setting each eliminated literal True, and a proper coloring extends
+because every peeled vertex had at most k-1 live edges when it left.
+The core is relabeled densely; the trace keeps the original labels.
+
+The batched peel (``_peel_union``) finds only the cores of many
+instances at once: the core of a disjoint union is the union of the
+cores of its parts.  Variable v of instance t gets the direct code
+``t * n + v - 1`` (for literals, twice that plus the sign bit), so no id
+has to be searched for; the count table has a slot for every code, which
+makes memory O(instances * n), within a constant of the item count for
+alpha bounded away from 0.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -102,61 +108,55 @@ class PeelTrace:
 
 
 # ---------------------------------------------------------------------------
-# pure literal rule
+# the per-instance peel, read as a pure-literal trace or a k-core peel trace
 
-def _pure_literal_raw(clauses: list[tuple[int, ...]]):
-    """Round-based reduction on raw literal tuples.
+def _peel_raw(order: int, items, k: int, signed: bool):
+    """Round-based peel of ``items`` (literal tuples when ``signed``, else
+    vertex tuples) over points 1..order, by the rule in the module docstring.
 
-    Returns (core clause indices, core variables, steps) where steps are
-    (literal, removed clause indices).  Variables whose clauses all vanish
-    are dropped silently.  Within a round the pure literals found at round
-    start are processed in sorted order, so a clause containing several of
-    them is attributed to the first.
+    Returns (live item indices, live points, rounds) where each round is
+    (the points that left, ascending; for each, the indices of the live
+    items it removed).  A point whose items all left earlier in its round
+    removes nothing.
     """
-    occ: Counter[int] = Counter()
-    by_var: dict[int, list[int]] = defaultdict(list)
-    for ci, cl in enumerate(clauses):
-        for lit in cl:
-            occ[lit] += 1
-            by_var[abs(lit)].append(ci)
-    alive = [True] * len(clauses)
-    active = set(by_var)
-    steps: list[tuple[int, list[int]]] = []
+    # count[x] of literal or vertex x; a negative literal wraps to the top half
+    count = [0] * (2 * order + 1)
+    by_point = [[] for _ in range(order + 1)]
+    for i, item in enumerate(items):
+        for x in item:
+            count[x] += 1
+            by_point[abs(x)].append(i)
+    partner = -1 if signed else 1  # point v's literals are v and partner * v
+    alive = [True] * len(items)
+    live = range(1, order + 1)
+    rounds = []
     while True:
-        pure: list[int] = []
-        gone: list[int] = []
-        for v in sorted(active):
-            pos, neg = occ[v], occ[-v]
-            if pos == 0 and neg == 0:
-                gone.append(v)
-            elif neg == 0:
-                pure.append(v)
-            elif pos == 0:
-                pure.append(-v)
-        if not pure and not gone:
+        doomed = [v for v in live if count[v] < k or count[partner * v] < k]
+        if not doomed:
             break
-        for v in gone:
-            active.discard(v)
-        for lit in pure:  # in variable order, as ``active`` was scanned
-            removed = [ci for ci in by_var[abs(lit)] if alive[ci]]
-            for ci in removed:
-                alive[ci] = False
-                for l in clauses[ci]:
-                    occ[l] -= 1
-            active.discard(abs(lit))
-            if removed:
-                steps.append((lit, removed))
-            # else the variable lost its clauses earlier this round: silent
-    core_idx = [ci for ci, a in enumerate(alive) if a]
-    return core_idx, sorted(active), steps
+        removals = []
+        for v in doomed:
+            removed = [i for i in by_point[v] if alive[i]]
+            for i in removed:
+                alive[i] = False
+                for x in items[i]:
+                    count[x] -= 1
+            removals.append(removed)
+        rounds.append((doomed, removals))
+        gone = set(doomed)
+        live = [v for v in live if v not in gone]
+    return [i for i, a in enumerate(alive) if a], list(live), rounds
 
 
 def _pure_literal_trace(order: int, clauses: list[tuple[int, ...]]):
     """(core clauses relabeled densely and sorted, trace) of literal tuples
-    over variables 1..order."""
-    core_idx, core_vars, raw_steps = _pure_literal_raw(clauses)
-    steps = tuple(PureLiteralStep(lit, tuple(clauses[ci] for ci in removed))
-                  for lit, removed in raw_steps)
+    over variables 1..order.  A step is a variable that removed clauses;
+    its pure literal is the variable's literal in the first of them."""
+    core_idx, core_vars, rounds = _peel_raw(order, clauses, 1, True)
+    steps = tuple(PureLiteralStep(v if v in clauses[removed[0]] else -v,
+                                  tuple(clauses[ci] for ci in removed))
+                  for points, removals in rounds for v, removed in zip(points, removals)
+                  if removed)
     support, core = dense_relabel([clauses[ci] for ci in core_idx])
     assert list(support) == core_vars
     return core, PureLiteralTrace(order=order, steps=steps, core_variables=support)
@@ -172,52 +172,15 @@ def pure_literal_core(formula: Formula) -> tuple[Formula, PureLiteralTrace]:
     return Formula(len(trace.core_variables), core), trace
 
 
-# ---------------------------------------------------------------------------
-# k-core peeling
-
-def _k_core_raw(n: int, edges: list[tuple[int, ...]], k: int):
-    """Round-based peeling on raw edges.
-
-    Returns (core edge indices, core vertices, rounds) with rounds as
-    (vertices removed, edge indices removed).  Vertices of degree 0,
-    including those above the support, peel in the first round.
-    """
-    deg = [0] * (n + 1)
-    by_vertex: dict[int, list[int]] = defaultdict(list)
-    for ei, e in enumerate(edges):
-        for v in e:
-            deg[v] += 1
-            by_vertex[v].append(ei)
-    alive = [True] * len(edges)
-    rounds: list[tuple[list[int], list[int]]] = []
-    current = list(range(1, n + 1))
-    while True:
-        doomed = [v for v in current if deg[v] <= k - 1]
-        if not doomed:
-            break
-        removed_edges = []
-        doomed_set = set(doomed)
-        for v in doomed:
-            for ei in by_vertex[v]:
-                if alive[ei]:
-                    alive[ei] = False
-                    removed_edges.append(ei)
-                    for u in edges[ei]:
-                        deg[u] -= 1
-        rounds.append((doomed, sorted(removed_edges)))
-        current = [v for v in current if v not in doomed_set]
-    core_idx = [ei for ei, a in enumerate(alive) if a]
-    return core_idx, current, rounds
-
-
 def _k_core_trace(order: int, edges: list[tuple[int, ...]], k: int):
     """(core edges relabeled densely and sorted, trace) of sorted vertex
     tuples over vertices 1..order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    core_idx, core_vertices, raw_rounds = _k_core_raw(order, edges, k)
-    rounds = tuple(PeelRound(tuple(vs), tuple(edges[ei] for ei in eis))
-                   for vs, eis in raw_rounds)
+    core_idx, core_vertices, raw_rounds = _peel_raw(order, edges, k, False)
+    rounds = tuple(PeelRound(tuple(vertices),
+                             tuple(edges[ei] for ei in sorted(chain.from_iterable(removals))))
+                   for vertices, removals in raw_rounds)
     support, core = dense_relabel([edges[ei] for ei in core_idx])
     assert list(support) == core_vertices
     return core, PeelTrace(order=order, k=k, rounds=rounds, core_vertices=support)

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .structures import BudgetExceededError, Formula, Hypergraph, dense_relabel
-from .reduction import _k_core_raw, _k_core_trace, _pure_literal_raw, _pure_literal_trace
+from .reduction import _k_core_trace, _peel_raw, _pure_literal_trace
 
 _CHUNK = 1 << 16
 
@@ -222,7 +222,8 @@ def _decide_sat(order: int, clauses: list, core_budget: int) -> SatVerdict:
         raise RuntimeError("lifted assignment fails verification")
     if max_sat == len(clauses):
         return SatVerdict("SAT", assignment, max_sat, None, None, t, len(core))
-    support, muf = dense_relabel(_minimal(core, lambda kept: _is_unsat(kept, core_budget)))
+    support, muf = dense_relabel(
+        _minimal(core, lambda kept: _core_fails(kept, t, 1, True, True, core_budget)))
     muf_vars = tuple(trace.core_variables[v - 1] for v in support)
     return SatVerdict("UNSAT", assignment, max_sat, Formula(len(support), muf), muf_vars,
                       t, len(core))
@@ -244,13 +245,21 @@ def _minimal(items: list, still_fails) -> list:
     return kept
 
 
-def _is_unsat(clause_literals, core_budget: int) -> bool:
-    core_idx, _, _ = _pure_literal_raw(list(clause_literals))
-    if not core_idx:
-        return False
-    support, core = dense_relabel([clause_literals[i] for i in core_idx])
-    check_sat_budget(len(support), core_budget)
-    return least_satisfying(core, len(support)) is None
+def _core_fails(items, order: int, k: int, signed: bool, exhaust: bool, budget: int) -> bool:
+    """The core of ``items`` over 1..order is nonempty and, if ``exhaust``,
+    has no satisfying assignment (``signed``, k = 1; ``budget`` caps its
+    order) or no proper k-coloring (``budget`` caps k^t).  Monotone in the
+    items; a core past the budget raises BudgetExceededError."""
+    core_idx, _, _ = _peel_raw(order, items, k, signed)
+    if not (core_idx and exhaust):
+        return bool(core_idx)
+    support, core = dense_relabel([items[i] for i in core_idx])
+    t = len(support)
+    if signed:
+        check_sat_budget(t, budget)
+        return least_satisfying(core, t) is None
+    check_coloring_budget(k, t, budget)
+    return least_coloring(core, t, k) is None
 
 
 def extract_muf(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> Formula:
@@ -261,9 +270,10 @@ def extract_muf(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> Formula
     plus exhaustion, so each of the O(size) checks touches only a core.
     """
     clauses = formula.rows()
-    if not _is_unsat(clauses, core_budget):
+    unsat = lambda kept: _core_fails(kept, formula.order, 1, True, True, core_budget)
+    if not unsat(clauses):
         raise ValueError("input formula is satisfiable; no MUF exists")
-    support, muf = dense_relabel(_minimal(clauses, lambda kept: _is_unsat(kept, core_budget)))
+    support, muf = dense_relabel(_minimal(clauses, unsat))
     return Formula(len(support), muf)
 
 
@@ -303,16 +313,7 @@ def _decide_colorable(order: int, edges: list, k: int, coloring_budget: int) -> 
             raise RuntimeError("lifted coloring fails verification")
         return ColorVerdict(True, full, None, None, t, len(core))
     support, obstruction = dense_relabel(
-        _minimal(core, lambda kept: _is_noncolorable(t, kept, k, coloring_budget)))
+        _minimal(core, lambda kept: _core_fails(kept, t, k, False, True, coloring_budget)))
     original = tuple(trace.core_vertices[v - 1] for v in support)
     return ColorVerdict(False, None, Hypergraph(len(support), obstruction), original,
                         t, len(core))
-
-
-def _is_noncolorable(n: int, edges, k: int, coloring_budget: int) -> bool:
-    core_idx, _, _ = _k_core_raw(n, list(edges), k)
-    if not core_idx:
-        return False
-    support, core = dense_relabel([edges[i] for i in core_idx])
-    check_coloring_budget(k, len(support), coloring_budget)
-    return least_coloring(core, len(support), k) is None

@@ -260,8 +260,8 @@ def test_criterion_08_sat_validation_unsat():
         below = sum(
             experiments._oracle_max_sat(items, config.n) < len(items)
             for batch, count in experiments._split_batches(trials, config.batch_size)
-            for items in experiments._per_trial(
-                *experiments._batch_items(config, "sat", batch, count), count))
+            for items in experiments._per_owner(
+                *experiments._batch_items(config, "sat", batch, count), np.arange(count)))
         unsat += below
         details.append(f"alpha={alpha}: trials={trials} agreement={report.agreement_rate} "
                        f"bad-witnesses={report.witness_failures} "

@@ -112,7 +112,11 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
                "graph": "3 2 2\n1 2\n2 3\n",
                "no_kind": json.dumps({"format_version": 1, "entries": []}),
                "no_items": json.dumps({"format_version": 1, "kind": "sat",
-                                       "entries": [NO_ITEMS_ENTRY]})}
+                                       "entries": [NO_ITEMS_ENTRY]}),
+               "cnf": "p cnf 3 1\n1 2 3 0\n",
+               "catalog": json.dumps({"format_version": 1, "kind": "sat", "r": 3, "k": None,
+                                      "max_excess": 1, "order_cap": 3, "size_cap": 2,
+                                      "complete": True, "entries": []})}
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,10 +137,18 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
      "--trials", "10", "--seed", "1"),
     ("mc", "validate", "--kind", "coloring", "--n", "10", "--r", "2", "--k", "0",
      "--alpha", "1", "--trials", "0", "--seed", "1"),
+    ("core", "--kind", "sat", "--k", "3", "--in", "{cnf}"),
+    ("solve", "--k", "3", "--in", "{cnf}"),
+    ("catalog", "--kind", "sat", "--r", "3", "--k", "5", "--max-excess", "1", "--out", "{out}"),
+    ("predict", "--catalog", "{catalog}", "--event", "pl-fail", "--smax", "1", "--n", "30",
+     "--json", "{out}"),
+    ("predict", "--catalog", "{catalog}", "--event", "pl-fail", "--smax", "1", "--alpha",
+     "0.5", "--json", "{out}"),
 ], ids=["threshold-r2", "sample-p-above-1", "core-miscounted-header", "core-missing-file",
         "solve-miscounted-header", "mc-catalog-not-json", "catalog-no-k", "core-no-k",
         "solve-no-k", "mc-catalog-no-kind", "predict-catalog-no-items", "mc-rate-k-zero",
-        "mc-validate-k-zero"])
+        "mc-validate-k-zero", "core-sat-k", "solve-sat-k", "catalog-sat-k", "predict-n-only",
+        "predict-alpha-only"])
 def test_invalid_input_is_reported_in_one_line(tmp_path, capsys, argv):
     paths = {name: str(tmp_path / name) for name in (*INPUT_FILES, "missing", "out")}
     for name, text in INPUT_FILES.items():

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparsecore import (
@@ -276,10 +277,10 @@ def test_exhausted_rate_counts_the_event_test(kind, base):
         trial, items = experiments._batch_items(config, event.model, b, count)
         alive = (_pure_literal_batch(items, trial, config.n) if event.model == "sat"
                  else _k_core_batch(items, trial, config.n, config.k))
-        cores = experiments._per_trial(trial[alive], items[alive], count)
+        cores = experiments._per_owner(trial[alive], items[alive], np.arange(count))
         expected = sum(event.fails(core, config.n, config.k) for core in cores)
         assert expected == sum(event.fails(whole, config.n, config.k)
-                               for whole in experiments._per_trial(trial, items, count))
+                               for whole in experiments._per_owner(trial, items, np.arange(count)))
         got = experiments._rate_batch(config, b, count, census=False)
         assert (got["failures"], got["budget"]) == (expected, 0)
         total += expected
@@ -464,7 +465,7 @@ def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> 
     else:
         alive = _k_core_batch(items, trial, config.n, config.k)
     tally = Counter()
-    for core_items in experiments._per_trial(trial[alive], items[alive], count):
+    for core_items in experiments._per_owner(trial[alive], items[alive], np.arange(count)):
         if not core_items:
             continue
         tally["failures"] += 1

@@ -13,7 +13,7 @@ from sparsecore import (
     k_core,
     pure_literal_core,
 )
-from sparsecore.reduction import _k_core_batch, _k_core_raw, _pure_literal_batch, _pure_literal_raw
+from sparsecore.reduction import _k_core_batch, _peel_raw, _pure_literal_batch
 from sparsecore.sampling import params_from_alpha, sample_batch, sample_formula, sample_hypergraph
 from sparsecore.solver import proper_coloring
 
@@ -170,7 +170,7 @@ def test_coloring_lift_is_proper():
 
 
 def _batch_against_raw(kind, n, r, alpha, k=None, trials=400, seed=0):
-    """Batched cores equal the per-trial reducer's, trial by trial; returns
+    """Batched cores equal the per-instance peel's, trial by trial; returns
     the number of nonempty cores."""
     params = params_from_alpha(n, r, alpha, kind)
     trial, rows = sample_batch(params, np.random.default_rng(seed), trials)
@@ -182,7 +182,7 @@ def _batch_against_raw(kind, n, r, alpha, k=None, trials=400, seed=0):
     nonempty = 0
     for a, b in zip(bounds, bounds[1:]):
         items = [tuple(row) for row in rows[a:b].tolist()]
-        expected = _pure_literal_raw(items)[0] if kind == "sat" else _k_core_raw(n, items, k)[0]
+        expected = _peel_raw(n, items, 1 if kind == "sat" else k, kind == "sat")[0]
         assert np.flatnonzero(alive[a:b]).tolist() == expected
         nonempty += bool(expected)
     return nonempty

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sparsecore import (
@@ -348,8 +349,8 @@ def test_fixed_seed_verdicts_are_pinned():
     config = ExperimentConfig(kind="sat", n=15, r=3, alpha=4.0, trials=200, seed=8)
     records = []
     for b, count in experiments._split_batches(config.trials, config.batch_size):
-        for items in experiments._per_trial(
-                *experiments._batch_items(config, "sat", b, count), count):
+        for items in experiments._per_owner(
+                *experiments._batch_items(config, "sat", b, count), np.arange(count)):
             v = solver._decide_sat(config.n, sorted(items), solver.SAT_CORE_BUDGET)
             records.append([v.status, v.assignment, v.max_satisfied,
                             v.muf and v.muf.rows(), v.muf_variables])
@@ -364,8 +365,8 @@ def test_fixed_seed_coloring_verdicts_are_pinned():
     config = ExperimentConfig(kind="coloring", n=12, r=2, alpha=3.0, trials=200, seed=8, k=3)
     records = []
     for b, count in experiments._split_batches(config.trials, config.batch_size):
-        for items in experiments._per_trial(
-                *experiments._batch_items(config, "hypergraph", b, count), count):
+        for items in experiments._per_owner(
+                *experiments._batch_items(config, "hypergraph", b, count), np.arange(count)):
             v = solver._decide_colorable(config.n, sorted(items), config.k,
                                          solver.COLORING_BUDGET)
             records.append([v.colorable, v.coloring, v.obstruction and v.obstruction.rows(),
