@@ -273,6 +273,33 @@ def test_fixed_seed_samples_are_pinned(point, digest):
     assert h.hexdigest()[:16] == digest
 
 
+# sha256 (first 16 hex digits) of the trial and row arrays of sample_batch
+# for three (seed, batch) streams: the census points pl-n30, pl-n120 and
+# kc-n40 at their batch sizes, and the redraw-heavy n=5, p=0.3 point of
+# test_batch_sampler_uniform_over_candidates
+BATCH_PINS = [
+    ((30, 3, 0.8, "sat"), 1024, 88409, "e58f93b10065c587"),
+    ((120, 3, 0.8, "sat"), 512, 191616, "0f36121cc29ae46a"),
+    ((40, 2, 1.5, "hypergraph"), 4096, 358812, "9b413135d278db56"),
+    ((5, 3, 0.3 * 5 ** 2, "sat"), 2048, 147340, "a30fac39b9b25fb0"),
+]
+
+
+@pytest.mark.parametrize("point,count,rows_total,digest", BATCH_PINS,
+                         ids=["pl-n30", "pl-n120", "kc-n40", "n5-redraws"])
+def test_fixed_seed_batches_are_pinned(point, count, rows_total, digest):
+    params = params_from_alpha(*point)
+    h = hashlib.sha256()
+    total = 0
+    for seed, batch in ((0, 0), (1, 0), (2, 5)):
+        trial, rows = sample_batch(params, _rng(seed, batch), count)
+        h.update(trial.tobytes())
+        h.update(np.ascontiguousarray(rows).tobytes())
+        total += len(rows)
+    assert total == rows_total
+    assert h.hexdigest()[:16] == digest
+
+
 def test_fixed_seed_small_samples():
     formula = sample_formula(params_from_alpha(8, 3, 2.0, "sat"), 0)
     assert sorted(c.literals for c in formula.clauses) == [
