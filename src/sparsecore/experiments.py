@@ -35,8 +35,8 @@ from .catalog import (
 )
 from .isomorph import canonical_key
 from .predictor import EVENTS, core_type_distribution, failure_expansion
-from .reduction import _k_core_batch, _pure_literal_batch
-from .sampling import _rng, params_from_alpha, sample_batch
+from .reduction import _peel_keys
+from .sampling import _rng, decode_rows, key_codes, params_from_alpha, sample_keys
 from .structures import (
     MODELS,
     BudgetExceededError,
@@ -163,11 +163,24 @@ def _config_echo(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # sampling and reduction of a whole batch
 
+def _batch_keys(config: ExperimentConfig, model_kind: str, batch_index: int, count: int):
+    """(model params, sorted packed row keys) of one batch."""
+    params = params_from_alpha(config.n, config.r, config.alpha, model_kind)
+    return params, sample_keys(params, _rng(config.seed, batch_index), count)
+
+
 def _batch_items(config: ExperimentConfig, model_kind: str, batch_index: int, count: int):
     """(owner trial, item rows) of one batch: clause rows of signed literals
     or edge rows of vertices, sorted by trial."""
-    params = params_from_alpha(config.n, config.r, config.alpha, model_kind)
-    return sample_batch(params, _rng(config.seed, batch_index), count)
+    params, keys = _batch_keys(config, model_kind, batch_index, count)
+    return decode_rows(keys, params)
+
+
+def _core_orders(keys: np.ndarray, params, count: int) -> list[int]:
+    """Number of distinct variables or vertices in each of ``count`` trials,
+    from the packed keys of their rows."""
+    points = np.unique(np.concatenate(key_codes(keys, params, False)))
+    return np.bincount(points // params.n, minlength=count).tolist()
 
 
 def _per_owner(trial: np.ndarray, rows: np.ndarray, owners: np.ndarray) -> list[list[tuple]]:
@@ -187,10 +200,10 @@ def _memo_key(kind: str, order: int, items: tuple) -> bytes:
     return canonical_key(MODELS[kind](order, items))
 
 
-def _classify_core(kind: str, core_items, max_order: int, shapes):
-    """Census bucket of a raw core: "large" above ``max_order``, None when no
-    catalog class has its (order, size), else its iso key."""
-    order = len({abs(v) for item in core_items for v in item})
+def _classify_core(kind: str, core_items, order: int, max_order: int, shapes):
+    """Census bucket of a raw core on ``order`` points: "large" above
+    ``max_order``, None when no catalog class has its (order, size), else
+    its iso key."""
     if order > max_order:
         return "large"
     if (order, len(core_items)) not in shapes:
@@ -230,15 +243,13 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
     s = config.exclude_below_excess  # set only for a census, which has a catalog
     low_shapes = set() if s is None else {
         (e.order, e.size) for e in catalog.with_flag(flag) if e.excess < s}
-    trial, items = _batch_items(config, model_kind, batch_index, count)
-    if signed:
-        alive = _pure_literal_batch(items, trial, config.n)
-    else:
-        alive = _k_core_batch(items, trial, config.n, config.k)
-    # only the trials with a nonempty core are walked, in trial order
-    trial, items = trial[alive], items[alive]
+    params, keys = _batch_keys(config, model_kind, batch_index, count)
+    keys = keys[_peel_keys(keys, params, config.k or 1)]
+    # only the rows of nonempty cores are decoded, and walked in trial order
+    trial, items = decode_rows(keys, params)
     owners = trial[np.diff(trial, prepend=-1) != 0]  # np.unique raised peak RSS by 1 MB
-    for core_items in _per_owner(trial, items, owners):
+    orders = _core_orders(keys, params, count) if census else None
+    for owner, core_items in zip(owners.tolist(), _per_owner(trial, items, owners)):
         try:
             if not (core_decides or event.fails(core_items, config.n, config.k)):
                 continue
@@ -257,7 +268,7 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: 
             if low_shapes and _holds_low_obstruction(core_items, low_shapes, event, config.k):
                 excluded += 1
                 continue
-            key = _classify_core(model_kind, core_items, max_order, shapes)
+            key = _classify_core(model_kind, core_items, orders[owner], max_order, shapes)
             if key == "large":
                 large += 1
             elif key in known:

@@ -29,7 +29,8 @@ from itertools import chain
 
 import numpy as np
 
-from .structures import Formula, Hypergraph, dense_relabel
+from .sampling import ModelParams, key_codes
+from .structures import MODELS, Formula, Hypergraph, dense_relabel
 
 
 @dataclass(frozen=True)
@@ -122,25 +123,35 @@ def _peel_raw(order: int, items, k: int, signed: bool):
     # count[x] of literal or vertex x; a negative literal wraps to the top half
     count = [0] * (2 * order + 1)
     by_point = [[] for _ in range(order + 1)]
-    for i, item in enumerate(items):
-        for x in item:
-            count[x] += 1
-            by_point[abs(x)].append(i)
-    partner = -1 if signed else 1  # point v's literals are v and partner * v
+    if signed:
+        for i, item in enumerate(items):
+            for x in item:
+                count[x] += 1
+                by_point[abs(x)].append(i)
+    else:  # a vertex is its own literal
+        for i, item in enumerate(items):
+            for x in item:
+                count[x] += 1
+                by_point[x].append(i)
     alive = [True] * len(items)
     live = range(1, order + 1)
     rounds = []
     while True:
-        doomed = [v for v in live if count[v] < k or count[partner * v] < k]
+        if signed:
+            doomed = [v for v in live if count[v] < k or count[-v] < k]
+        else:
+            doomed = [v for v in live if count[v] < k]
         if not doomed:
             break
         removals = []
         for v in doomed:
-            removed = [i for i in by_point[v] if alive[i]]
-            for i in removed:
-                alive[i] = False
-                for x in items[i]:
-                    count[x] -= 1
+            removed = []
+            for i in by_point[v]:
+                if alive[i]:
+                    alive[i] = False
+                    removed.append(i)
+                    for x in items[i]:
+                        count[x] -= 1
             removals.append(removed)
         rounds.append((doomed, removals))
         gone = set(doomed)
@@ -195,61 +206,42 @@ def k_core(graph: Hypergraph, k: int) -> tuple[Hypergraph, PeelTrace]:
 # ---------------------------------------------------------------------------
 # batched cores of a disjoint union
 
-def _peel_union(lines: list[np.ndarray], width: int, threshold: int, size: int) -> np.ndarray:
-    """Alive mask after deleting, round by round, every row holding a code
-    whose partner code occurs fewer than ``threshold`` times among live rows.
+def _peel_keys(keys: np.ndarray, params: ModelParams, k: int) -> np.ndarray:
+    """Which rows of a batch, given as packed row keys (``sample_keys``),
+    lie in the core of their trial: the k-core of a hypergraph, or with k = 1
+    the pure-literal core of a formula.
 
-    ``lines`` holds one contiguous array per column: the first ``width``
-    are the rows' codes and the last ``width`` their partner codes (the
-    same arrays when each code is its own partner), all below ``size``.
-    Each round rescans the live rows and compacts the lines to the
-    survivors.
+    Each round deletes every live row holding a code whose partner occurs
+    fewer than k times among the live rows (a literal's partner is its
+    complement, a vertex's itself), then compacts the codes to the
+    survivors.  ``count[c]`` counts the live occurrences of the partner
+    of code c, so a round reads one gather per column.
     """
-    alive = np.zeros(len(lines[0]), dtype=bool)
-    live = np.arange(len(alive))
-    count = np.bincount(np.concatenate(lines[:width]), minlength=size)
+    signed = MODELS[params.kind].signed
+    codes = key_codes(keys, params, signed)
+    flip = int(signed)  # a literal's complement has its code XOR 1
+    alive = np.zeros(len(keys), dtype=bool)
+    if not len(keys):
+        return alive
+    step = params.n << flip  # codes per trial; the last key is in the last trial
+    count = np.bincount(np.concatenate(codes) ^ flip,
+                        minlength=(int(codes[0][-1]) // step + 1) * step)
+    live = np.arange(len(keys))
     while len(live):
-        keep = count[lines[-1]] >= threshold
-        for partner in lines[-width:-1]:
-            keep &= count[partner] >= threshold
-        if keep.all():
-            break
-        dead = np.flatnonzero(~keep)
-        for code in lines[:width]:
-            np.subtract.at(count, code[dead], 1)
+        keep = count[codes[0]] >= k
+        for code in codes[1:]:
+            keep &= count[code] >= k
         kept = np.flatnonzero(keep)
+        if len(kept) == len(live):
+            break
+        if 2 * len(kept) < len(live):  # fewer survivors than deaths: count them afresh
+            codes = [code[kept] for code in codes]
+            count = np.bincount(np.concatenate(codes) ^ flip, minlength=len(count))
+        else:
+            dead = np.flatnonzero(~keep)
+            for code in codes:
+                np.subtract.at(count, code[dead] ^ flip, 1)
+            codes = [code[kept] for code in codes]
         live = live[kept]
-        lines = [line[kept] for line in lines]
     alive[live] = True
     return alive
-
-
-def _variable_codes(rows: np.ndarray, owner: np.ndarray, n: int) -> list[np.ndarray]:
-    """Per column j, ``owner * n + v - 1`` for the variable v in column j
-    of each row: instances of the union never share a code."""
-    base = owner * n - 1
-    return [base + np.abs(rows[:, j]) for j in range(rows.shape[1])]
-
-
-def _pure_literal_batch(clauses: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    """Which rows of ``clauses`` (signed literals on 1..n; row i belongs to
-    formula ``owner[i]``) lie in the pure-literal core of their formula.
-
-    A literal's code is twice its variable's code plus its sign bit, so
-    its complement's code is the code XOR 1.  A clause dies when one of
-    its literals has no live complement.
-    """
-    codes = [2 * code + (clauses[:, j] < 0)
-             for j, code in enumerate(_variable_codes(clauses, owner, n))]
-    size = 2 * n * (int(owner.max(initial=-1)) + 1)
-    return _peel_union(codes + [code ^ 1 for code in codes], len(codes), 1, size)
-
-
-def _k_core_batch(edges: np.ndarray, owner: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Which rows of ``edges`` (vertices 1..n; row i belongs to hypergraph
-    ``owner[i]``) lie in the k-core of their hypergraph.
-
-    An edge dies when one of its vertices has live degree below k.
-    """
-    codes = _variable_codes(edges, owner, n)
-    return _peel_union(codes, len(codes), k, n * (int(owner.max(initial=-1)) + 1))

@@ -98,30 +98,50 @@ def _sorting_network(r: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for rnd in range(r) for i in range(rnd % 2, r - 1, 2)]
 
 
-def sample_batch(params: ModelParams, rng: np.random.Generator,
-                 count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` independent samples in O(total items), consuming the given stream.
+def _key_fields(params: ModelParams) -> tuple[int, int, int]:
+    """(variable bits, sign bits, trial shift) of a packed row key.  From
+    high to low a key holds the trial, the row's r variables less one in
+    ascending order, and for a formula r sign bits (bit j negates the
+    variable in column j), so key order is (trial, candidate index)."""
+    sign_bits = params.r if MODELS[params.kind].signed else 0
+    var_bits = max(1, (params.n - 1).bit_length())
+    return var_bits, sign_bits, params.r * var_bits + sign_bits
 
-    Returns (trial, rows): trial t keeps a Binomial(candidates, p) number
-    of distinct uniform candidates, as rows of signed literals (formulas)
-    or of vertices (hypergraphs), sorted by trial, then candidate index.
-    A row is drawn as r uniform variables, sorted by a min/max network
-    and dropped when a variable repeats, so a kept row is a uniform r-set;
-    a formula's row then takes r uniform sign bits.  Each row packs into
-    one int64 key (trial, v_1 .. v_r, signs) whose order is (trial,
-    candidate index).  Duplicate keys are dropped after a sort and only
-    the shortfall is drawn again, so the kept set of each trial is a
-    uniform subset of its size.  The rows come in column-major order, so
-    each column is contiguous.
+
+def _variable_bits(keys: np.ndarray, params: ModelParams, j: int) -> np.ndarray:
+    """The variable less one in column j of each key."""
+    var_bits, sign_bits, _ = _key_fields(params)
+    return keys >> (sign_bits + (params.r - 1 - j) * var_bits) & ((1 << var_bits) - 1)
+
+
+def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Which ``values`` occur in the ascending array ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(values), dtype=bool)
+    at = np.searchsorted(sorted_keys, values)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == values
+
+
+def sample_keys(params: ModelParams, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` independent samples in O(total items) as sorted packed row
+    keys (``_key_fields``), consuming the given stream.
+
+    Trial t keeps a Binomial(candidates, p) number of distinct uniform
+    candidates.  A row is drawn as r uniform variables, sorted by a
+    min/max network and dropped when a variable repeats, so a kept row is
+    a uniform r-set; a formula's row then takes r uniform sign bits.  A
+    repeated key is dropped and only the shortfall is drawn again, so the
+    kept set of each trial is a uniform subset of its size.  The first
+    round's keys stay put: each redraw is checked against them and against
+    the earlier redraws by binary search, and the redraws are merged in
+    once at the end.
     """
     n, r = params.n, params.r
-    sign_bits = r if MODELS[params.kind].signed else 0
-    var_bits = max(1, (n - 1).bit_length())
-    trial_shift = r * var_bits + sign_bits
+    var_bits, sign_bits, trial_shift = _key_fields(params)
     if max(count - 1, 0).bit_length() + trial_shift > 63:
         raise ValueError(f"{count} samples of {r}-sets of {n} variables overflow int64 keys")
     short = rng.binomial(params.candidate_count, params.p, size=count)
-    keys = np.empty(0, dtype=np.int64)
+    keys = redrawn = None
     while (total := int(short.sum())) > 0:
         cols = list(rng.integers(0, n, size=(r, total)))
         for i, j in _sorting_network(r):
@@ -129,30 +149,64 @@ def sample_batch(params: ModelParams, rng: np.random.Generator,
         distinct = np.ones(total, dtype=bool)
         for low, high in zip(cols, cols[1:]):
             distinct &= low != high
-        owner = np.repeat(np.arange(count, dtype=np.int64), short)
-        fresh = owner[distinct]
+        packed = np.repeat(np.arange(count, dtype=np.int64), short)
         for col in cols:
-            fresh <<= var_bits
-            fresh |= col[distinct]
+            packed <<= var_bits
+            packed |= col
+        fresh = packed[distinct]
         if sign_bits:
             fresh <<= sign_bits
             fresh |= rng.integers(0, 1 << sign_bits, size=len(fresh))
         fresh.sort()
-        keys = np.concatenate([keys, fresh])
-        keys.sort(kind="stable")  # merges the two sorted runs
-        kept = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=kept[1:])
-        # a trial is short by the rows it lost to a repeated variable or a duplicate
-        short = (np.bincount(owner[~distinct], minlength=count)
-                 + np.bincount(keys[~kept] >> trial_shift, minlength=count))
-        keys = keys[kept]
-    rows = np.empty((len(keys), r), dtype=np.int64, order="F")
-    mask = (1 << var_bits) - 1
-    for j in range(r):
-        rows[:, j] = (keys >> (sign_bits + (r - 1 - j) * var_bits) & mask) + 1
+        new = np.ones(len(fresh), dtype=bool)
+        np.not_equal(fresh[1:], fresh[:-1], out=new[1:])
+        if keys is None:
+            keys, redrawn = fresh[new], fresh[:0]
+        else:
+            new &= ~(_in_sorted(fresh, keys) | _in_sorted(fresh, redrawn))
+            redrawn = np.sort(np.concatenate([redrawn, fresh[new]]))
+        # a trial is short by the rows it lost to a repeated variable or key
+        short = np.bincount(np.concatenate([packed[~distinct] >> (trial_shift - sign_bits),
+                                            fresh[~new] >> trial_shift]), minlength=count)
+    if keys is None:
+        return np.empty(0, dtype=np.int64)
+    keys = np.concatenate([keys, redrawn])
+    keys.sort(kind="stable")  # merges the two sorted runs
+    return keys
+
+
+def decode_rows(keys: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(trial, rows) of packed row keys: rows of signed literals (formulas)
+    or of vertices (hypergraphs), in column-major order, so each column
+    is contiguous."""
+    var_bits, sign_bits, trial_shift = _key_fields(params)
+    rows = np.empty((len(keys), params.r), dtype=np.int64, order="F")
+    for j in range(params.r):
+        rows[:, j] = _variable_bits(keys, params, j) + 1
         if sign_bits:
             rows[:, j] *= 1 - 2 * (keys >> j & 1)
     return keys >> trial_shift, rows
+
+
+def key_codes(keys: np.ndarray, params: ModelParams, literals: bool) -> list[np.ndarray]:
+    """Per column j, a code for the point of each key that no other trial
+    shares: the variable's ``trial * n + v - 1``, or with ``literals`` (a
+    formula's keys) the literal's ``trial * 2n + 2(v - 1) + sign bit``,
+    so that a literal's complement has its code XOR 1."""
+    base = (keys >> _key_fields(params)[2]) * params.n
+    codes = [base + _variable_bits(keys, params, j) for j in range(params.r)]
+    if literals:
+        for j, code in enumerate(codes):
+            code <<= 1
+            code |= keys >> j & 1
+    return codes
+
+
+def sample_batch(params: ModelParams, rng: np.random.Generator,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` independent samples as (trial, rows), sorted by trial,
+    then candidate index: ``decode_rows`` of ``sample_keys``."""
+    return decode_rows(sample_keys(params, rng, count), params)
 
 
 def candidate_indices(rows: np.ndarray, params: ModelParams) -> np.ndarray:

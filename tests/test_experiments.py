@@ -33,7 +33,8 @@ from sparsecore import (
 )
 from sparsecore import experiments
 from sparsecore.predictor import EVENTS
-from sparsecore.reduction import _k_core_batch, _pure_literal_batch
+from sparsecore.reduction import _peel_keys
+from sparsecore.sampling import decode_rows
 from sparsecore.structures import sign_factor
 
 from oracle_utils import (
@@ -274,9 +275,9 @@ def test_exhausted_rate_counts_the_event_test(kind, base):
     event = EVENTS[kind]
     total = 0
     for b, count in experiments._split_batches(config.trials, config.batch_size):
-        trial, items = experiments._batch_items(config, event.model, b, count)
-        alive = (_pure_literal_batch(items, trial, config.n) if event.model == "sat"
-                 else _k_core_batch(items, trial, config.n, config.k))
+        params, keys = experiments._batch_keys(config, event.model, b, count)
+        alive = _peel_keys(keys, params, config.k or 1)
+        trial, items = decode_rows(keys, params)
         cores = experiments._per_owner(trial[alive], items[alive], np.arange(count))
         expected = sum(event.fails(core, config.n, config.k) for core in cores)
         assert expected == sum(event.fails(whole, config.n, config.k)
@@ -452,26 +453,28 @@ def test_key_memo_is_bounded():
 
 def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> Counter:
     """Census tally of one batch with every failing core built densely and
-    keyed, checking ``_classify_core``'s bucket core by core on the way."""
+    keyed, checking on the way, core by core, the order read from the batch
+    arrays and ``_classify_core``'s bucket."""
     model_kind, flag = EVENTS[config.kind][:2]
     catalog = config.catalog
     known, max_order = catalog.by_key(), catalog.max_order()
     shapes = {(e.order, e.size) for e in catalog.entries}
     low = [e.structure for e in catalog.with_flag(flag)
            if config.exclude_below_excess is not None and e.excess < config.exclude_below_excess]
-    trial, items = experiments._batch_items(config, model_kind, batch_index, count)
-    if model_kind == "sat":
-        alive = _pure_literal_batch(items, trial, config.n)
-    else:
-        alive = _k_core_batch(items, trial, config.n, config.k)
+    params, keys = experiments._batch_keys(config, model_kind, batch_index, count)
+    keys = keys[_peel_keys(keys, params, config.k or 1)]
+    trial, items = decode_rows(keys, params)
+    orders = experiments._core_orders(keys, params, count)
     tally = Counter()
-    for core_items in experiments._per_owner(trial[alive], items[alive], np.arange(count)):
+    for owner, core_items in enumerate(experiments._per_owner(trial, items, np.arange(count))):
         if not core_items:
+            assert orders[owner] == 0
             continue
         tally["failures"] += 1
         tally["sanity"] += tally["failures"] % 100 == 1
         dense, _ = induced_formula(Clause(c) for c in core_items) if model_kind == "sat" \
             else induced_hypergraph(core_items)
+        assert orders[owner] == dense.order, core_items
         if low and any(count_copies(b, dense) > 0 for b in low):
             tally["excluded"] += 1
             continue
@@ -480,8 +483,8 @@ def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> 
         else:
             key = canonical_key(dense)
             bucket = key if key in known else None
-        assert experiments._classify_core(model_kind, core_items, max_order, shapes) == bucket, \
-            core_items
+        assert experiments._classify_core(model_kind, core_items, dense.order, max_order,
+                                          shapes) == bucket, core_items
         tally["large" if bucket == "large" else "keyed" if bucket else "other"] += 1
         if bucket not in ("large", None):
             tally[bucket.decode("ascii")] += 1

@@ -13,8 +13,14 @@ from sparsecore import (
     k_core,
     pure_literal_core,
 )
-from sparsecore.reduction import _k_core_batch, _peel_raw, _pure_literal_batch
-from sparsecore.sampling import params_from_alpha, sample_batch, sample_formula, sample_hypergraph
+from sparsecore.reduction import _peel_keys, _peel_raw
+from sparsecore.sampling import (
+    decode_rows,
+    params_from_alpha,
+    sample_formula,
+    sample_hypergraph,
+    sample_keys,
+)
 from sparsecore.solver import proper_coloring
 
 from oracle_utils import count_copies, random_formula, random_hypergraph, random_pure_literal_core
@@ -173,11 +179,9 @@ def _batch_against_raw(kind, n, r, alpha, k=None, trials=400, seed=0):
     """Batched cores equal the per-instance peel's, trial by trial; returns
     the number of nonempty cores."""
     params = params_from_alpha(n, r, alpha, kind)
-    trial, rows = sample_batch(params, np.random.default_rng(seed), trials)
-    if kind == "sat":
-        alive = _pure_literal_batch(rows, trial, n)
-    else:
-        alive = _k_core_batch(rows, trial, n, k)
+    keys = sample_keys(params, np.random.default_rng(seed), trials)
+    alive = _peel_keys(keys, params, 1 if kind == "sat" else k)
+    trial, rows = decode_rows(keys, params)
     bounds = np.searchsorted(trial, np.arange(trials + 1))
     nonempty = 0
     for a, b in zip(bounds, bounds[1:]):
@@ -199,10 +203,9 @@ def test_batched_k_core_matches_per_trial(n, r, k, alpha):
 
 
 def test_batched_reducers_on_an_empty_batch():
-    empty = np.empty((0, 3), dtype=np.int64)
-    owner = np.empty(0, dtype=np.int64)
-    assert _pure_literal_batch(empty, owner, 5).shape == (0,)
-    assert _k_core_batch(empty, owner, 5, 2).shape == (0,)
+    empty = np.empty(0, dtype=np.int64)
+    assert _peel_keys(empty, params_from_alpha(5, 3, 1.0, "sat"), 1).shape == (0,)
+    assert _peel_keys(empty, params_from_alpha(5, 3, 1.0, "hypergraph"), 2).shape == (0,)
 
 
 @pytest.mark.parametrize("kind,n,r,alpha,k,nonempty,digest", [
