@@ -179,8 +179,9 @@ def _batch_items(config: ExperimentConfig, model_kind: str, batch_index: int, co
 def _core_orders(keys: np.ndarray, params, count: int) -> list[int]:
     """Number of distinct variables or vertices in each of ``count`` trials,
     from the packed keys of their rows."""
-    points = np.unique(np.concatenate(key_codes(keys, params, False)))
-    return np.bincount(points // params.n, minlength=count).tolist()
+    seen = np.zeros(count * params.n, dtype=bool)
+    seen[np.concatenate(key_codes(keys, params, False))] = True
+    return seen.reshape(count, params.n).sum(axis=1).tolist()
 
 
 def _per_owner(trial: np.ndarray, rows: np.ndarray, owners: np.ndarray) -> list[list[tuple]]:

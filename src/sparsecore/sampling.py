@@ -141,7 +141,7 @@ def sample_keys(params: ModelParams, rng: np.random.Generator, count: int) -> np
     if max(count - 1, 0).bit_length() + trial_shift > 63:
         raise ValueError(f"{count} samples of {r}-sets of {n} variables overflow int64 keys")
     short = rng.binomial(params.candidate_count, params.p, size=count)
-    keys = redrawn = None
+    keys = redrawn = np.empty(0, dtype=np.int64)
     while (total := int(short.sum())) > 0:
         cols = list(rng.integers(0, n, size=(r, total)))
         for i, j in _sorting_network(r):
@@ -160,16 +160,14 @@ def sample_keys(params: ModelParams, rng: np.random.Generator, count: int) -> np
         fresh.sort()
         new = np.ones(len(fresh), dtype=bool)
         np.not_equal(fresh[1:], fresh[:-1], out=new[1:])
-        if keys is None:
-            keys, redrawn = fresh[new], fresh[:0]
-        else:
-            new &= ~(_in_sorted(fresh, keys) | _in_sorted(fresh, redrawn))
+        new &= ~(_in_sorted(fresh, keys) | _in_sorted(fresh, redrawn))
+        if len(keys):
             redrawn = np.sort(np.concatenate([redrawn, fresh[new]]))
+        else:
+            keys = fresh[new]
         # a trial is short by the rows it lost to a repeated variable or key
         short = np.bincount(np.concatenate([packed[~distinct] >> (trial_shift - sign_bits),
                                             fresh[~new] >> trial_shift]), minlength=count)
-    if keys is None:
-        return np.empty(0, dtype=np.int64)
     keys = np.concatenate([keys, redrawn])
     keys.sort(kind="stable")  # merges the two sorted runs
     return keys
@@ -179,7 +177,7 @@ def decode_rows(keys: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.n
     """(trial, rows) of packed row keys: rows of signed literals (formulas)
     or of vertices (hypergraphs), in column-major order, so each column
     is contiguous."""
-    var_bits, sign_bits, trial_shift = _key_fields(params)
+    _, sign_bits, trial_shift = _key_fields(params)
     rows = np.empty((len(keys), params.r), dtype=np.int64, order="F")
     for j in range(params.r):
         rows[:, j] = _variable_bits(keys, params, j) + 1
