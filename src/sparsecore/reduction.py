@@ -13,13 +13,14 @@ by setting each eliminated literal True, and a proper coloring extends
 because every peeled vertex had at most k-1 live edges when it left.
 The core is relabeled densely; the trace keeps the original labels.
 
-The batched peel (``_peel_union``) finds only the cores of many
+The batched peel (``_peel_keys``) finds only the cores of many
 instances at once: the core of a disjoint union is the union of the
-cores of its parts.  Variable v of instance t gets the direct code
-``t * n + v - 1`` (for literals, twice that plus the sign bit), so no id
-has to be searched for; the count table has a slot for every code, which
-makes memory O(instances * n), within a constant of the item count for
-alpha bounded away from 0.
+cores of its parts.  It reads the rows' codes from the sampler's packed
+keys (``sampling.key_codes``): vertex v of instance t gets the direct
+code ``t * n + v - 1``, a literal twice its variable's code plus its
+sign bit, so no id has to be searched for.  The count table has a slot
+for every code, which makes memory O(instances * n), within a constant
+of the item count for alpha bounded away from 0.
 """
 
 from __future__ import annotations
@@ -224,8 +225,14 @@ def _peel_keys(keys: np.ndarray, params: ModelParams, k: int) -> np.ndarray:
     if not len(keys):
         return alive
     step = params.n << flip  # codes per trial; the last key is in the last trial
-    count = np.bincount(np.concatenate(codes) ^ flip,
-                        minlength=(int(codes[0][-1]) // step + 1) * step)
+    count = np.empty((int(codes[0][-1]) // step + 1) * step, dtype=np.int64)
+
+    def count_partners(codes):  # into the one table: no fresh pages per recount
+        count.fill(0)
+        for code in codes:
+            np.add.at(count, code ^ flip, 1)
+
+    count_partners(codes)
     live = np.arange(len(keys))
     while len(live):
         keep = count[codes[0]] >= k
@@ -236,7 +243,7 @@ def _peel_keys(keys: np.ndarray, params: ModelParams, k: int) -> np.ndarray:
             break
         if 2 * len(kept) < len(live):  # fewer survivors than deaths: count them afresh
             codes = [code[kept] for code in codes]
-            count = np.bincount(np.concatenate(codes) ^ flip, minlength=len(count))
+            count_partners(codes)
         else:
             dead = np.flatnonzero(~keep)
             for code in codes:

@@ -10,9 +10,13 @@ table, so two samples sharing a seed are coupled monotonically across p.
 Above ``DENSE_CANDIDATE_LIMIT`` candidates ``sample_formula`` /
 ``sample_hypergraph`` switch to ``sample_batch``, the O(m) sampler the
 Monte Carlo harness uses at every size: a Binomial count per sample and
-that many distinct uniform candidates, drawn directly as rows of r
-variables (plus sign bits), with no table.  It is equally
-seed-deterministic but not coupled across p.
+that many distinct uniform candidates, drawn directly with no table.  It
+is equally seed-deterministic but not coupled across p.  Its draw,
+``sample_keys``, returns each row as one sorted int64 key (trial, r
+variables, sign bits); ``decode_rows`` turns keys into rows, and
+``key_codes`` reads per-trial variable or literal codes straight from
+the key bits, so the harness peels a batch on its keys and decodes only
+the rows that lie in a core.
 """
 
 from __future__ import annotations
@@ -111,7 +115,9 @@ def _key_fields(params: ModelParams) -> tuple[int, int, int]:
 def _variable_bits(keys: np.ndarray, params: ModelParams, j: int) -> np.ndarray:
     """The variable less one in column j of each key."""
     var_bits, sign_bits, _ = _key_fields(params)
-    return keys >> (sign_bits + (params.r - 1 - j) * var_bits) & ((1 << var_bits) - 1)
+    variables = keys >> (sign_bits + (params.r - 1 - j) * var_bits)
+    variables &= (1 << var_bits) - 1
+    return variables
 
 
 def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
@@ -143,16 +149,22 @@ def sample_keys(params: ModelParams, rng: np.random.Generator, count: int) -> np
     short = rng.binomial(params.candidate_count, params.p, size=count)
     keys = redrawn = np.empty(0, dtype=np.int64)
     while (total := int(short.sum())) > 0:
+        # in place where it can be: a fresh large temporary is page-faulted
+        # again whenever the allocator has handed its memory back
         cols = list(rng.integers(0, n, size=(r, total)))
+        spare = np.empty(total, dtype=np.int64)
         for i, j in _sorting_network(r):
-            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
-        distinct = np.ones(total, dtype=bool)
-        for low, high in zip(cols, cols[1:]):
+            np.minimum(cols[i], cols[j], out=spare)
+            np.maximum(cols[i], cols[j], out=cols[j])
+            cols[i], spare = spare, cols[i]
+        distinct = cols[0] != cols[1]
+        for low, high in zip(cols[1:], cols[2:]):
             distinct &= low != high
         packed = np.repeat(np.arange(count, dtype=np.int64), short)
         for col in cols:
             packed <<= var_bits
             packed |= col
+        del cols, spare
         fresh = packed[distinct]
         if sign_bits:
             fresh <<= sign_bits
@@ -191,12 +203,16 @@ def key_codes(keys: np.ndarray, params: ModelParams, literals: bool) -> list[np.
     shares: the variable's ``trial * n + v - 1``, or with ``literals`` (a
     formula's keys) the literal's ``trial * 2n + 2(v - 1) + sign bit``,
     so that a literal's complement has its code XOR 1."""
-    base = (keys >> _key_fields(params)[2]) * params.n
-    codes = [base + _variable_bits(keys, params, j) for j in range(params.r)]
-    if literals:
-        for j, code in enumerate(codes):
+    base = keys >> _key_fields(params)[2]
+    base *= params.n
+    codes = [_variable_bits(keys, params, j) for j in range(params.r)]
+    for j, code in enumerate(codes):
+        code += base
+        if literals:
             code <<= 1
-            code |= keys >> j & 1
+            sign = keys >> j
+            sign &= 1
+            code |= sign
     return codes
 
 

@@ -20,9 +20,12 @@ from sparsecore.sampling import (
     _candidates,
     _rng,
     candidate_indices,
+    decode_rows,
+    key_codes,
     pure_literal_objective,
     sample_batch,
     sample_indices,
+    sample_keys,
 )
 
 from oracle_utils import candidate_clauses, candidate_edges
@@ -174,6 +177,19 @@ def test_sample_indices_rank_the_batch_rows(n, kind, alpha):
         assert np.array_equal(table[index], rows)
         # the same seed's sample is those rows
         assert sample(params, seed) == build(n, rows.tolist())
+
+
+@pytest.mark.parametrize("n,r,kind,alpha", [(30, 3, "sat", 0.8), (120, 3, "sat", 0.8),
+                                             (40, 2, "hypergraph", 1.5)])
+def test_key_codes_are_the_codes_of_the_decoded_rows(n, r, kind, alpha):
+    params = params_from_alpha(n, r, alpha, kind)
+    keys = sample_keys(params, _rng(4, 0), 300)
+    trial, rows = decode_rows(keys, params)
+    variables = [trial * n + np.abs(rows[:, j]) - 1 for j in range(r)]
+    assert all(map(np.array_equal, key_codes(keys, params, False), variables))
+    if kind == "sat":  # a literal: twice its variable's code, plus 1 when negated
+        literals = [2 * v + (rows[:, j] < 0) for j, v in enumerate(variables)]
+        assert all(map(np.array_equal, key_codes(keys, params, True), literals))
 
 
 class _RestrictedRng:
