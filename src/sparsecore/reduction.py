@@ -124,23 +124,17 @@ def _peel_raw(order: int, items, k: int, signed: bool):
     # count[x] of literal or vertex x; a negative literal wraps to the top half
     count = [0] * (2 * order + 1)
     by_point = [[] for _ in range(order + 1)]
-    if signed:
-        for i, item in enumerate(items):
-            for x in item:
-                count[x] += 1
-                by_point[abs(x)].append(i)
-    else:  # a vertex is its own literal
-        for i, item in enumerate(items):
-            for x in item:
-                count[x] += 1
-                by_point[x].append(i)
+    for i, item in enumerate(items):
+        for x in item:
+            count[x] += 1
+            by_point[abs(x)].append(i)
     alive = [True] * len(items)
     live = range(1, order + 1)
     rounds = []
     while True:
         if signed:
             doomed = [v for v in live if count[v] < k or count[-v] < k]
-        else:
+        else:  # a vertex is its own literal
             doomed = [v for v in live if count[v] < k]
         if not doomed:
             break
