@@ -6,13 +6,17 @@ from SeedSequence(seed, spawn_key=(b,)), so every trial's randomness is a
 deterministic function of (seed, batch size, trial index) and reports are
 identical for any worker count.  A batch is sampled in one O(items) draw
 and reduced as one disjoint union; only trials with a nonempty core
-become Python objects.  Aggregation is pure counting, hence
+become Python objects.  Each batch returns one tally, a Counter of its
+failures, budget hits, census buckets or verdicts, and the run sums the
+tallies once and builds its report from the sum; summing is
 order-independent.  Per-trial solver budget failures are recorded, never
 fatal.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import time
@@ -136,16 +140,17 @@ class ExperimentReport:
 
     def to_csv(self) -> str:
         cfg = ";".join(f"{k}={v}" for k, v in sorted(self.config.items()))
-        lines = ["config,statistic,value"]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")  # quotes the commas of census keys
+        writer.writerow(["config", "statistic", "value"])
         for key, value in self.to_json_dict().items():
             if key == "config":
                 continue
             if isinstance(value, dict):
-                for sub, v in sorted(value.items()):
-                    lines.append(f'"{cfg}",{key}:{sub},{v}')
+                writer.writerows([cfg, f"{key}:{sub}", v] for sub, v in sorted(value.items()))
             else:
-                lines.append(f'"{cfg}",{key},{value}')
-        return "\n".join(lines) + "\n"
+                writer.writerow([cfg, key, value])
+        return out.getvalue()
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -232,56 +237,48 @@ def _holds_low_obstruction(core_items, shapes, event, k) -> bool:
 # ---------------------------------------------------------------------------
 # rate / census engine
 
-def _rate_batch(config: ExperimentConfig, batch_index: int, count: int, census: bool):
+def _rate_batch(config: ExperimentConfig, batch_index: int, count: int,
+                census: bool) -> Counter:
+    """Tally of one batch: "failures" and "budget" hits; for a census also
+    "sanity" checks run and each failing core's bucket: "excluded", "large",
+    "other" or its catalog class's iso key (bytes)."""
     model_kind, flag, core_decides = event = EVENTS[config.kind]
-    signed = MODELS[model_kind].signed
-    failures = budget = 0
-    census_counts: Counter = Counter()
-    other = large = excluded = 0
-    sanity = 0
-    catalog = config.catalog
-    known = catalog.by_key() if (census and catalog) else {}
-    max_order = catalog.max_order() if (census and catalog) else 0
-    shapes = {(e.order, e.size) for e in catalog.entries} if (census and catalog) else set()
-    s = config.exclude_below_excess  # set only for a census, which has a catalog
-    low_shapes = set() if s is None else {
-        (e.order, e.size) for e in catalog.with_flag(flag) if e.excess < s}
+    tally: Counter = Counter()
     params, keys = _batch_keys(config, model_kind, batch_index, count)
     keys = keys[_peel_keys(keys, params, config.k or 1)]
     # only the rows of nonempty cores are decoded, and walked in trial order
     trial, items = decode_rows(keys, params)
     owners = trial[np.diff(trial, prepend=-1) != 0]  # np.unique raised peak RSS by 1 MB
-    orders = _core_orders(keys, params, count) if census else None
+    if census:  # a census always has a catalog
+        catalog, s = config.catalog, config.exclude_below_excess
+        known, max_order = catalog.by_key(), catalog.max_order()
+        shapes = {(e.order, e.size) for e in catalog.entries}
+        low_shapes = set() if s is None else {
+            (e.order, e.size) for e in catalog.with_flag(flag) if e.excess < s}
+        orders = _core_orders(keys, params, count)
     for owner, core_items in zip(owners.tolist(), _per_owner(trial, items, owners)):
         try:
             if not (core_decides or event.fails(core_items, config.n, config.k)):
                 continue
         except BudgetExceededError:
-            budget += 1
+            tally["budget"] += 1
             continue
-        failures += 1
-        if census:
-            if failures % 100 == 1:  # 1% sanity sample: cores really are cores
-                support, rows = dense_relabel(core_items)
-                dense = MODELS[model_kind](len(support), rows)
-                ok = is_full(dense) if signed else is_k_dense(dense, config.k)
-                if not ok:
-                    raise RuntimeError("reduction produced a non-core structure")
-                sanity += 1
-            if low_shapes and _holds_low_obstruction(core_items, low_shapes, event, config.k):
-                excluded += 1
-                continue
-            key = _classify_core(model_kind, core_items, orders[owner], max_order, shapes)
-            if key == "large":
-                large += 1
-            elif key in known:
-                census_counts[key.decode("ascii")] += 1
-            else:
-                other += 1
-    return {
-        "failures": failures, "budget": budget, "census": census_counts,
-        "other": other, "large": large, "excluded": excluded, "sanity": sanity,
-    }
+        tally["failures"] += 1
+        if not census:
+            continue
+        if tally["failures"] % 100 == 1:  # 1% sanity sample: cores really are cores
+            support, rows = dense_relabel(core_items)
+            dense = MODELS[model_kind](len(support), rows)
+            ok = is_full(dense) if MODELS[model_kind].signed else is_k_dense(dense, config.k)
+            if not ok:
+                raise RuntimeError("reduction produced a non-core structure")
+            tally["sanity"] += 1
+        if low_shapes and _holds_low_obstruction(core_items, low_shapes, event, config.k):
+            tally["excluded"] += 1
+            continue
+        key = _classify_core(model_kind, core_items, orders[owner], max_order, shapes)
+        tally[key if key == "large" or key in known else "other"] += 1
+    return tally
 
 
 def _split_batches(trials: int, batch_size: int):
@@ -289,12 +286,14 @@ def _split_batches(trials: int, batch_size: int):
             for b in range((trials + batch_size - 1) // batch_size)]
 
 
-def _run_batches(config: ExperimentConfig, worker, batches):
+def _run_batches(config: ExperimentConfig, worker) -> Counter:
+    """Sum of ``worker``'s tallies over the batches of the run."""
+    batches = _split_batches(config.trials, config.batch_size)
     if config.workers == 1 or len(batches) <= 1:
-        return [worker(config, b, c) for b, c in batches]
+        return sum(itertools.starmap(partial(worker, config), batches), Counter())
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         futures = [pool.submit(worker, config, b, c) for b, c in batches]
-        return [f.result() for f in futures]
+        return sum((f.result() for f in futures), Counter())
 
 
 def _auto_catalog(config: ExperimentConfig) -> Catalog | None:
@@ -336,47 +335,40 @@ def _prediction(config: ExperimentConfig, catalog: Catalog | None):
     return rate, {key.decode("ascii"): float(w) for key, w in dist.weights}, None
 
 
-def _assemble_rate_report(config, results, census: bool, t0: float,
-                          predicted, predicted_census, refused) -> ExperimentReport:
-    failures = sum(r["failures"] for r in results)
-    budget = sum(r["budget"] for r in results)
+def _report(config: ExperimentConfig, tally: Counter, t0: float, failures: int,
+            predicted: float | None = None, **fields) -> ExperimentReport:
+    """The report of a run from its summed tally: the fields every run
+    fills, plus ``fields``."""
     rate = failures / config.trials if config.trials else 0.0
+    return ExperimentReport(
+        format_version=REPORT_FORMAT_VERSION, config=_config_echo(config), trials=config.trials,
+        failures=failures, rate=rate, predicted=predicted,
+        ratio=(rate / predicted) if predicted else None, budget_exceeded=tally["budget"],
+        elapsed_seconds=time.perf_counter() - t0, **fields)
+
+
+def _rate_report(config: ExperimentConfig, census: bool, t0: float,
+                 predicted, predicted_census, refused) -> ExperimentReport:
+    """Run the rate batches and report them, with the census fields when ``census``."""
+    tally = _run_batches(config, partial(_rate_batch, census=census))
+    failures = tally["failures"]
     low, high = wilson_interval(failures, config.trials)
-    report = ExperimentReport(
-        format_version=REPORT_FORMAT_VERSION,
-        config=_config_echo(config),
-        trials=config.trials,
-        failures=failures,
-        rate=rate,
-        wilson_low=low,
-        wilson_high=high,
-        predicted=predicted,
-        ratio=(rate / predicted) if predicted else None,
-        budget_exceeded=budget,
-        elapsed_seconds=time.perf_counter() - t0,
-        catalog_refused=refused,
-    )
+    fields = {}
     if census:
-        counts: Counter = Counter()
-        for r in results:
-            counts.update(r["census"])
-        report.census = dict(sorted(counts.items()))
-        report.other_count = sum(r["other"] for r in results)
-        report.large_core_count = sum(r["large"] for r in results)
-        report.census_excluded = sum(r["excluded"] for r in results)
-        report.sanity_checks = sum(r["sanity"] for r in results)
-        report.predicted_census = predicted_census
-        classified = failures - report.census_excluded
+        classes = dict(sorted((k.decode("ascii"), v) for k, v in tally.items()
+                              if isinstance(k, bytes)))
+        fields = dict(census=classes, other_count=tally["other"],
+                      large_core_count=tally["large"], census_excluded=tally["excluded"],
+                      sanity_checks=tally["sanity"], predicted_census=predicted_census)
+        classified = failures - tally["excluded"]
         if classified > 0 and predicted_census is not None:
-            emp = {k: v / classified for k, v in counts.items()}
-            emp["__other__"] = (report.other_count + report.large_core_count) / classified
-            pred = dict(predicted_census)
-            pred["__other__"] = 0.0
-            keys = set(emp) | set(pred)
-            report.tv_distance = 0.5 * math.fsum(
-                abs(emp.get(k, 0.0) - pred.get(k, 0.0)) for k in sorted(keys)
-            )
-    return report
+            # fsum rounds the exact sum once, so the terms' order does not matter
+            terms = [abs(classes.get(k, 0) / classified - predicted_census.get(k, 0.0))
+                     for k in classes.keys() | predicted_census.keys()]
+            terms.append((tally["other"] + tally["large"]) / classified)
+            fields["tv_distance"] = 0.5 * math.fsum(terms)
+    return _report(config, tally, t0, failures, predicted, wilson_low=low, wilson_high=high,
+                   catalog_refused=refused, **fields)
 
 
 def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
@@ -388,9 +380,7 @@ def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
         prediction = _prediction(config, config.catalog or _auto_catalog(config))
     except BudgetExceededError as exc:  # the rate needs no catalog; only its prediction does
         prediction = None, None, str(exc)
-    results = _run_batches(config, partial(_rate_batch, census=False),
-                           _split_batches(config.trials, config.batch_size))
-    return _assemble_rate_report(config, results, False, t0, *prediction)
+    return _rate_report(config, False, t0, *prediction)
 
 
 def run_core_census(config: ExperimentConfig) -> ExperimentReport:
@@ -405,10 +395,7 @@ def run_core_census(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"excluding cores below excess {s} needs a complete catalog "
                          f"through excess {s - 1}")
     t0 = time.perf_counter()
-    prediction = _prediction(config, config.catalog)
-    results = _run_batches(config, partial(_rate_batch, census=True),
-                           _split_batches(config.trials, config.batch_size))
-    return _assemble_rate_report(config, results, True, t0, *prediction)
+    return _rate_report(config, True, t0, *_prediction(config, config.catalog))
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +477,11 @@ def _witness_in_input(verdict, items) -> bool:
                for cl in verdict.muf.clauses)
 
 
-def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
+def _validate_batch(config: ExperimentConfig, batch_index: int, count: int) -> Counter:
+    """Tally of one batch: solver verdicts that "agree" with the oracle or
+    are a "mismatch", "witness_bad" among the latter, and "budget" hits."""
     model_kind = VALIDATE_KINDS[config.kind]
-    agree = mismatch = witness_bad = budget = 0
+    tally: Counter = Counter()
     trial, rows = _batch_items(config, model_kind, batch_index, count)
     for items in _per_owner(trial, rows, np.arange(count)):
         try:
@@ -505,24 +494,20 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int):
                     verdict.max_satisfied == oracle_max
                 if verdict.status == "UNSAT" and not (
                         is_muf(verdict.muf) and _witness_in_input(verdict, items)):
-                    witness_bad += 1
+                    tally["witness_bad"] += 1
                     ok = False
             else:
                 verdict = _decide_colorable(config.n, sorted(items), config.k, COLORING_BUDGET)
                 ok = verdict.colorable == _oracle_colorable(items, config.n, config.k)
                 if not verdict.colorable and not is_min_non_k_colorable(
                         verdict.obstruction, config.k):
-                    witness_bad += 1
+                    tally["witness_bad"] += 1
                     ok = False
         except BudgetExceededError:
-            budget += 1
+            tally["budget"] += 1
             continue
-        if ok:
-            agree += 1
-        else:
-            mismatch += 1
-    return {"agree": agree, "mismatch": mismatch, "witness_bad": witness_bad,
-            "budget": budget}
+        tally["agree" if ok else "mismatch"] += 1
+    return tally
 
 
 def run_solver_validation(config: ExperimentConfig) -> ExperimentReport:
@@ -541,26 +526,8 @@ def run_solver_validation(config: ExperimentConfig) -> ExperimentReport:
     if config.kind == "coloring" and config.n > _COLOR_ORACLE_MAX_N:
         raise ValueError(f"coloring oracle capped at n <= {_COLOR_ORACLE_MAX_N}")
     t0 = time.perf_counter()
-    results = _run_batches(config, _validate_batch,
-                           _split_batches(config.trials, config.batch_size))
-    agree = sum(r["agree"] for r in results)
-    mismatch = sum(r["mismatch"] for r in results)
-    budget = sum(r["budget"] for r in results)
-    witness_bad = sum(r["witness_bad"] for r in results)
-    compared = agree + mismatch
-    return ExperimentReport(
-        format_version=REPORT_FORMAT_VERSION,
-        config=_config_echo(config),
-        trials=config.trials,
-        failures=mismatch,
-        rate=mismatch / config.trials if config.trials else 0.0,
-        wilson_low=0.0,
-        wilson_high=0.0,
-        predicted=None,
-        ratio=None,
-        budget_exceeded=budget,
-        elapsed_seconds=time.perf_counter() - t0,
-        agreement_rate=(agree / compared) if compared else None,
-        mismatches=mismatch,
-        witness_failures=witness_bad,
-    )
+    tally = _run_batches(config, _validate_batch)
+    compared = tally["agree"] + tally["mismatch"]
+    return _report(config, tally, t0, tally["mismatch"], wilson_low=0.0, wilson_high=0.0,
+                   agreement_rate=(tally["agree"] / compared) if compared else None,
+                   mismatches=tally["mismatch"], witness_failures=tally["witness_bad"])
