@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
+from . import __version__, solver
 from .catalog import (
     enumerate_full,
     enumerate_k_dense,
@@ -39,7 +39,7 @@ from .sampling import (
     sample_formula,
     sample_hypergraph,
 )
-from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, decide_colorable, decide_sat
+from .solver import decide_colorable, decide_sat
 from .structures import (
     MODELS,
     BudgetExceededError,
@@ -133,7 +133,8 @@ def _cmd_solve(args) -> int:
     try:
         if args.kind == "sat":
             formula = from_dimacs(text)
-            verdict = decide_sat(formula, SAT_CORE_BUDGET if args.budget is None else args.budget)
+            verdict = decide_sat(
+                formula, solver.SAT_CORE_BUDGET if args.budget is None else args.budget)
             if verdict.status == "SAT":
                 print("s SATISFIABLE")
                 lits = [v if val else -v for v, val in enumerate(verdict.assignment, start=1)]
@@ -148,7 +149,7 @@ def _cmd_solve(args) -> int:
             return 20
         graph, _ = from_edge_list(text)
         verdict = decide_colorable(
-            graph, k, COLORING_BUDGET if args.budget is None else args.budget)
+            graph, k, solver.COLORING_BUDGET if args.budget is None else args.budget)
         if verdict.colorable:
             print("s COLORABLE")
             for v, c in enumerate(verdict.coloring, start=1):

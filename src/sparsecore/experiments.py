@@ -11,11 +11,17 @@ failures, budget hits, census buckets or verdicts, and the run sums the
 tallies once and builds its report from the sum; summing is
 order-independent.  Per-trial solver budget failures are recorded, never
 fatal.
+
+Every process that runs batches asks glibc to keep the heap pages it frees
+(``_keep_freed_pages``), so a batch's temporaries reuse the pages of the
+batch before instead of faulting fresh ones; the process may hold up to
+64 MiB of freed heap.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import itertools
 import math
@@ -24,7 +30,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -48,7 +54,8 @@ from .structures import (
     is_full,
     is_k_dense,
 )
-from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _decide_colorable, _decide_sat
+from . import solver
+from .solver import _decide_colorable, _decide_sat
 
 REPORT_FORMAT_VERSION = 1
 
@@ -156,7 +163,7 @@ class ExperimentReport:
 def _config_echo(config: ExperimentConfig) -> dict:
     d = {f: getattr(config, f) for f in (
         "kind", "n", "r", "alpha", "trials", "seed", "k", "workers", "batch_size")}
-    d.update(sat_core_budget=SAT_CORE_BUDGET, coloring_budget=COLORING_BUDGET,
+    d.update(sat_core_budget=solver.SAT_CORE_BUDGET, coloring_budget=solver.COLORING_BUDGET,
              exclude_below_excess=config.exclude_below_excess)
     d["catalog"] = None if config.catalog is None else (
         f"{config.catalog.kind} r={config.catalog.r} k={config.catalog.k} "
@@ -286,12 +293,30 @@ def _split_batches(trials: int, batch_size: int):
             for b in range((trials + batch_size - 1) // batch_size)]
 
 
+@cache
+def _keep_freed_pages() -> None:
+    """Let glibc keep up to 64 MiB of freed heap instead of returning it to
+    the system, and serve blocks up to 32 MiB (its own dynamic ceiling on
+    64-bit) from that heap, so each batch's temporaries reuse the last
+    batch's pages.  Both settings are needed: setting either one stops
+    glibc from adjusting the other.  A no-op where libc has no ``mallopt``;
+    reports do not depend on it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no libc handle, or no mallopt
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _run_batches(config: ExperimentConfig, worker) -> Counter:
     """Sum of ``worker``'s tallies over the batches of the run."""
     batches = _split_batches(config.trials, config.batch_size)
     if config.workers == 1 or len(batches) <= 1:
+        _keep_freed_pages()
         return sum(itertools.starmap(partial(worker, config), batches), Counter())
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(max_workers=config.workers,
+                             initializer=_keep_freed_pages) as pool:
         futures = [pool.submit(worker, config, b, c) for b, c in batches]
         return sum((f.result() for f in futures), Counter())
 
@@ -487,7 +512,7 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int) -> C
         try:
             # sorted rows are the order of sorted_clauses() / sorted_edges()
             if config.kind == "sat":
-                verdict = _decide_sat(config.n, sorted(items), SAT_CORE_BUDGET)
+                verdict = _decide_sat(config.n, sorted(items), solver.SAT_CORE_BUDGET)
                 oracle_max = _oracle_max_sat(items, config.n)
                 oracle_sat = oracle_max == len(items)
                 ok = (verdict.status == "SAT") == oracle_sat and \
@@ -497,7 +522,8 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int) -> C
                     tally["witness_bad"] += 1
                     ok = False
             else:
-                verdict = _decide_colorable(config.n, sorted(items), config.k, COLORING_BUDGET)
+                verdict = _decide_colorable(config.n, sorted(items), config.k,
+                                            solver.COLORING_BUDGET)
                 ok = verdict.colorable == _oracle_colorable(items, config.n, config.k)
                 if not verdict.colorable and not is_min_non_k_colorable(
                         verdict.obstruction, config.k):

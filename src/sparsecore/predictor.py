@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .isomorph import automorphism_count
-from .solver import COLORING_BUDGET, SAT_CORE_BUDGET, _core_fails
+from . import solver
+from .solver import _core_fails
 from .structures import MODELS, is_full, is_k_dense, sign_factor
 
 if TYPE_CHECKING:
@@ -39,11 +40,14 @@ class Event(NamedTuple):
 
     def fails(self, items, order: int, k) -> bool:
         """The failure test on int-tuple items over 1..order: a nonempty
-        core, exhausted unless ``core_decides``, within the solver's default
-        budgets, which no catalog entry (order <= r*s/(r-2)) comes near."""
+        core, exhausted unless ``core_decides``, within the solver's budgets
+        as they stand at the call, which no catalog entry (order <= r*s/(r-2))
+        comes near by default."""
         if MODELS[self.model].signed:
-            return _core_fails(items, order, 1, True, not self.core_decides, SAT_CORE_BUDGET)
-        return _core_fails(items, order, k, False, not self.core_decides, COLORING_BUDGET)
+            return _core_fails(items, order, 1, True, not self.core_decides,
+                               solver.SAT_CORE_BUDGET)
+        return _core_fails(items, order, k, False, not self.core_decides,
+                           solver.COLORING_BUDGET)
 
 
 # The event table, in report order.

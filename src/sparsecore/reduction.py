@@ -221,7 +221,7 @@ def _peel_keys(keys: np.ndarray, params: ModelParams, k: int) -> np.ndarray:
     step = params.n << flip  # codes per trial; the last key is in the last trial
     count = np.empty((int(codes[0][-1]) // step + 1) * step, dtype=np.int64)
 
-    def count_partners(codes):  # into the one table: no fresh pages per recount
+    def count_partners(codes):  # into the one table: a recount never holds two
         count.fill(0)
         for code in codes:
             np.add.at(count, code ^ flip, 1)

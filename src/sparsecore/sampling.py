@@ -149,8 +149,8 @@ def sample_keys(params: ModelParams, rng: np.random.Generator, count: int) -> np
     short = rng.binomial(params.candidate_count, params.p, size=count)
     keys = redrawn = np.empty(0, dtype=np.int64)
     while (total := int(short.sum())) > 0:
-        # in place where it can be: a fresh large temporary is page-faulted
-        # again whenever the allocator has handed its memory back
+        # the network runs in place with one spare column: a fresh column per
+        # compare-exchange would add a pass of memory traffic over the draw
         cols = list(rng.integers(0, n, size=(r, total)))
         spare = np.empty(total, dtype=np.int64)
         for i, j in _sorting_network(r):

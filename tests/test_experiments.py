@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import hashlib
 import io
 import itertools
@@ -218,9 +219,9 @@ REPORT_PINS = [
     (run_core_census, dict(kind="noncolorable", n=12, r=2, k=3, alpha=3.0, trials=400, seed=5),
      {}, "bc5292e2cbd9ee4c"),
     (run_core_census, dict(kind="noncolorable", n=12, r=2, k=3, alpha=3.0, trials=400, seed=5),
-     {"sparsecore.predictor.COLORING_BUDGET": 3 ** 8}, "96faf5db0e5b8fd3"),
+     {"sparsecore.solver.COLORING_BUDGET": 3 ** 8}, "cce8d61e3ebd020b"),
     (run_solver_validation, dict(kind="sat", n=15, r=3, alpha=3.0, trials=100, seed=8),
-     {"sparsecore.experiments.SAT_CORE_BUDGET": 13}, "8c357e72f13c6e47"),
+     {"sparsecore.solver.SAT_CORE_BUDGET": 13}, "8c357e72f13c6e47"),
 ]
 
 
@@ -235,9 +236,53 @@ def test_fixed_seed_reports_are_pinned(run, params, budgets, digest, full_catalo
     catalog = None
     if run is run_core_census:
         catalog = {"pl-fail": full_catalog_r3, "kcore": dense_catalog_k3}.get(params["kind"])
-    data = run(ExperimentConfig(**params, catalog=catalog)).to_json_dict()
+    assert _pin_digest(run(ExperimentConfig(**params, catalog=catalog))) == digest
+
+
+def _pin_digest(report) -> str:
+    data = report.to_json_dict()
     data.pop("elapsed_seconds")
-    assert hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16] == digest
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_repeated_batches_fault_no_fresh_pages():
+    """The harness keeps freed heap pages, so an identical run reuses the
+    pages of the one before: each repeat faulted about 10,600 pages when
+    glibc trimmed them between batches."""
+    resource = pytest.importorskip("resource")
+    config = ExperimentConfig(kind="pl-fail", n=120, r=3, alpha=0.8, trials=2 * 4096, seed=7)
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_failure_probability(config)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "without-mallopt"])
+def test_allocator_setting_never_raises(libc, dense_catalog_k3, monkeypatch):
+    calls = []
+
+    def fake_cdll(name, *args, **kwargs):
+        calls.append(name)
+        if libc == "unloadable":
+            raise OSError("no libc")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    experiments._keep_freed_pages.cache_clear()
+    try:
+        run, params, _, digest = REPORT_PINS[1]  # census-kcore
+        report = run(ExperimentConfig(**params, catalog=dense_catalog_k3))
+    finally:
+        experiments._keep_freed_pages.cache_clear()
+    assert calls and _pin_digest(report) == digest
 
 
 @pytest.mark.parametrize("kind, r, k", [("pl-fail", 3, None), ("pl-fail", 4, None),
