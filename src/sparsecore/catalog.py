@@ -33,7 +33,7 @@ from pathlib import Path
 from . import isomorph
 from .predictor import EVENTS
 from .sampling import _candidates
-from .solver import check_coloring_budget, check_sat_budget, least_coloring, least_satisfying
+from .solver import check_budget, least_coloring, least_satisfying
 from .structures import MODELS, Formula, Hypergraph
 
 CATALOG_FORMAT_VERSION = 1
@@ -116,7 +116,10 @@ class Catalog:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Catalog":
-        """The catalog of ``to_json_dict``; a missing field raises ValueError."""
+        """The catalog of ``to_json_dict``; a missing field or a malformed
+        record raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"catalog is a JSON {type(data).__name__}, not an object")
         if data.get("format_version") != CATALOG_FORMAT_VERSION:
             raise ValueError(f"unsupported catalog format {data.get('format_version')}")
         try:
@@ -133,6 +136,8 @@ class Catalog:
                        complete=data["complete"], entries=entries)
         except KeyError as exc:
             raise ValueError(f"catalog lacks field {exc.args[0]!r}") from None
+        except (TypeError, AttributeError) as exc:  # a field of the wrong type
+            raise ValueError(f"malformed catalog record ({exc})") from None
 
 
 def save_catalog(catalog: Catalog, path) -> None:
@@ -158,26 +163,26 @@ def _minimal_failing(items: list, fails) -> bool:
 
 def classify_sat(formula: Formula) -> bool:
     """Satisfiability by exhausting all 2^order assignments."""
-    check_sat_budget(formula.order)
+    check_budget(formula.order, 1, True)
     return least_satisfying(formula.rows(), formula.order) is not None
 
 
 def is_muf(formula: Formula) -> bool:
     """Unsatisfiable, each clause-deleted subformula satisfiable, no unused variables."""
-    check_sat_budget(formula.order)
+    check_budget(formula.order, 1, True)
     return len(formula.support) == formula.order and _minimal_failing(
         formula.rows(), lambda cs: least_satisfying(cs, formula.order) is None)
 
 
 def classify_colorable(graph: Hypergraph, k: int) -> bool:
     """Weak k-colorability (no monochromatic edge) over all k^order colorings."""
-    check_coloring_budget(k, graph.order)
+    check_budget(graph.order, k, False)
     return least_coloring(graph.rows(), graph.order, k) is not None
 
 
 def is_min_non_k_colorable(graph: Hypergraph, k: int) -> bool:
     """Non-colorable, each edge-deleted subhypergraph colorable, no isolated vertices."""
-    check_coloring_budget(k, graph.order)
+    check_budget(graph.order, k, False)
     return len(graph.support) == graph.order and _minimal_failing(
         graph.rows(), lambda es: least_coloring(es, graph.order, k) is None)
 

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, solver
+from . import __version__
 from .catalog import (
     enumerate_full,
     enumerate_k_dense,
@@ -117,10 +117,10 @@ def _cmd_predict(args) -> int:
     if (args.n is None) != (args.alpha is None):
         raise ValueError("--n and --alpha go together")
     expansion = failure_expansion(load_catalog(args.catalog), args.event, args.smax)
+    value = None if args.n is None else expansion.evaluate(args.n, Fraction(args.alpha))
     for s in range(1, args.smax + 1):
         print(f"p_{s}(a) = {expansion.terms[s]!r}")
-    if args.n is not None:
-        value = expansion.evaluate(args.n, Fraction(args.alpha))
+    if value is not None:
         print(f"evaluated at n={args.n}, alpha={args.alpha}: {float(value):.6e}")
     if args.json:
         Path(args.json).write_text(json.dumps(expansion.to_json_dict(), indent=1) + "\n")
@@ -133,8 +133,7 @@ def _cmd_solve(args) -> int:
     try:
         if args.kind == "sat":
             formula = from_dimacs(text)
-            verdict = decide_sat(
-                formula, solver.SAT_CORE_BUDGET if args.budget is None else args.budget)
+            verdict = decide_sat(formula, args.budget)
             if verdict.status == "SAT":
                 print("s SATISFIABLE")
                 lits = [v if val else -v for v, val in enumerate(verdict.assignment, start=1)]
@@ -148,8 +147,7 @@ def _cmd_solve(args) -> int:
                 sys.stdout.write(to_dimacs(verdict.muf))
             return 20
         graph, _ = from_edge_list(text)
-        verdict = decide_colorable(
-            graph, k, solver.COLORING_BUDGET if args.budget is None else args.budget)
+        verdict = decide_colorable(graph, k, args.budget)
         if verdict.colorable:
             print("s COLORABLE")
             for v, c in enumerate(verdict.coloring, start=1):

@@ -512,7 +512,7 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int) -> C
         try:
             # sorted rows are the order of sorted_clauses() / sorted_edges()
             if config.kind == "sat":
-                verdict = _decide_sat(config.n, sorted(items), solver.SAT_CORE_BUDGET)
+                verdict = _decide_sat(config.n, sorted(items))
                 oracle_max = _oracle_max_sat(items, config.n)
                 oracle_sat = oracle_max == len(items)
                 ok = (verdict.status == "SAT") == oracle_sat and \
@@ -522,8 +522,7 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int) -> C
                     tally["witness_bad"] += 1
                     ok = False
             else:
-                verdict = _decide_colorable(config.n, sorted(items), config.k,
-                                            solver.COLORING_BUDGET)
+                verdict = _decide_colorable(config.n, sorted(items), config.k)
                 ok = verdict.colorable == _oracle_colorable(items, config.n, config.k)
                 if not verdict.colorable and not is_min_non_k_colorable(
                         verdict.obstruction, config.k):

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .isomorph import automorphism_count
-from . import solver
 from .solver import _core_fails
 from .structures import MODELS, is_full, is_k_dense, sign_factor
 
@@ -43,11 +42,7 @@ class Event(NamedTuple):
         core, exhausted unless ``core_decides``, within the solver's budgets
         as they stand at the call, which no catalog entry (order <= r*s/(r-2))
         comes near by default."""
-        if MODELS[self.model].signed:
-            return _core_fails(items, order, 1, True, not self.core_decides,
-                               solver.SAT_CORE_BUDGET)
-        return _core_fails(items, order, k, False, not self.core_decides,
-                           solver.COLORING_BUDGET)
+        return _core_fails(items, order, k or 1, MODELS[self.model].signed, not self.core_decides)
 
 
 # The event table, in report order.
@@ -213,6 +208,8 @@ class ExpansionPolynomial:
     validity: str
 
     def evaluate(self, n: int, alpha) -> Fraction | float:
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         exact = isinstance(alpha, (int, Fraction))
         total = Fraction(0) if exact else 0.0
         for s, poly in self.terms.items():

@@ -29,19 +29,22 @@ from .reduction import _k_core_trace, _peel_raw, _pure_literal_trace
 _CHUNK = 1 << 16
 
 SAT_CORE_BUDGET = 28  # largest core order t whose 2^t assignments are scanned
-COLORING_BUDGET = 300_000_000  # most k^t colorings scanned
+COLORING_BUDGET = 300_000_000  # most min(k, t)^t colorings scanned
 
 
-def check_sat_budget(t: int, budget: int = SAT_CORE_BUDGET) -> None:
-    """Raise BudgetExceededError unless order ``t`` is at most ``budget``."""
-    if t > budget:
-        raise BudgetExceededError(f"core order {t} exceeds budget {budget}")
-
-
-def check_coloring_budget(k: int, t: int, budget: int = COLORING_BUDGET) -> None:
-    """Raise BudgetExceededError unless k^t colorings are at most ``budget``."""
-    if k ** t > budget:
-        raise BudgetExceededError(f"{k}^{t} colorings exceed budget {budget}")
+def check_budget(t: int, k: int, signed: bool, budget: int | None = None) -> None:
+    """Raise BudgetExceededError unless exhausting a core of order ``t`` is
+    within ``budget``: its order for satisfiability (``signed``), the
+    min(k, t)^t colorings ``least_coloring`` scans for k-colorability.
+    ``None`` is SAT_CORE_BUDGET / COLORING_BUDGET as they stand at the call."""
+    if signed:
+        budget = SAT_CORE_BUDGET if budget is None else budget
+        if t > budget:
+            raise BudgetExceededError(f"core order {t} exceeds budget {budget}")
+    else:
+        budget = COLORING_BUDGET if budget is None else budget
+        if min(k, t) ** t > budget:
+            raise BudgetExceededError(f"{min(k, t)}^{t} colorings exceed budget {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +199,23 @@ class SatVerdict:
     core_size: int
 
 
-def decide_sat(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> SatVerdict:
+def decide_sat(formula: Formula, core_budget: int | None = None) -> SatVerdict:
     """Pure-literal reduction, then exhaustion of the core.
 
     MaxSAT decomposes: clauses removed by the trace are all satisfied once
     their pure literals are set True, so the optimum is (removed clauses)
-    + MaxSAT(core).  A core larger than ``core_budget`` raises
-    BudgetExceededError; the answer is never guessed.
+    + MaxSAT(core).  A core larger than ``core_budget`` (``None``:
+    SAT_CORE_BUDGET at the call) raises BudgetExceededError; the answer is
+    never guessed.
     """
     return _decide_sat(formula.order, formula.rows(), core_budget)
 
 
-def _decide_sat(order: int, clauses: list, core_budget: int) -> SatVerdict:
+def _decide_sat(order: int, clauses: list, core_budget: int | None = None) -> SatVerdict:
     """``decide_sat`` on distinct sorted literal tuples over 1..order."""
     core, trace = _pure_literal_trace(order, clauses)
     t = len(trace.core_variables)
-    check_sat_budget(t, core_budget)
+    check_budget(t, 1, True, core_budget)
     a = least_satisfying(core, t)
     max_sat = len(clauses)
     if a is None:
@@ -222,47 +226,48 @@ def _decide_sat(order: int, clauses: list, core_budget: int) -> SatVerdict:
         raise RuntimeError("lifted assignment fails verification")
     if max_sat == len(clauses):
         return SatVerdict("SAT", assignment, max_sat, None, None, t, len(core))
-    support, muf = dense_relabel(
-        _minimal(core, lambda kept: _core_fails(kept, t, 1, True, True, core_budget)))
+    support, muf = _minimal_witness(core, t, 1, True, core_budget)
     muf_vars = tuple(trace.core_variables[v - 1] for v in support)
     return SatVerdict("UNSAT", assignment, max_sat, Formula(len(support), muf), muf_vars,
                       t, len(core))
 
 
-def _minimal(items: list, still_fails) -> list:
-    """Deletion-based minimization (Marques-Silva, ISMVL 2010): delete the
-    items one at a time, in order, keeping each deletion after which
-    ``still_fails`` holds.  For a monotone property of a failing input,
+def _minimal_witness(items: list, order: int, k: int, signed: bool,
+                     budget: int | None) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """``dense_relabel`` of a minimal failing subset of failing ``items``
+    over 1..order, by deletion (Marques-Silva, ISMVL 2010): delete the items
+    one at a time, in order, keeping each deletion after which the rest
+    still fails ``_core_fails``.  That check is monotone in the items, so
     the result fails and no single-item deletion of it does."""
     kept = list(items)
     i = 0
     while i < len(kept):
         trial = kept[:i] + kept[i + 1:]
-        if still_fails(trial):
+        if _core_fails(trial, order, k, signed, True, budget):
             kept = trial
         else:
             i += 1
-    return kept
+    return dense_relabel(kept)
 
 
-def _core_fails(items, order: int, k: int, signed: bool, exhaust: bool, budget: int) -> bool:
+def _core_fails(items, order: int, k: int, signed: bool, exhaust: bool,
+                budget: int | None = None) -> bool:
     """The core of ``items`` over 1..order is nonempty and, if ``exhaust``,
-    has no satisfying assignment (``signed``, k = 1; ``budget`` caps its
-    order) or no proper k-coloring (``budget`` caps k^t).  Monotone in the
-    items; a core past the budget raises BudgetExceededError."""
+    has no satisfying assignment (``signed``, k = 1) or no proper
+    k-coloring.  Monotone in the items; a core past ``check_budget`` raises
+    BudgetExceededError."""
     core_idx, _, _ = _peel_raw(order, items, k, signed)
     if not (core_idx and exhaust):
         return bool(core_idx)
     support, core = dense_relabel([items[i] for i in core_idx])
     t = len(support)
+    check_budget(t, k, signed, budget)
     if signed:
-        check_sat_budget(t, budget)
         return least_satisfying(core, t) is None
-    check_coloring_budget(k, t, budget)
     return least_coloring(core, t, k) is None
 
 
-def extract_muf(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> Formula:
+def extract_muf(formula: Formula, core_budget: int | None = None) -> Formula:
     """Deletion-minimal unsatisfiable subformula, unused variables dropped.
 
     The result is unsatisfiable and every single-clause deletion of it is
@@ -270,10 +275,9 @@ def extract_muf(formula: Formula, core_budget: int = SAT_CORE_BUDGET) -> Formula
     plus exhaustion, so each of the O(size) checks touches only a core.
     """
     clauses = formula.rows()
-    unsat = lambda kept: _core_fails(kept, formula.order, 1, True, True, core_budget)
-    if not unsat(clauses):
+    if not _core_fails(clauses, formula.order, 1, True, True, core_budget):
         raise ValueError("input formula is satisfiable; no MUF exists")
-    support, muf = dense_relabel(_minimal(clauses, unsat))
+    support, muf = _minimal_witness(clauses, formula.order, 1, True, core_budget)
     return Formula(len(support), muf)
 
 
@@ -291,29 +295,31 @@ class ColorVerdict:
 
 
 def decide_colorable(graph: Hypergraph, k: int,
-                     coloring_budget: int = COLORING_BUDGET) -> ColorVerdict:
+                     coloring_budget: int | None = None) -> ColorVerdict:
     """k-core reduction, then exhaustion of the core's k^t colorings.
 
     A graph is k-colorable iff its k-core is, and a coloring of the core
     extends greedily through the peel trace.  A non-colorable core is
     minimized edge-by-edge into a minimal non-k-colorable obstruction.
+    ``coloring_budget`` (``None``: COLORING_BUDGET at the call) caps the
+    colorings scanned.
     """
     return _decide_colorable(graph.order, graph.rows(), k, coloring_budget)
 
 
-def _decide_colorable(order: int, edges: list, k: int, coloring_budget: int) -> ColorVerdict:
+def _decide_colorable(order: int, edges: list, k: int,
+                      coloring_budget: int | None = None) -> ColorVerdict:
     """``decide_colorable`` on distinct sorted edge tuples over 1..order."""
     core, trace = _k_core_trace(order, edges, k)
     t = len(trace.core_vertices)
-    check_coloring_budget(k, t, coloring_budget)
+    check_budget(t, k, False, coloring_budget)
     col = least_coloring(core, t, k)
     if col is not None:
         full = trace.extend_coloring(col)
         if not _is_proper(edges, full):
             raise RuntimeError("lifted coloring fails verification")
         return ColorVerdict(True, full, None, None, t, len(core))
-    support, obstruction = dense_relabel(
-        _minimal(core, lambda kept: _core_fails(kept, t, k, False, True, coloring_budget)))
+    support, obstruction = _minimal_witness(core, t, k, False, coloring_budget)
     original = tuple(trace.core_vertices[v - 1] for v in support)
     return ColorVerdict(False, None, Hypergraph(len(support), obstruction), original,
                         t, len(core))

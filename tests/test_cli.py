@@ -108,15 +108,21 @@ def test_catalog_and_predict_report_invalid_parameters_in_one_line(tmp_path, cap
 
 NO_ITEMS_ENTRY = {"order": 3, "size": 2, "excess": 1, "aut_count": 48, "iso_key": "x",
                   "flags": {}}
+SAT_CATALOG = {"format_version": 1, "kind": "sat", "r": 3, "k": None, "max_excess": 1,
+               "order_cap": 3, "size_cap": 2, "complete": True, "entries": []}
 INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
                "graph": "3 2 2\n1 2\n2 3\n",
                "no_kind": json.dumps({"format_version": 1, "entries": []}),
                "no_items": json.dumps({"format_version": 1, "kind": "sat",
                                        "entries": [NO_ITEMS_ENTRY]}),
                "cnf": "p cnf 3 1\n1 2 3 0\n",
-               "catalog": json.dumps({"format_version": 1, "kind": "sat", "r": 3, "k": None,
-                                      "max_excess": 1, "order_cap": 3, "size_cap": 2,
-                                      "complete": True, "entries": []})}
+               "catalog": json.dumps(SAT_CATALOG),
+               "unknown_flag": json.dumps({**SAT_CATALOG, "entries": [
+                   {**NO_ITEMS_ENTRY, "clauses": [[1, 2, 3], [-1, -2, -3]],
+                    "flags": {"is_bogus": True}}]}),
+               "clauses_not_list": json.dumps({**SAT_CATALOG, "entries": [
+                   {**NO_ITEMS_ENTRY, "clauses": 5}]}),
+               "array": json.dumps([SAT_CATALOG])}
 
 
 @pytest.mark.parametrize("argv", [
@@ -144,11 +150,18 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
      "--json", "{out}"),
     ("predict", "--catalog", "{catalog}", "--event", "pl-fail", "--smax", "1", "--alpha",
      "0.5", "--json", "{out}"),
+    ("predict", "--catalog", "{unknown_flag}", "--event", "pl-fail", "--smax", "1"),
+    ("mc", "rate", "--kind", "pl-fail", "--n", "10", "--r", "3", "--alpha", "0.5",
+     "--trials", "10", "--seed", "1", "--catalog", "{clauses_not_list}"),
+    ("predict", "--catalog", "{array}", "--event", "pl-fail", "--smax", "1"),
+    ("predict", "--catalog", "{catalog}", "--event", "pl-fail", "--smax", "1", "--n", "0",
+     "--alpha", "0.5", "--json", "{out}"),
 ], ids=["threshold-r2", "sample-p-above-1", "core-miscounted-header", "core-missing-file",
         "solve-miscounted-header", "mc-catalog-not-json", "catalog-no-k", "core-no-k",
         "solve-no-k", "mc-catalog-no-kind", "predict-catalog-no-items", "mc-rate-k-zero",
         "mc-validate-k-zero", "core-sat-k", "solve-sat-k", "catalog-sat-k", "predict-n-only",
-        "predict-alpha-only"])
+        "predict-alpha-only", "predict-catalog-unknown-flag", "mc-catalog-clauses-not-list",
+        "predict-catalog-array", "predict-n-zero"])
 def test_invalid_input_is_reported_in_one_line(tmp_path, capsys, argv):
     paths = {name: str(tmp_path / name) for name in (*INPUT_FILES, "missing", "out")}
     for name, text in INPUT_FILES.items():

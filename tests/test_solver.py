@@ -11,6 +11,8 @@ from sparsecore import (
     BudgetExceededError,
     Formula,
     Hypergraph,
+    classify_colorable,
+    classify_sat,
     decide_colorable,
     decide_sat,
     extract_muf,
@@ -147,6 +149,27 @@ def test_budget_exceeded_is_an_error(complete3):
     k4full = Hypergraph(4, [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
     with pytest.raises(BudgetExceededError):
         decide_colorable(k4full, 3, coloring_budget=10)
+
+
+def test_every_entry_point_reads_the_budget_at_call_time(monkeypatch, complete3, k4):
+    monkeypatch.setattr(solver, "SAT_CORE_BUDGET", 2)
+    monkeypatch.setattr(solver, "COLORING_BUDGET", 10)
+    for entry in (decide_sat, extract_muf, classify_sat, is_muf):
+        with pytest.raises(BudgetExceededError, match="core order 3 exceeds budget 2"):
+            entry(complete3)
+    for entry in (decide_colorable, classify_colorable, is_min_non_k_colorable):
+        with pytest.raises(BudgetExceededError, match=r"3\^4 colorings exceed budget 10"):
+            entry(k4, 3)
+
+
+def test_coloring_budget_counts_the_colorings_scanned():
+    # k = 20 colors on 7 vertices: the scan visits 7^7 colorings, not 20^7 > COLORING_BUDGET
+    complete = Hypergraph(7, list(itertools.combinations(range(1, 8), 4)))
+    verdict = decide_colorable(complete, 20)
+    assert verdict.colorable and verdict.core_order == 7
+    assert verdict.coloring == (1, 1, 1, 2, 2, 2, 3)
+    with pytest.raises(BudgetExceededError, match=r"7\^7 colorings exceed budget"):
+        decide_colorable(complete, 20, coloring_budget=7 ** 7 - 1)
 
 
 def test_decide_colorable_examples(k4):
