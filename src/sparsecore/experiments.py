@@ -93,13 +93,15 @@ class ExperimentConfig:
     exclude_below_excess: int | None = None
 
     def validate(self, kinds, uses=()) -> None:
-        """Raise ValueError on a bad kind, count or k, on a set option outside
-        ``uses`` (the run would ignore it), or on another model's, r's or k's catalog."""
+        """Raise ValueError on a bad kind, count or k, on model parameters that
+        ``params_from_alpha`` refuses, on a set option outside ``uses`` (the
+        run would ignore it), or on another model's, r's or k's catalog."""
         if self.kind not in kinds:
             raise ValueError(f"kind must be one of {tuple(kinds)}, got {self.kind!r}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         model = EVENTS[self.kind].model if self.kind in EVENTS else VALIDATE_KINDS[self.kind]
+        params_from_alpha(self.n, self.r, self.alpha, model)
         if self.k is None and not MODELS[model].signed:
             raise ValueError(f"kind {self.kind!r} needs k")
         if self.k is not None and MODELS[model].signed:  # k counts colors or degree
@@ -493,13 +495,13 @@ def _oracle_colorable(edges, n: int, k: int) -> bool:
     return _least_violations(demand.reshape(k * len(edges), n), n, k, stop_at_zero=True) == 0
 
 
-def _witness_in_input(verdict, items) -> bool:
-    """The UNSAT witness, lifted to the input's variables, is a set of the
-    input's rows (both sorted by variable; the labels ascend)."""
-    labels = verdict.muf_variables
-    rows = set(items)
-    return all(tuple(labels[abs(l) - 1] * (1 if l > 0 else -1) for l in cl.literals) in rows
-               for cl in verdict.muf.clauses)
+def _witness_in_input(rows, labels, items) -> bool:
+    """The witness's rows (a MUF's clauses or an obstruction's edges), lifted
+    to the input's labels, are rows of the input (both sorted by variable;
+    the labels ascend)."""
+    present = set(items)
+    return all(tuple(labels[x - 1] if x > 0 else -labels[-x - 1] for x in row) in present
+               for row in rows)
 
 
 def _validate_batch(config: ExperimentConfig, batch_index: int, count: int) -> Counter:
@@ -514,20 +516,18 @@ def _validate_batch(config: ExperimentConfig, batch_index: int, count: int) -> C
             if config.kind == "sat":
                 verdict = _decide_sat(config.n, sorted(items))
                 oracle_max = _oracle_max_sat(items, config.n)
-                oracle_sat = oracle_max == len(items)
-                ok = (verdict.status == "SAT") == oracle_sat and \
+                ok = (verdict.status == "SAT") == (oracle_max == len(items)) and \
                     verdict.max_satisfied == oracle_max
-                if verdict.status == "UNSAT" and not (
-                        is_muf(verdict.muf) and _witness_in_input(verdict, items)):
-                    tally["witness_bad"] += 1
-                    ok = False
+                witness, labels, minimal = verdict.muf, verdict.muf_variables, is_muf
             else:
                 verdict = _decide_colorable(config.n, sorted(items), config.k)
                 ok = verdict.colorable == _oracle_colorable(items, config.n, config.k)
-                if not verdict.colorable and not is_min_non_k_colorable(
-                        verdict.obstruction, config.k):
-                    tally["witness_bad"] += 1
-                    ok = False
+                witness, labels = verdict.obstruction, verdict.obstruction_vertices
+                minimal = partial(is_min_non_k_colorable, k=config.k)
+            if witness is not None and not (
+                    minimal(witness) and _witness_in_input(witness.rows(), labels, items)):
+                tally["witness_bad"] += 1
+                ok = False
         except BudgetExceededError:
             tally["budget"] += 1
             continue

@@ -9,11 +9,16 @@ Two engines compute the same canonical form.  For one clause width and a
 group table within ``_TABLE_ENTRY_CAP``, every group element's image is
 formed with numpy, as rows of clause bitmasks; the least row is the
 canonical form and the number of elements reaching it is the
-automorphism count.  Otherwise a pruned branch-and-bound search over
-labelings is used.  Both minimize the same encoding: clauses written as
-descending literal-id tuples, listed in ascending order.  Isolated
-variables are split off first; they only contribute a count to the key
-and a factorial (times 2^m for formulas) to the automorphism count.
+automorphism count.  Mixed widths and larger supports go to a level-wise
+least-prefix search, after the least-leaf search of canonical labeling
+(McKay & Piperno, J. Symbolic Comput. 60 (2014) 94-112): it labels one
+more variable per level in every kept partial labeling and keeps only
+those whose emitted part of the encoding is least.  Its memory grows
+with the kept level, which is never smaller than the automorphism count.
+Both minimize the same encoding: clauses written as descending
+literal-id tuples, listed in ascending order.  Isolated variables are
+split off first; they only contribute a count to the key and a
+factorial (times 2^m for formulas) to the automorphism count.
 """
 
 from __future__ import annotations
@@ -115,74 +120,54 @@ def _decode_orbit_row(row) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# branch-and-bound engine (any widths, any support size)
+# least-prefix engine (any widths, any support size)
 
-def _canonical_dfs(t: int, rows: list[tuple[int, ...]], signed: bool):
+_END = (float("inf"),)  # ends a block; sorts above every clause
+
+
+def _canonical_levels(t: int, rows: list[tuple[int, ...]], signed: bool):
     """Minimum encoding over the group, plus the automorphism count.
 
-    Assigns new labels 1..t to variables one at a time; a clause is
-    emitted when its last variable is labeled, so the emitted key stream
-    is ascending and prefixes compare against the incumbent best.
+    Level i places one more variable at label i in every kept node, and
+    for a formula chooses its flip: a node holds each variable's code,
+    2 * label + flip (the label for a hypergraph; -1 while unplaced), so
+    literal (v, s) gets id code[v] ^ s.  A clause is emitted, in its
+    level's sorted block, once its last variable is placed.  Its leading
+    id is then that variable's, above every id emitted before, so the
+    blocks concatenate to the encoding.  A child whose block, ended by
+    ``_END``, is not the least of its level therefore loses for every
+    completion, while every labeling reaching the minimum keeps the least
+    block at each level: the kept nodes share one emitted prefix, and the
+    last level holds one node per automorphism.
     """
-    clause_lits = [[(l // 2, l % 2) if signed else (l, 0) for l in row] for row in rows]
-    by_var: list[list[int]] = [[] for _ in range(t)]
-    for ci, lits in enumerate(clause_lits):
-        for v, _ in lits:
-            by_var[v].append(ci)
-    flips = (0, 1) if signed else (0,)
-    best: list[tuple[int, ...]] | None = None
-    best_count = 0
-    label = [-1] * t
-    flip = [0] * t
-    missing = [len(lits) for lits in clause_lits]
-
-    def clause_key(ci: int) -> tuple[int, ...]:
-        if signed:
-            ids = [2 * label[v] + (s ^ flip[v]) for v, s in clause_lits[ci]]
-        else:
-            ids = [label[v] for v, _ in clause_lits[ci]]
-        return tuple(sorted(ids, reverse=True))
-
-    def rec(step: int, stream: list):
-        nonlocal best, best_count
-        if step == t:
-            if best is None or stream < best:
-                best = list(stream)
-                best_count = 1
-            elif stream == best:
-                best_count += 1
-            return
-        candidates = []
-        for u in range(t):
-            if label[u] != -1:
-                continue
-            for f in flips:
-                label[u] = step
-                flip[u] = f
-                block = sorted(clause_key(ci) for ci in by_var[u] if missing[ci] == 1)
-                label[u] = -1
-                flip[u] = 0
-                candidates.append((block, u, f))
-        candidates.sort(key=lambda c: c[0])
-        for block, u, f in candidates:
-            if best is not None and stream + block > best[:len(stream) + len(block)]:
-                continue
-            label[u] = step
-            flip[u] = f
-            for ci in by_var[u]:
-                missing[ci] -= 1
-            stream.extend(block)
-            rec(step + 1, stream)
-            del stream[len(stream) - len(block):]
-            for ci in by_var[u]:
-                missing[ci] += 1
-            label[u] = -1
-            flip[u] = 0
-        return
-
-    rec(0, [])
-    assert best is not None
-    return tuple(best), best_count
+    width = 2 if signed else 1
+    by_var: list[list] = [[] for _ in range(t)]  # (v's sign, the other literals)
+    for row in rows:
+        lits = [divmod(l, width) for l in row]
+        for j, (v, s) in enumerate(lits):
+            by_var[v].append((s, lits[:j] + lits[j + 1:]))
+    encoding: list[tuple[int, ...]] = []
+    level = [(-1,) * t]
+    for i in range(t):
+        least, kept = None, []
+        while level:  # each node is freed once its children are made
+            node = level.pop()
+            for u in range(t):
+                if node[u] != -1:
+                    continue
+                # (u's sign, the other ids descending) of each clause u completes
+                completed = [(s, sorted((node[w] ^ sw for w, sw in rest), reverse=True))
+                             for s, rest in by_var[u] if all(node[w] != -1 for w, _ in rest)]
+                for code in range(width * i, width * i + width):
+                    block = sorted((code ^ s, *rest) for s, rest in completed)
+                    block.append(_END)
+                    if least is None or block < least:
+                        least, kept = block, []
+                    if block == least:
+                        kept.append(node[:u] + (code,) + node[u + 1:])
+        encoding += least[:-1]
+        level = kept
+    return tuple(encoding), len(level)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +180,7 @@ def _support_canonical(t, rows, signed):
     if len({len(r) for r in rows}) == 1 and _table_entries(t, signed) <= _TABLE_ENTRY_CAP:
         row, aut = _least_image(t, rows, signed)
         return _decode_orbit_row(row), aut
-    return _canonical_dfs(t, rows, signed)
+    return _canonical_levels(t, rows, signed)
 
 
 def _render(signed: bool, t: int, isolated: int, encoding) -> bytes:

@@ -25,6 +25,8 @@ class BudgetExceededError(RuntimeError):
 
 def _as_edge(vertices: Iterable[int]) -> tuple[int, ...]:
     edge = tuple(sorted(int(v) for v in vertices))
+    if not edge:
+        raise ValueError("an edge needs at least one vertex")
     if any(v < 1 for v in edge):
         raise ValueError(f"vertex labels must be >= 1, got {edge}")
     if len(set(edge)) != len(edge):
@@ -41,6 +43,8 @@ class Clause:
     def __post_init__(self):
         lits = tuple(sorted((int(l) for l in self.literals), key=abs))
         object.__setattr__(self, "literals", lits)
+        if not lits:
+            raise ValueError("a clause needs at least one literal")
         if any(l == 0 for l in lits):
             raise ValueError("literal 0 is not allowed")
         variables = [abs(l) for l in lits]
@@ -91,7 +95,7 @@ class Formula:
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         for cl in self.clauses:
-            if cl.variables and cl.variables[-1] > self.order:
+            if cl.variables[-1] > self.order:
                 raise ValueError(f"clause {cl} uses a variable beyond order {self.order}")
 
     @property
@@ -139,7 +143,7 @@ class Hypergraph:
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         for e in self.edges:
-            if e and e[-1] > self.order:
+            if e[-1] > self.order:
                 raise ValueError(f"edge {e} uses a vertex beyond order {self.order}")
 
     @property
@@ -296,9 +300,8 @@ def from_dimacs(text: str) -> Formula:
     clauses, current = [], []
     for tok in tokens:
         if tok == 0:
-            if current:
-                clauses.append(Clause(tuple(current)))
-                current = []
+            clauses.append(Clause(tuple(current)))  # raises on an empty clause
+            current = []
         else:
             current.append(tok)
     if current:

@@ -10,7 +10,9 @@ with it; find_copies, the subset-scan copy finder that the copy-based
 cover weight, minimality and census-exclusion references use, keys every
 candidate item subset with it (and is checked against brute_copies); and
 the unanchored catalog cell reference takes whole orbits from the
-library's orbit kernel.
+library's orbit kernel.  canonical_dfs, a branch-and-bound search over
+labelings with an incumbent, is the reference for the library's
+level-wise least-prefix search.
 """
 
 import itertools
@@ -91,6 +93,74 @@ def items_of(structure) -> frozenset:
     if isinstance(structure, Formula):
         return frozenset(cl.literals for cl in structure.clauses)
     return structure.edges
+
+
+def canonical_dfs(t: int, rows: list[tuple[int, ...]], signed: bool):
+    """Minimum encoding over the group, plus the automorphism count.
+
+    Assigns new labels 1..t to variables one at a time; a clause is
+    emitted when its last variable is labeled, so the emitted key stream
+    is ascending and prefixes compare against the incumbent best.
+    """
+    clause_lits = [[(l // 2, l % 2) if signed else (l, 0) for l in row] for row in rows]
+    by_var: list[list[int]] = [[] for _ in range(t)]
+    for ci, lits in enumerate(clause_lits):
+        for v, _ in lits:
+            by_var[v].append(ci)
+    flips = (0, 1) if signed else (0,)
+    best: list[tuple[int, ...]] | None = None
+    best_count = 0
+    label = [-1] * t
+    flip = [0] * t
+    missing = [len(lits) for lits in clause_lits]
+
+    def clause_key(ci: int) -> tuple[int, ...]:
+        if signed:
+            ids = [2 * label[v] + (s ^ flip[v]) for v, s in clause_lits[ci]]
+        else:
+            ids = [label[v] for v, _ in clause_lits[ci]]
+        return tuple(sorted(ids, reverse=True))
+
+    def rec(step: int, stream: list):
+        nonlocal best, best_count
+        if step == t:
+            if best is None or stream < best:
+                best = list(stream)
+                best_count = 1
+            elif stream == best:
+                best_count += 1
+            return
+        candidates = []
+        for u in range(t):
+            if label[u] != -1:
+                continue
+            for f in flips:
+                label[u] = step
+                flip[u] = f
+                block = sorted(clause_key(ci) for ci in by_var[u] if missing[ci] == 1)
+                label[u] = -1
+                flip[u] = 0
+                candidates.append((block, u, f))
+        candidates.sort(key=lambda c: c[0])
+        for block, u, f in candidates:
+            if best is not None and stream + block > best[:len(stream) + len(block)]:
+                continue
+            label[u] = step
+            flip[u] = f
+            for ci in by_var[u]:
+                missing[ci] -= 1
+            stream.extend(block)
+            rec(step + 1, stream)
+            del stream[len(stream) - len(block):]
+            for ci in by_var[u]:
+                missing[ci] += 1
+            label[u] = -1
+            flip[u] = 0
+        return
+
+    rec(0, [])
+    assert best is not None
+    return tuple(best), best_count
 
 
 def _placed(image, ground) -> frozenset:

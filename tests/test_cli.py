@@ -156,12 +156,16 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
     ("predict", "--catalog", "{array}", "--event", "pl-fail", "--smax", "1"),
     ("predict", "--catalog", "{catalog}", "--event", "pl-fail", "--smax", "1", "--n", "0",
      "--alpha", "0.5", "--json", "{out}"),
+    ("mc", "rate", "--kind", "pl-fail", "--n", "0", "--r", "3", "--alpha", "0.5",
+     "--trials", "10", "--seed", "1"),
+    ("mc", "census", "--kind", "pl-fail", "--n", "0", "--r", "3", "--alpha", "0.5",
+     "--trials", "10", "--seed", "1"),
 ], ids=["threshold-r2", "sample-p-above-1", "core-miscounted-header", "core-missing-file",
         "solve-miscounted-header", "mc-catalog-not-json", "catalog-no-k", "core-no-k",
         "solve-no-k", "mc-catalog-no-kind", "predict-catalog-no-items", "mc-rate-k-zero",
         "mc-validate-k-zero", "core-sat-k", "solve-sat-k", "catalog-sat-k", "predict-n-only",
         "predict-alpha-only", "predict-catalog-unknown-flag", "mc-catalog-clauses-not-list",
-        "predict-catalog-array", "predict-n-zero"])
+        "predict-catalog-array", "predict-n-zero", "mc-rate-n-zero", "mc-census-n-zero"])
 def test_invalid_input_is_reported_in_one_line(tmp_path, capsys, argv):
     paths = {name: str(tmp_path / name) for name in (*INPUT_FILES, "missing", "out")}
     for name, text in INPUT_FILES.items():

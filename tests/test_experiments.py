@@ -23,6 +23,7 @@ from sparsecore import (
     Formula,
     Hypergraph,
     canonical_key,
+    decide_colorable,
     decide_sat,
     enumerate_full,
     enumerate_k_dense,
@@ -370,8 +371,17 @@ def test_validation_maps_the_witness_back_to_the_input():
     items = block + [(1, 3, 8), (-4, 6, 8)]
     verdict = decide_sat(Formula(8, items))
     assert verdict.status == "UNSAT" and verdict.muf_variables == (2, 5, 7)
-    assert experiments._witness_in_input(verdict, items)
-    assert not experiments._witness_in_input(verdict, block[1:])
+    muf = verdict.muf.rows(), verdict.muf_variables
+    assert experiments._witness_in_input(*muf, items)
+    assert not experiments._witness_in_input(*muf, block[1:])
+    # and K4 on vertices 2, 4, 5, 7 for 3-coloring
+    k4 = list(itertools.combinations((2, 4, 5, 7), 2))
+    edges = k4 + [(1, 3), (3, 8)]
+    verdict = decide_colorable(Hypergraph(8, edges), 3)
+    assert verdict.obstruction_vertices == (2, 4, 5, 7)
+    obstruction = verdict.obstruction.rows(), verdict.obstruction_vertices
+    assert experiments._witness_in_input(*obstruction, edges)
+    assert not experiments._witness_in_input(*obstruction, k4[1:])
 
 
 def test_noncolorable_kind_runs_solver_on_core():
@@ -392,6 +402,24 @@ def test_solver_validation_agrees(tmp_path):
         ExperimentConfig(kind="coloring", n=8, r=2, k=3, alpha=2.5, trials=300, seed=3))
     assert report.agreement_rate == 1.0
     assert report.witness_failures == 0
+
+
+def test_validation_checks_the_coloring_witness_against_its_input(monkeypatch):
+    """A minimal non-colorable obstruction lifted onto the wrong vertices
+    is a witness failure, like a MUF that is not in its input."""
+    decide = experiments._decide_colorable
+
+    def shifted(*args):
+        verdict = decide(*args)
+        if verdict.colorable:
+            return verdict
+        return replace(verdict, obstruction_vertices=tuple(
+            v + 1 for v in verdict.obstruction_vertices))
+
+    monkeypatch.setattr(experiments, "_decide_colorable", shifted)
+    report = run_solver_validation(
+        ExperimentConfig(kind="coloring", n=8, r=2, k=3, alpha=2.5, trials=300, seed=3))
+    assert report.witness_failures > 0
 
 
 def _shifted(formula: Formula, order: int, by: int) -> Formula:

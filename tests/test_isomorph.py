@@ -18,6 +18,7 @@ from oracle_utils import (
     apply_perm,
     apply_signed,
     brute_copies,
+    canonical_dfs,
     count_copies,
     find_copies,
     items_of,
@@ -97,9 +98,9 @@ def _orbit_max(signed: bool) -> int:
 
 
 def test_orbit_and_dfs_engines_agree():
-    """Encoding and |Aut| of the bitmask orbit kernel equal the DFS's at
-    every support size the orbit engine serves: one clause width and a
-    group table within the cap."""
+    """Encoding and |Aut| of the bitmask orbit kernel equal the least-prefix
+    search's at every support size the orbit engine serves: one clause
+    width and a group table within the cap."""
     rng = random.Random(97)
     formula_max, graph_max = _orbit_max(True), _orbit_max(False)
     assert (formula_max, graph_max) == (7, 9)
@@ -118,7 +119,73 @@ def test_orbit_and_dfs_engines_agree():
         row, aut = isomorph._least_image(t, rows, signed)
         orbit = isomorph._decode_orbit_row(row), aut
         assert isomorph._support_canonical(t, rows, signed) == orbit
-        assert orbit == isomorph._canonical_dfs(t, rows, signed), structure
+        assert orbit == isomorph._canonical_levels(t, rows, signed), structure
+
+
+def _random_mixed(rng, cls, t):
+    """A random structure on exactly 1..t (t >= 2), with at least two items
+    of widths 1-3."""
+    items = set()
+    while len({abs(x) for item in items for x in item}) < t or len(items) < 2:
+        item = rng.sample(range(1, t + 1), rng.randint(1, min(3, t)))
+        items.add(tuple(v if cls is Hypergraph or rng.random() < 0.5 else -v for v in item))
+    return cls(t, items)
+
+
+def test_least_prefix_search_matches_the_reference_dfs():
+    """Encoding and |Aut| of the least-prefix search equal the reference
+    branch-and-bound DFS's on random mixed-width and one-width inputs."""
+    rng = random.Random(404)
+    cases = [_random_mixed(rng, cls, t) for cls in (Formula, Hypergraph)
+             for t in range(2, 8) for _ in range(4)]
+    cases += [_random_on_full_support(rng, random_formula, t, 3, (2, t + 2))
+              for t in range(3, 7) for _ in range(3)]
+    cases += [_random_on_full_support(rng, random_hypergraph, t, 3,
+                                      (-(-t // 3), min(t + 2, math.comb(t, 3))))
+              for t in range(3, 9) for _ in range(3)]
+    for structure in cases:
+        t, rows, _, signed = isomorph._parts(structure, "test")
+        assert isomorph._canonical_levels(t, rows, signed) == \
+            canonical_dfs(t, rows, signed), structure
+
+
+def _random_image(rng, structure):
+    """The structure under a random element of its group."""
+    perm = list(range(1, structure.order + 1))
+    rng.shuffle(perm)
+    if not structure.signed:
+        return apply_perm(structure, tuple(perm))
+    return apply_signed(structure, tuple(perm), tuple(rng.random() < 0.5 for _ in perm))
+
+
+def test_keys_past_the_orbit_limit_are_invariant():
+    """canonical_key and automorphism_count of 3-CNF on 8-10 variables and
+    3-graphs on 10-12 vertices, past the orbit kernel's group table, are
+    unchanged by random group elements."""
+    rng = random.Random(808)
+    cases = [_random_on_full_support(rng, random_formula, t, 3, (-(-t // 3), t + 4))
+             for t in (8, 9, 10) for _ in range(4)]
+    cases += [_random_on_full_support(rng, random_hypergraph, t, 3, (-(-t // 3), t + 4))
+              for t in (10, 11, 12) for _ in range(4)]
+    for structure in cases:
+        assert isomorph._table_entries(len(structure.support), structure.signed) > \
+            isomorph._TABLE_ENTRY_CAP
+        key, aut = canonical_key(structure), automorphism_count(structure)
+        for _ in range(3):
+            image = _random_image(rng, structure)
+            assert (canonical_key(image), automorphism_count(image)) == (key, aut), structure
+
+
+def test_automorphisms_of_disjoint_unions_past_the_orbit_limit():
+    """m disjoint copies of a connected H have |Aut(H)|^m * m! automorphisms."""
+    pairs = Formula(9, [c for v in (1, 4, 7)
+                        for c in ((v, v + 1, v + 2), (-v, -v - 1, -v - 2))])
+    assert automorphism_count(pairs) == 12 ** 3 * 6 == 10368
+    cycles = Hypergraph(10, [(v + j, (v + 1) % 5 + j) for j in (1, 6) for v in range(5)])
+    assert automorphism_count(cycles) == 10 ** 2 * 2 == 200
+    rng = random.Random(9)
+    assert canonical_key(_random_image(rng, pairs)) == canonical_key(pairs)
+    assert canonical_key(_random_image(rng, cycles)) == canonical_key(cycles)
 
 
 def test_bitmask_order_is_descending_tuple_order():

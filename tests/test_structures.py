@@ -33,6 +33,16 @@ def test_clause_rejects_bad_literals():
         Clause((1, -1, 2))
 
 
+def test_empty_clauses_and_edges_are_rejected():
+    # an empty item has no variable: its key would equal the key without it
+    with pytest.raises(ValueError, match="at least one literal"):
+        Clause(())
+    with pytest.raises(ValueError, match="at least one literal"):
+        Formula(3, [(1, 2, 3), ()])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Hypergraph(3, [(1, 2), ()])
+
+
 def test_formula_rejects_out_of_range_variable():
     with pytest.raises(ValueError):
         Formula(2, [(1, 2, 3)])
@@ -107,6 +117,8 @@ def test_dimacs_rejects_malformed():
         from_dimacs("p cnf 3 2\n1 2 3 0\n")  # clause count mismatch
     with pytest.raises(ValueError):
         from_dimacs("p cnf 3 1\n1 2 3\n")  # missing terminator
+    with pytest.raises(ValueError):
+        from_dimacs("p cnf 3 1\n1 2 3 0\n0\n")  # empty clause
 
 
 def test_edge_list_round_trip(k4):
