@@ -5,14 +5,14 @@ of degree 2 (every variable occurs once per sign), a k-dense r-uniform
 hypergraph one of degree k, and a cover of excess s in which every point
 has degree >= d has at most r*s/((d-1)(r-1)-1) points (r*s/(r-2) for
 full formulas), so the classes with excess below a bound form a finite,
-enumerable catalog.  Enumeration runs per (order, size) cell as a
-lexicographic set search pruned by the coverage deficit (occurrences
-still owed), over the covers through item 0 only (every orbit holds
-some), and deduplicates by orbit: the first time a labeled structure is
-seen, the images of it that hold item 0 enter the seen-set, which also
-yields the automorphism count and canonical key for free.  A cell whose
-group table would pass ``isomorph._TABLE_ENTRY_CAP`` raises
-BudgetExceededError before any cell is searched.
+enumerable catalog.  Enumeration runs per (order, size) cell as a set
+search that branches on the least occurrence still owed, over the covers
+through item 0 only (every orbit holds some), and deduplicates by orbit:
+the first time a labeled structure is seen, the images of it that hold
+item 0 enter the seen-set, which also yields the automorphism count and
+canonical key for free.  A cell whose group table would pass
+``isomorph._TABLE_ENTRY_CAP`` raises BudgetExceededError before any cell
+is searched.
 
 Entries are classified by brute force within the solver's budgets
 (satisfiability over 2^t assignments, weak colorability over k^t
@@ -24,10 +24,8 @@ Catalogs serialize to JSON so expensive enumerations are computed once.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, replace
-from math import floor
 from pathlib import Path
 
 from . import isomorph
@@ -202,51 +200,48 @@ def _take(deficit: dict, cov) -> dict:
     return out
 
 
-def _covering_sets(candidates, units, need_units, e, r):
+def _covering_sets(candidates, units, e, r):
     """Yield the index tuples of e candidates covering all coverage units
     that hold candidate 0.
 
-    ``candidates``: per-index frozenset of units it covers (each candidate
-    covers r units, one per member).  ``units``: the initial uncovered
-    multiset, as a dict unit -> multiplicity.  A candidate reduces each of
-    its still-deficient units by one.  The search starts with candidate 0
-    chosen, prunes on the unit deficit versus the r*(clauses left) slots
-    remaining, and in the tight case generates candidates directly from
-    the deficient units.
+    ``candidates``: per-index collection of the units it covers (each
+    candidate covers r units, one per member).  ``units``: the initial
+    uncovered multiset, as a dict unit -> multiplicity.  A candidate
+    reduces each of its still-owed units by one.  One rule branches, the
+    column rule of Algorithm X (Knuth, "Dancing Links", arXiv
+    cs/0011047): with candidate 0 chosen, each step takes the least unit
+    still owed and picks, in index order, each candidate holding it.  A
+    branch bars the holders it passed over for the rest of that branch,
+    so every set is found once, through the least of its holders.  Once
+    nothing is owed the remaining picks are free: unbarred candidates in
+    index order.  A branch stops when more is owed than r per pick left.
     """
-    index_of = {cov: i for i, cov in enumerate(candidates)}
-    chosen = [0]
+    holders = {u: [i for i, cov in enumerate(candidates) if u in cov] for u in units}
+    free = range(1, len(candidates))
+    chosen, barred = [0], [False] * len(candidates)
+    barred[0] = True
 
-    def rec(start: int, deficit: dict, total: int):
-        slots = (e - len(chosen)) * r
-        if total > slots:
+    def rec(deficit: dict):
+        left = e - len(chosen)
+        if left == 0:
+            yield tuple(chosen)
             return
-        if len(chosen) == e:
-            if total == 0:
-                yield tuple(chosen)
-            return
-        if total == slots:
-            for combo in itertools.combinations(sorted(deficit), r):
-                if len({need_units(u) for u in combo}) != r:
-                    continue
-                idx = index_of.get(frozenset(combo))
-                if idx is None or idx < start:
-                    continue
-                chosen.append(idx)
-                yield from rec(idx + 1, _take(deficit, combo), total - r)
-                chosen.pop()
-            return
-        for idx in range(start, len(candidates)):
-            cov = candidates[idx]
-            gain = sum(1 for u in cov if u in deficit)
-            if total - gain > slots - r:
+        need = sum(deficit.values()) - r * (left - 1)  # the least the next pick must pay
+        passed = []
+        for i in holders[min(deficit)] if deficit else free:
+            if barred[i]:
                 continue
-            chosen.append(idx)
-            yield from rec(idx + 1, _take(deficit, cov), total - gain)
-            chosen.pop()
+            barred[i] = True
+            passed.append(i)
+            # a holder of the least owed unit pays at least 1
+            if need <= 1 or sum(map(deficit.__contains__, candidates[i])) >= need:
+                chosen.append(i)
+                yield from rec(_take(deficit, candidates[i]))
+                chosen.pop()
+        for i in passed:
+            barred[i] = False
 
-    deficit = _take(units, candidates[0])
-    yield from rec(1, deficit, sum(deficit.values()))
+    yield from rec(_take(units, candidates[0]))
 
 
 def _enumerate_cell(kind, r, k, t, e):
@@ -257,62 +252,55 @@ def _enumerate_cell(kind, r, k, t, e):
 
     Item 0 (the all-positive clause, or the edge, on 1..r) has the least
     bitmask and the group moves it onto every item, so every orbit holds
-    covers through item 0 and its least row starts with item 0: only those
-    covers are searched, and only the orbit rows through item 0 are kept.
+    covers through item 0 and the anchored images of a cover
+    (``isomorph._anchored_images``) are its orbit rows through item 0:
+    only those covers are searched, and only those rows enter the seen-set.
     """
     signed = MODELS[kind].signed
     rows = [isomorph._ids(item, signed) for item in _candidates(t, r, kind).tolist()]
     # a full formula owes each literal once, a k-dense hypergraph each vertex k times
-    step = 2 if signed else 1
-    units = dict.fromkeys(range(step * t), 1 if signed else k)
-    need_units = lambda u: u // step  # the variable of a unit: distinct within an item
-    covers = [frozenset(row) for row in rows]
+    units = dict.fromkeys(range(2 * t), 1) if signed else dict.fromkeys(range(t), k)
     packed = [isomorph._pack_row(row) for row in rows]
     seen: set[tuple[int, ...]] = set()
     classes = []
-    for ids in _covering_sets(covers, units, need_units, e, r):
-        key_row = tuple(sorted(packed[i] for i in ids))
-        if key_row in seen:
+    for ids in _covering_sets(rows, units, e, r):
+        if tuple(sorted(packed[i] for i in ids)) in seen:
             continue
-        masks = isomorph._orbit_masks(t, [rows[i] for i in ids], signed)
-        masks = masks[(masks == packed[0]).any(axis=1)]
-        masks.sort(axis=1)
-        anchored = set(map(tuple, masks.tolist()))
-        seen |= anchored
-        aut = int((masks == key_row).all(axis=1).sum())
-        encoding = isomorph._decode_orbit_row(min(anchored))
+        images = isomorph._anchored_images(t, [rows[i] for i in ids], signed)
+        seen.update(map(tuple, images.tolist()))
+        encoding, aut = isomorph._least_image(images)
         iso_key = isomorph._render(signed, t, 0, encoding)
         classes.append((isomorph._from_encoding(t, encoding, signed), aut, iso_key))
     return classes
 
 
-def _entry_sort_key(entry: CatalogEntry):
-    return (entry.excess, entry.order, entry.size, entry.iso_key)
-
-
 # ---------------------------------------------------------------------------
 # the engine: covers of excess 1..max_excess, one (order, size) cell at a time
 
-def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> Catalog:
+def _enumerate(event, r, k, max_excess, order_cap, flags) -> Catalog:
     """Every class of ``event``'s structures of excess 1..max_excess whose
-    points all have degree >= ``degree``, classified by ``flags(structure)``.
-    Caps below the order and size bounds truncate the search and mark the
-    catalog incomplete; only a complete catalog gets the event's minimality
-    flag, a deletion check of its failure test (a failing proper
-    substructure holds a full, or k-dense, one of smaller excess)."""
+    points all have degree >= 2 (formulas) or k, classified by
+    ``flags(structure)``.  An order cap below the order bound truncates the
+    search and marks the catalog incomplete; only a complete catalog gets
+    the event's minimality flag, a deletion check of its failure test (a
+    failing proper substructure holds a full, or k-dense, one of smaller
+    excess)."""
     kind, flag, _ = EVENTS[event]
-    bound = floor(r * max_excess / ((degree - 1) * (r - 1) - 1))
+    if max_excess < 0:
+        raise ValueError("max_excess must be nonnegative")
+    if order_cap is not None and order_cap < r:
+        raise ValueError(f"order cap {order_cap} cannot hold any {r}-{_kind(kind)[0][:-1]}")
+    signed = MODELS[kind].signed
+    degree = 2 if signed else k
+    bound = r * max_excess // ((degree - 1) * (r - 1) - 1)
     t_max = bound if order_cap is None else min(order_cap, bound)
-    size_needed = max(
-        ((t + max_excess) // (r - 1) for t in range(r, t_max + 1)), default=0
-    )
-    e_cap = size_needed if size_cap is None else min(size_cap, size_needed)
-    complete = t_max == bound and e_cap == size_needed
     cells = [(t, e) for t in range(r, t_max + 1)
-             for e in range(-(-degree * t // r), min((t + max_excess) // (r - 1), e_cap) + 1)
-             if 1 <= (r - 1) * e - t <= max_excess]
+             for e in range(-(-degree * t // r), (t + max_excess) // (r - 1) + 1)
+             if (r - 1) * e > t]
     for t, e in cells:  # refuse up front, before any cell is searched
-        isomorph._check_table(t, MODELS[kind].signed, f"{kind} cell (order {t}, size {e})")
+        isomorph._check_entries(isomorph._table_entries(t, signed),
+                                f"{kind} cell (order {t}, size {e}): group table")
+    complete = t_max == bound
     entries: list[CatalogEntry] = []
     for t, e in cells:
         for structure, aut, iso_key in _enumerate_cell(kind, r, k, t, e):
@@ -323,10 +311,10 @@ def _enumerate(event, r, k, degree, max_excess, order_cap, size_cap, flags) -> C
                 excess=(r - 1) * e - t, aut_count=aut, iso_key=iso_key,
                 **flags(structure), **minimal,
             ))
-    entries.sort(key=_entry_sort_key)
-    return Catalog(kind=kind, r=r, k=k, max_excess=max_excess,
-                   order_cap=t_max, size_cap=e_cap, complete=complete,
-                   entries=tuple(entries))
+    entries.sort(key=lambda x: (x.excess, x.order, x.size, x.iso_key))
+    size_cap = (t_max + max_excess) // (r - 1) if t_max >= r else 0  # largest size searched
+    return Catalog(kind=kind, r=r, k=k, max_excess=max_excess, order_cap=t_max,
+                   size_cap=size_cap, complete=complete, entries=tuple(entries))
 
 
 def _filter_minimal(catalog: Catalog, kind: str, attr: str, what: str) -> Catalog:
@@ -337,23 +325,16 @@ def _filter_minimal(catalog: Catalog, kind: str, attr: str, what: str) -> Catalo
     return replace(catalog, entries=tuple(e for e in catalog.entries if getattr(e, attr)))
 
 
-def enumerate_full(r: int, max_excess: int, order_cap: int | None = None,
-                   size_cap: int | None = None) -> Catalog:
+def enumerate_full(r: int, max_excess: int, order_cap: int | None = None) -> Catalog:
     """Every isomorphism class of full formula with excess <= max_excess.
 
-    Bounded by order <= r*max_excess/(r-2); caps below the bound truncate
-    the search and mark the catalog incomplete (minimality flags are then
+    Bounded by order <= r*max_excess/(r-2); a cap below the bound truncates
+    the search and marks the catalog incomplete (minimality flags are then
     left unset).
     """
     if r < 3:
         raise ValueError("full-formula catalogs need r >= 3")
-    if max_excess < 0:
-        raise ValueError("max_excess must be nonnegative")
-    if order_cap is not None and order_cap < r:
-        raise ValueError(f"order cap {order_cap} cannot hold any {r}-clause")
-    if size_cap is not None and size_cap < 2:
-        raise ValueError(f"size cap {size_cap} cannot hold any full formula")
-    return _enumerate("pl-fail", r, None, 2, max_excess, order_cap, size_cap,
+    return _enumerate("pl-fail", r, None, max_excess, order_cap,
                       lambda f: dict(is_full=True, is_satisfiable=classify_sat(f),
                                      is_muf=is_muf(f)))
 
@@ -362,18 +343,12 @@ def filter_minimal_full(catalog: Catalog) -> Catalog:
     return _filter_minimal(catalog, "sat", "is_mff", "full-formula")
 
 
-def enumerate_k_dense(r: int, k: int, max_excess: int, order_cap: int | None = None,
-                      size_cap: int | None = None) -> Catalog:
+def enumerate_k_dense(r: int, k: int, max_excess: int,
+                      order_cap: int | None = None) -> Catalog:
     """Every isomorphism class of k-dense r-uniform hypergraph, excess <= max_excess."""
     if r < 2 or k < 2 or r + k <= 4:
         raise ValueError("k-dense catalogs need r, k >= 2 and r + k > 4")
-    if max_excess < 0:
-        raise ValueError("max_excess must be nonnegative")
-    if order_cap is not None and order_cap < r:
-        raise ValueError(f"order cap {order_cap} cannot hold any {r}-edge")
-    if size_cap is not None and size_cap < 1:
-        raise ValueError("size cap must be positive")
-    return _enumerate("kcore", r, k, k, max_excess, order_cap, size_cap,
+    return _enumerate("kcore", r, k, max_excess, order_cap,
                       lambda g: dict(is_k_dense=True, is_k_colorable=classify_colorable(g, k),
                                      is_min_non_k_colorable=is_min_non_k_colorable(g, k)))
 

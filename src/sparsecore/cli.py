@@ -104,9 +104,9 @@ def _cmd_core(args) -> int:
 def _cmd_catalog(args) -> int:
     k = _k(args)
     if args.kind == "sat":
-        cat = enumerate_full(args.r, args.max_excess, args.order_cap, args.size_cap)
+        cat = enumerate_full(args.r, args.max_excess, args.order_cap)
     else:
-        cat = enumerate_k_dense(args.r, k, args.max_excess, args.order_cap, args.size_cap)
+        cat = enumerate_k_dense(args.r, k, args.max_excess, args.order_cap)
     save_catalog(cat, args.out)
     print(f"catalog: {len(cat.entries)} classes, complete={cat.complete}, "
           f"written to {args.out}")
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--max-excess", type=int, required=True)
     p.add_argument("--order-cap", type=int)
-    p.add_argument("--size-cap", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_catalog)
 

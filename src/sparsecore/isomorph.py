@@ -14,7 +14,9 @@ least-prefix search, after the least-leaf search of canonical labeling
 (McKay & Piperno, J. Symbolic Comput. 60 (2014) 94-112): it labels one
 more variable per level in every kept partial labeling and keeps only
 those whose emitted part of the encoding is least.  Its memory grows
-with the kept level, which is never smaller than the automorphism count.
+with the kept level, which is never smaller than the automorphism count;
+a level past ``_TABLE_ENTRY_CAP`` entries (labelings x support) raises
+BudgetExceededError.
 Both minimize the same encoding: clauses written as descending
 literal-id tuples, listed in ascending order.  Isolated variables are
 split off first; they only contribute a count to the key and a
@@ -40,7 +42,8 @@ from .structures import (
 
 DEFAULT_ORDER_CAP = 16  # largest order keyed or counted
 # Largest group table built, in entries: 9.0M signed at support 7 and 3.3M
-# unsigned at 9 fit; 165M signed at 8 and 36M unsigned at 10 do not.
+# unsigned at 9 fit; 165M signed at 8 and 36M unsigned at 10 do not.  Also
+# the largest least-prefix level kept, in labelings x support entries.
 _TABLE_ENTRY_CAP = 1 << 24
 
 
@@ -65,19 +68,17 @@ def _table_entries(t: int, signed: bool) -> int:
     return (2 ** t * 2 * t if signed else t) * factorial(t)
 
 
-def _check_table(t: int, signed: bool, what: str) -> None:
-    """Raise BudgetExceededError, naming ``what``, if the group table of
-    support ``t`` would exceed ``_TABLE_ENTRY_CAP`` entries."""
-    entries = _table_entries(t, signed)
+def _check_entries(entries: int, what: str) -> None:
+    """Raise BudgetExceededError, naming ``what``, past ``_TABLE_ENTRY_CAP`` entries."""
     if entries > _TABLE_ENTRY_CAP:
         raise BudgetExceededError(
-            f"{what}: group table of {entries:,} entries exceeds cap {_TABLE_ENTRY_CAP:,}")
+            f"{what} of {entries:,} entries exceeds cap {_TABLE_ENTRY_CAP:,}")
 
 
 @lru_cache(maxsize=None)
 def _bit_table(t: int, signed: bool) -> np.ndarray:
     """(group size, ids) array: bit of each id's image under each group element."""
-    _check_table(t, signed, f"support {t}")
+    _check_entries(_table_entries(t, signed), f"support {t}: group table")
     maps = _signed_lit_maps(t) if signed else \
         np.array(list(itertools.permutations(range(t))), dtype=np.int8)
     dtype = np.min_scalar_type((1 << maps.shape[1]) - 1)  # unsigned, holds any clause mask
@@ -94,19 +95,23 @@ def _orbit_masks(t: int, rows: list[tuple[int, ...]], signed: bool) -> np.ndarra
     return masks
 
 
-def _least_image(t: int, rows: list[tuple[int, ...]], signed: bool):
-    """(least orbit row, number of group elements mapping onto it).
-
-    Only the rows holding the least clause are sorted, then narrowed
-    column by column; the survivors form a coset of the automorphism group.
-    """
+def _anchored_images(t: int, rows: list[tuple[int, ...]], signed: bool) -> np.ndarray:
+    """The orbit rows, each sorted, whose least clause is the least over
+    the group: the rows ``_least_image`` narrows."""
     masks = _orbit_masks(t, rows, signed)
     low = masks.min(axis=1)
     masks = masks[low == low.min()]
     masks.sort(axis=1)
-    for j in range(1, masks.shape[1]):
-        masks = masks[masks[:, j] == masks[:, j].min()]
-    return masks[0], len(masks)
+    return masks
+
+
+def _least_image(images: np.ndarray):
+    """(encoding of the least of the anchored ``images``, number of group
+    elements mapping onto it): narrowed column by column, the survivors
+    form a coset of the automorphism group."""
+    for j in range(1, images.shape[1]):
+        images = images[images[:, j] == images[:, j].min()]
+    return _decode_orbit_row(images[0]), len(images)
 
 
 def _pack_row(ids) -> int:
@@ -148,6 +153,7 @@ def _canonical_levels(t: int, rows: list[tuple[int, ...]], signed: bool):
             by_var[v].append((s, lits[:j] + lits[j + 1:]))
     encoding: list[tuple[int, ...]] = []
     level = [(-1,) * t]
+    what = f"support {t}: least-prefix level"
     for i in range(t):
         least, kept = None, []
         while level:  # each node is freed once its children are made
@@ -165,6 +171,7 @@ def _canonical_levels(t: int, rows: list[tuple[int, ...]], signed: bool):
                         least, kept = block, []
                     if block == least:
                         kept.append(node[:u] + (code,) + node[u + 1:])
+            _check_entries(len(kept) * t, what)
         encoding += least[:-1]
         level = kept
     return tuple(encoding), len(level)
@@ -178,8 +185,7 @@ def _support_canonical(t, rows, signed):
     if t == 0:
         return (), 1
     if len({len(r) for r in rows}) == 1 and _table_entries(t, signed) <= _TABLE_ENTRY_CAP:
-        row, aut = _least_image(t, rows, signed)
-        return _decode_orbit_row(row), aut
+        return _least_image(_anchored_images(t, rows, signed))
     return _canonical_levels(t, rows, signed)
 
 

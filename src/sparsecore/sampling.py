@@ -58,7 +58,7 @@ def params_from_alpha(n: int, r: int, alpha: float, kind: str = "sat") -> ModelP
         raise ValueError(f"kind must be {' or '.join(map(repr, MODELS))}")
     if n < 1 or r < 2:
         raise ValueError("need n >= 1 and r >= 2")
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too
         raise ValueError("alpha must be nonnegative")
     p = alpha * float(n) ** (-(r - 1))
     if p > 1.0:

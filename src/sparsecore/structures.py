@@ -27,6 +27,8 @@ def _as_edge(vertices: Iterable[int]) -> tuple[int, ...]:
     edge = tuple(sorted(int(v) for v in vertices))
     if not edge:
         raise ValueError("an edge needs at least one vertex")
+    if len(edge) == 1:  # monochromatic under every coloring, which peeling cannot see
+        raise ValueError(f"edge {edge} has one vertex; an edge needs at least two")
     if any(v < 1 for v in edge):
         raise ValueError(f"vertex labels must be >= 1, got {edge}")
     if len(set(edge)) != len(edge):
@@ -332,6 +334,8 @@ def from_edge_list(text: str) -> tuple[Hypergraph, int]:
     if len(head) != 3:
         raise ValueError(f"bad edge-list header: {lines[0]!r}")
     order, r, size = (int(x) for x in head)
+    if r < 2:
+        raise ValueError(f"edge size {r} in header: edges need at least two vertices")
     edges = []
     for line in lines[1:]:
         edge = tuple(int(x) for x in line.split())

@@ -364,6 +364,18 @@ def labeled_covers(candidates, units, need_units, e, r):
     return results
 
 
+def cell_units(kind, r, k, t):
+    """(candidate items as literal-id rows, units owed, unit -> its
+    variable) of a catalog cell of order t: a full formula owes each
+    literal once, a k-dense hypergraph each vertex k times."""
+    if kind == "sat":
+        rows = [tuple(2 * (abs(l) - 1) + (l < 0) for l in lits)
+                for lits in candidate_clauses(t, r)]
+        return rows, {u: 1 for u in range(2 * t)}, lambda u: u // 2
+    rows = [tuple(v - 1 for v in edge) for edge in candidate_edges(t, r)]
+    return rows, {v: k for v in range(t)}, lambda u: u
+
+
 def reference_cell(kind, r, k, t, e):
     """``catalog._enumerate_cell`` the slow way, plus the labeled cover count.
 
@@ -374,15 +386,7 @@ def reference_cell(kind, r, k, t, e):
     ([(structure, aut_count, iso_key)], labeled covers).
     """
     signed = kind == "sat"
-    if signed:
-        rows = [tuple(2 * (abs(l) - 1) + (l < 0) for l in lits)
-                for lits in candidate_clauses(t, r)]
-        units = {u: 1 for u in range(2 * t)}
-        need_units = lambda u: u // 2
-    else:
-        rows = [tuple(v - 1 for v in edge) for edge in candidate_edges(t, r)]
-        units = {v: k for v in range(t)}
-        need_units = lambda u: u
+    rows, units, need_units = cell_units(kind, r, k, t)
     group = (2 ** t if signed else 1) * math.factorial(t)
     packed = [isomorph._pack_row(row) for row in rows]
     covers = labeled_covers([frozenset(row) for row in rows], units, need_units, e, r)

@@ -40,6 +40,8 @@ from oracle_utils import (
     brute_sat,
     candidate_clauses,
     candidate_edges,
+    cell_units,
+    labeled_covers,
     reference_cell,
     signed_images,
 )
@@ -100,13 +102,16 @@ def test_order_six_cell_labeled_census(full_catalog_r3):
     assert all(e.is_mff for e in six if e.aut_count != 288)
 
 
-@pytest.mark.parametrize("build, args", [
+SMALL_CATALOGS = pytest.mark.parametrize("build, args", [
     (enumerate_full, (3, 2)),
     (enumerate_full, (4, 3)),
     (functools.partial(enumerate_full, order_cap=6), (3, 3)),
     (enumerate_k_dense, (2, 3, 3)),
     (enumerate_k_dense, (3, 2, 2)),
 ], ids=["full-3-2", "full-4-3", "full-3-3-cap6", "dense-2-3-3", "dense-3-2-2"])
+
+
+@SMALL_CATALOGS
 def test_anchored_engine_matches_the_unanchored_reference(monkeypatch, build, args):
     catalog = build(*args)
     labeled = {}
@@ -125,6 +130,23 @@ def test_anchored_engine_matches_the_unanchored_reference(monkeypatch, build, ar
         assert sum(group // x.aut_count for x in cell) == count, (t, e)
 
 
+@SMALL_CATALOGS
+def test_cover_search_finds_each_cover_through_item_0_once(monkeypatch, build, args):
+    cells = []
+    monkeypatch.setattr(catalog_module, "_enumerate_cell",
+                        lambda *cell: cells.append(cell) or [])
+    build(*args)
+    assert cells
+    for kind, r, k, t, e in cells:
+        rows, units, need_units = cell_units(kind, r, k, t)
+        candidates = [frozenset(row) for row in rows]
+        found = list(catalog_module._covering_sets(candidates, units, e, r))
+        assert len({frozenset(ids) for ids in found}) == len(found), (t, e)
+        assert {tuple(sorted(ids)) for ids in found} == {
+            ids for ids in labeled_covers(candidates, units, need_units, e, r) if ids[0] == 0
+        }, (t, e)
+
+
 def test_group_table_guard_raises_before_allocating():
     # the signed support-9 table would hold 185,794,560 x 18 entries
     started = time.perf_counter()
@@ -133,8 +155,8 @@ def test_group_table_guard_raises_before_allocating():
     with pytest.raises(BudgetExceededError, match="support 9"):
         isomorph._bit_table(9, True)
     assert time.perf_counter() - started < 1.0
-    isomorph._check_table(7, True, "signed support 7")  # in use: stays below the cap
-    isomorph._check_table(9, False, "unsigned support 9")
+    for t, signed in ((7, True), (9, False)):  # in use: stays below the cap
+        isomorph._check_entries(isomorph._table_entries(t, signed), f"support {t}")
 
 
 def test_every_entry_obeys_the_full_excess_bound(full_catalog_r3):
@@ -253,8 +275,9 @@ def test_classifiers_read_the_solver_budgets():
     (enumerate_k_dense, (2, 3, 3), "4336ead4b41ca0f4"),
     (enumerate_k_dense, (3, 2, 2), "df0a5132521656a6"),
     (enumerate_k_dense, (3, 2, 3), "0ec833256226304a"),
+    (enumerate_k_dense, (2, 3, 4), "b2256838d6b63ff5"),
 ], ids=["full-3-2", "full-4-2", "full-5-3", "full-3-3-cap6", "dense-2-3-3", "dense-3-2-2",
-        "dense-3-2-3"])
+        "dense-3-2-3", "dense-2-3-4"])
 def test_catalog_json_hashes_are_pinned(build, args, digest):
     data = json.dumps(build(*args).to_json_dict()).encode()
     assert hashlib.sha256(data).hexdigest()[:16] == digest

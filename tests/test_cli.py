@@ -111,7 +111,7 @@ NO_ITEMS_ENTRY = {"order": 3, "size": 2, "excess": 1, "aut_count": 48, "iso_key"
 SAT_CATALOG = {"format_version": 1, "kind": "sat", "r": 3, "k": None, "max_excess": 1,
                "order_cap": 3, "size_cap": 2, "complete": True, "entries": []}
 INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
-               "graph": "3 2 2\n1 2\n2 3\n",
+               "graph": "3 2 2\n1 2\n2 3\n", "one_vertex_edge": "3 1 1\n2\n",
                "no_kind": json.dumps({"format_version": 1, "entries": []}),
                "no_items": json.dumps({"format_version": 1, "kind": "sat",
                                        "entries": [NO_ITEMS_ENTRY]}),
@@ -160,12 +160,15 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
      "--trials", "10", "--seed", "1"),
     ("mc", "census", "--kind", "pl-fail", "--n", "0", "--r", "3", "--alpha", "0.5",
      "--trials", "10", "--seed", "1"),
+    ("solve", "--kind", "hypergraph", "--k", "2", "--in", "{one_vertex_edge}"),
+    ("sample", "--kind", "sat", "--n", "5", "--r", "3", "--alpha", "nan", "--seed", "1"),
 ], ids=["threshold-r2", "sample-p-above-1", "core-miscounted-header", "core-missing-file",
         "solve-miscounted-header", "mc-catalog-not-json", "catalog-no-k", "core-no-k",
         "solve-no-k", "mc-catalog-no-kind", "predict-catalog-no-items", "mc-rate-k-zero",
         "mc-validate-k-zero", "core-sat-k", "solve-sat-k", "catalog-sat-k", "predict-n-only",
         "predict-alpha-only", "predict-catalog-unknown-flag", "mc-catalog-clauses-not-list",
-        "predict-catalog-array", "predict-n-zero", "mc-rate-n-zero", "mc-census-n-zero"])
+        "predict-catalog-array", "predict-n-zero", "mc-rate-n-zero", "mc-census-n-zero",
+        "solve-one-vertex-edge", "sample-alpha-nan"])
 def test_invalid_input_is_reported_in_one_line(tmp_path, capsys, argv):
     paths = {name: str(tmp_path / name) for name in (*INPUT_FILES, "missing", "out")}
     for name, text in INPUT_FILES.items():

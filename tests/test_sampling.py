@@ -49,6 +49,13 @@ def test_params_reject_p_above_one():
         params_from_alpha(10, 3, 1.0, "nonsense")
 
 
+def test_params_reject_a_nan_alpha():
+    # NaN compares False both ways, so neither "alpha < 0" nor "p > 1" catches it
+    for kind in ("sat", "hypergraph"):
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            params_from_alpha(10, 3, float("nan"), kind)
+
+
 def test_sample_extremes():
     zero = params_from_alpha(8, 3, 0.0, "sat")
     assert sample_formula(zero, 1).size == 0

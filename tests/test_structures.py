@@ -43,6 +43,18 @@ def test_empty_clauses_and_edges_are_rejected():
         Hypergraph(3, [(1, 2), ()])
 
 
+def test_one_vertex_edges_are_rejected():
+    # such an edge is monochromatic under every coloring, so it fails alone,
+    # while k-core peeling would drop it with its low-degree vertex
+    with pytest.raises(ValueError, match="one vertex"):
+        Hypergraph(3, [(1,)])
+    with pytest.raises(ValueError, match="one vertex"):
+        Hypergraph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (2,)])
+    for text in ("3 1 1\n2\n", "3 1 0\n", "3 0 0\n"):
+        with pytest.raises(ValueError, match="at least two vertices"):
+            from_edge_list(text)
+
+
 def test_formula_rejects_out_of_range_variable():
     with pytest.raises(ValueError):
         Formula(2, [(1, 2, 3)])
