@@ -122,13 +122,8 @@ class Catalog:
             raise ValueError(f"unsupported catalog format {data.get('format_version')}")
         try:
             kind = data["kind"]
-            items, _ = _kind(kind)
-            entries = tuple(CatalogEntry(
-                kind=kind, structure=MODELS[kind](rec["order"], [tuple(x) for x in rec[items]]),
-                order=rec["order"], size=rec["size"], excess=rec["excess"],
-                aut_count=rec["aut_count"], iso_key=rec["iso_key"].encode("ascii"),
-                **rec["flags"],
-            ) for rec in data["entries"])
+            vocabulary = _kind(kind)
+            entries = tuple(_entry(kind, vocabulary, data["r"], rec) for rec in data["entries"])
             return cls(kind=kind, r=data["r"], k=data["k"], max_excess=data["max_excess"],
                        order_cap=data["order_cap"], size_cap=data["size_cap"],
                        complete=data["complete"], entries=entries)
@@ -136,6 +131,25 @@ class Catalog:
             raise ValueError(f"catalog lacks field {exc.args[0]!r}") from None
         except (TypeError, AttributeError) as exc:  # a field of the wrong type
             raise ValueError(f"malformed catalog record ({exc})") from None
+
+
+def _entry(kind: str, vocabulary: tuple, r: int, rec: dict) -> CatalogEntry:
+    """The entry of one JSON record, checked against its own items; its
+    ``aut_count`` and ``iso_key`` are taken as stored."""
+    items, flags = vocabulary
+    structure = MODELS[kind](rec["order"], [tuple(x) for x in rec[items]])
+    rows, order, size, excess = structure.rows(), rec["order"], rec["size"], rec["excess"]
+    for bad, problem in (
+            (len(structure.support) != order, "leaves a point of 1..order unused"),
+            (any(len(row) != r for row in rows), f"has an item not of width {r}"),
+            (len(rows) != size, f"has an item count of {len(rows)}"),
+            (excess != (r - 1) * size - order, f"has excess {excess}, not (r - 1) * size - order"),
+            (sorted(rec["flags"]) != sorted(flags), f"has flags other than {', '.join(flags)}")):
+        if bad:
+            raise ValueError(f"catalog record (order {order}, size {size}) {problem}")
+    return CatalogEntry(kind=kind, structure=structure, order=order, size=size, excess=excess,
+                        aut_count=rec["aut_count"], iso_key=rec["iso_key"].encode("ascii"),
+                        **rec["flags"])
 
 
 def save_catalog(catalog: Catalog, path) -> None:

@@ -63,7 +63,7 @@ RATE_KINDS = tuple(EVENTS)
 VALIDATE_KINDS = {"sat": "sat", "coloring": "hypergraph"}  # kind -> model it samples
 
 _SAT_ORACLE_MAX_N = 18
-_COLOR_ORACLE_MAX_N = 13
+_COLOR_ORACLE_MAX_COLORINGS = 3 ** 13  # max(k, 2)^n: n <= 13 at k = 3, 20 at k = 2
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -324,17 +324,17 @@ def _run_batches(config: ExperimentConfig, worker) -> Counter:
 
 
 def _auto_catalog(config: ExperimentConfig) -> Catalog | None:
-    """The complete catalog through the leading obstructions' excess, or
-    None where the model has none.  A catalog whose group table would pass
-    the cap raises BudgetExceededError."""
+    """The first complete catalog of excess 1, 2, ... that holds a class, or
+    None where the engine rejects the parameters.  A full (k-dense) structure
+    has a larger excess than any it properly contains, so each class is a
+    minimal obstruction of the model's core event.  Past the group-table cap
+    it raises BudgetExceededError."""
+    build = partial(enumerate_full, config.r) if EVENTS[config.kind].model == "sat" \
+        else partial(enumerate_k_dense, config.r, config.k)
     try:
-        if EVENTS[config.kind].model == "sat":
-            return enumerate_full(config.r, config.r - 2)
-        if config.r == 2:
-            return enumerate_k_dense(2, config.k, (config.k - 2) * (config.k + 1) // 2)
+        return next(c for c in map(build, itertools.count(1)) if c.entries)
     except ValueError:  # no catalog at these parameters
-        pass
-    return None
+        return None
 
 
 def _prediction(config: ExperimentConfig, catalog: Catalog | None):
@@ -413,8 +413,7 @@ def run_failure_probability(config: ExperimentConfig) -> ExperimentReport:
 def run_core_census(config: ExperimentConfig) -> ExperimentReport:
     """Failure rate plus the isomorphism-class census of the failing cores."""
     config.validate(RATE_KINDS, uses=("catalog", "exclude_below_excess"))
-    if config.catalog is None:
-        config = replace(config, catalog=_auto_catalog(config))
+    config = replace(config, catalog=config.catalog or _auto_catalog(config))
     if config.catalog is None:
         raise ValueError("core census needs a catalog")
     s = config.exclude_below_excess
@@ -539,8 +538,8 @@ def run_solver_validation(config: ExperimentConfig) -> ExperimentReport:
     """Exact agreement of the solver with full-enumeration oracles.
 
     The oracle enumerates all 2^n assignments (n <= 18) or k^n colorings
-    (n <= 13) without any reduction, so it shares nothing with the
-    solver's reduce-then-exhaust path.  It tabulates the two halves of
+    (max(k, 2)^n <= 3^13) without any reduction, so it shares nothing with
+    the solver's reduce-then-exhaust path.  It tabulates the two halves of
     the variables separately and takes every assignment's count of
     violated clauses or monochromatic edges from one matrix product of
     the half tables; the counts are exact integers.
@@ -548,8 +547,9 @@ def run_solver_validation(config: ExperimentConfig) -> ExperimentReport:
     config.validate(VALIDATE_KINDS)
     if config.kind == "sat" and config.n > _SAT_ORACLE_MAX_N:
         raise ValueError(f"oracle capped at n <= {_SAT_ORACLE_MAX_N}")
-    if config.kind == "coloring" and config.n > _COLOR_ORACLE_MAX_N:
-        raise ValueError(f"coloring oracle capped at n <= {_COLOR_ORACLE_MAX_N}")
+    cap = _COLOR_ORACLE_MAX_COLORINGS  # n is clipped where 2^n alone passes it: a small power
+    if config.kind == "coloring" and max(config.k, 2) ** min(config.n, cap.bit_length()) > cap:
+        raise ValueError(f"coloring oracle capped at max(k, 2)^n <= {cap:,}")
     t0 = time.perf_counter()
     tally = _run_batches(config, _validate_batch)
     compared = tally["agree"] + tally["mismatch"]

@@ -36,15 +36,16 @@ def check_budget(t: int, k: int, signed: bool, budget: int | None = None) -> Non
     """Raise BudgetExceededError unless exhausting a core of order ``t`` is
     within ``budget``: its order for satisfiability (``signed``), the
     min(k, t)^t colorings ``least_coloring`` scans for k-colorability.
-    ``None`` is SAT_CORE_BUDGET / COLORING_BUDGET as they stand at the call."""
-    if signed:
-        budget = SAT_CORE_BUDGET if budget is None else budget
-        if t > budget:
-            raise BudgetExceededError(f"core order {t} exceeds budget {budget}")
-    else:
-        budget = COLORING_BUDGET if budget is None else budget
-        if min(k, t) ** t > budget:
-            raise BudgetExceededError(f"{min(k, t)}^{t} colorings exceed budget {budget}")
+    ``None`` is SAT_CORE_BUDGET / COLORING_BUDGET as they stand at the call;
+    a negative budget raises ValueError."""
+    if budget is None:
+        budget = SAT_CORE_BUDGET if signed else COLORING_BUDGET
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    if signed and t > budget:
+        raise BudgetExceededError(f"core order {t} exceeds budget {budget}")
+    if not signed and min(k, t) ** t > budget:
+        raise BudgetExceededError(f"{min(k, t)}^{t} colorings exceed budget {budget}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -279,8 +280,10 @@ def test_classifiers_read_the_solver_budgets():
 ], ids=["full-3-2", "full-4-2", "full-5-3", "full-3-3-cap6", "dense-2-3-3", "dense-3-2-2",
         "dense-3-2-3", "dense-2-3-4"])
 def test_catalog_json_hashes_are_pinned(build, args, digest):
-    data = json.dumps(build(*args).to_json_dict()).encode()
+    catalog = build(*args)
+    data = json.dumps(catalog.to_json_dict()).encode()
     assert hashlib.sha256(data).hexdigest()[:16] == digest
+    assert Catalog.from_json_dict(json.loads(data)) == catalog  # passes the record checks
 
 
 def test_catalog_json_round_trip(tmp_path, full_catalog_r3, dense_catalog_k3):
@@ -290,6 +293,37 @@ def test_catalog_json_round_trip(tmp_path, full_catalog_r3, dense_catalog_k3):
         data = json.loads(path.read_text())
         assert data["format_version"] == 1
         assert load_catalog(path) == cat
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(order=5), "(order 5, size 2) leaves a point of 1..order unused"),
+    (dict(clauses=[[-1, -2], [1, 2, 3]]), "(order 3, size 2) has an item not of width 3"),
+    (dict(clauses=[[1, 2, 3], [1, 2, 3]]), "(order 3, size 2) has an item count of 1"),
+    (dict(size=3), "(order 3, size 3) has an item count of 2"),
+    (dict(excess=2), "(order 3, size 2) has excess 2, not (r - 1) * size - order"),
+    (dict(flags={"is_k_dense": True}), "(order 3, size 2) has flags other than is_full"),
+    (dict(flags={"is_full": True, "is_mff": True, "is_satisfiable": True}), "has flags"),
+], ids=["unused-point", "width", "repeated-item", "count", "excess", "other-model-flags",
+        "missing-flag"])
+def test_catalog_records_are_checked_against_their_items(full_catalog_r3, change, message):
+    """A record that misstates its own items is refused: with order 5 the
+    pair used to load as a 5-variable structure whose census weight is
+    2^5/2^3 times the pair's, and flags of the other model used to drop a
+    class from ``with_flag``."""
+    data = full_catalog_r3.to_json_dict()
+    pair = data["entries"][0]
+    data["entries"] = [{**pair, **change}, *data["entries"][1:]]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Catalog.from_json_dict(data)
+
+
+def test_hypergraph_records_are_checked_against_their_items(dense_catalog_k3):
+    data = dense_catalog_k3.to_json_dict()
+    k4 = data["entries"][0]
+    for change in (dict(edges=[[1, 2, 3], *k4["edges"][1:]]),
+                   dict(flags={**k4["flags"], "is_muf": False})):
+        with pytest.raises(ValueError, match=r"catalog record \(order 4, size 6\)"):
+            Catalog.from_json_dict({**data, "entries": [{**k4, **change}]})
 
 
 def test_catalog_codec_rejects_an_unknown_kind(full_catalog_r3):

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from sparsecore import Formula, from_dimacs, from_edge_list, to_dimacs, to_edge_list
+from sparsecore import (
+    Formula,
+    enumerate_k_dense,
+    from_dimacs,
+    from_edge_list,
+    to_dimacs,
+    to_edge_list,
+)
 from sparsecore.cli import main
 
 
@@ -110,6 +117,15 @@ NO_ITEMS_ENTRY = {"order": 3, "size": 2, "excess": 1, "aut_count": 48, "iso_key"
                   "flags": {}}
 SAT_CATALOG = {"format_version": 1, "kind": "sat", "r": 3, "k": None, "max_excess": 1,
                "order_cap": 3, "size_cap": 2, "complete": True, "entries": []}
+PAIR_ENTRY = {**NO_ITEMS_ENTRY, "clauses": [[-1, -2, -3], [1, 2, 3]], "flags": {
+    "is_full": True, "is_mff": True, "is_satisfiable": True, "is_muf": False}}
+
+
+def _pair_catalog(**record) -> str:
+    """The excess-1 r=3 catalog, its one record changed by ``record``."""
+    return json.dumps({**SAT_CATALOG, "entries": [{**PAIR_ENTRY, **record}]})
+
+
 INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
                "graph": "3 2 2\n1 2\n2 3\n", "one_vertex_edge": "3 1 1\n2\n",
                "no_kind": json.dumps({"format_version": 1, "entries": []}),
@@ -122,7 +138,14 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
                     "flags": {"is_bogus": True}}]}),
                "clauses_not_list": json.dumps({**SAT_CATALOG, "entries": [
                    {**NO_ITEMS_ENTRY, "clauses": 5}]}),
-               "array": json.dumps([SAT_CATALOG])}
+               "array": json.dumps([SAT_CATALOG]),
+               "record_unused_point": _pair_catalog(order=5, excess=-1),
+               "record_width": _pair_catalog(clauses=[[-1, -2], [1, 2, 3]]),
+               "record_count": _pair_catalog(size=3, excess=3),
+               "record_excess": _pair_catalog(excess=2),
+               "record_flags": _pair_catalog(flags={"is_k_dense": True}),
+               "empty_cnf": "p cnf 3 0\n",
+               "empty_graph": "3 2 0\n"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -162,13 +185,29 @@ INPUT_FILES = {"miscounted": "p cnf 3 2\n1 2 3 0\n", "not_json": "not json\n",
      "--trials", "10", "--seed", "1"),
     ("solve", "--kind", "hypergraph", "--k", "2", "--in", "{one_vertex_edge}"),
     ("sample", "--kind", "sat", "--n", "5", "--r", "3", "--alpha", "nan", "--seed", "1"),
+    ("mc", "validate", "--kind", "coloring", "--n", "13", "--r", "2", "--k", "8",
+     "--alpha", "3.0", "--trials", "10", "--seed", "1"),
+    ("mc", "validate", "--kind", "coloring", "--n", "11", "--r", "2", "--k", "4",
+     "--alpha", "3.0", "--trials", "10", "--seed", "1"),
+    ("predict", "--catalog", "{record_unused_point}", "--event", "pl-fail", "--smax", "1"),
+    ("mc", "census", "--kind", "pl-fail", "--n", "10", "--r", "3", "--alpha", "0.5",
+     "--trials", "10", "--seed", "1", "--catalog", "{record_width}"),
+    ("predict", "--catalog", "{record_count}", "--event", "pl-fail", "--smax", "1"),
+    ("mc", "rate", "--kind", "pl-fail", "--n", "10", "--r", "3", "--alpha", "0.5",
+     "--trials", "10", "--seed", "1", "--catalog", "{record_excess}"),
+    ("predict", "--catalog", "{record_flags}", "--event", "pl-fail", "--smax", "1"),
+    ("solve", "--budget", "-1", "--in", "{empty_cnf}"),
+    ("solve", "--kind", "hypergraph", "--k", "3", "--budget", "-5", "--in", "{empty_graph}"),
 ], ids=["threshold-r2", "sample-p-above-1", "core-miscounted-header", "core-missing-file",
         "solve-miscounted-header", "mc-catalog-not-json", "catalog-no-k", "core-no-k",
         "solve-no-k", "mc-catalog-no-kind", "predict-catalog-no-items", "mc-rate-k-zero",
         "mc-validate-k-zero", "core-sat-k", "solve-sat-k", "catalog-sat-k", "predict-n-only",
         "predict-alpha-only", "predict-catalog-unknown-flag", "mc-catalog-clauses-not-list",
         "predict-catalog-array", "predict-n-zero", "mc-rate-n-zero", "mc-census-n-zero",
-        "solve-one-vertex-edge", "sample-alpha-nan"])
+        "solve-one-vertex-edge", "sample-alpha-nan", "mc-validate-coloring-k8-n13",
+        "mc-validate-coloring-k4-n11", "predict-record-unused-point", "mc-census-record-width",
+        "predict-record-count", "mc-rate-record-excess", "predict-record-flags",
+        "solve-negative-budget", "solve-coloring-negative-budget"])
 def test_invalid_input_is_reported_in_one_line(tmp_path, capsys, argv):
     paths = {name: str(tmp_path / name) for name in (*INPUT_FILES, "missing", "out")}
     for name, text in INPUT_FILES.items():
@@ -256,6 +295,30 @@ def test_mc_reports_refusals_in_one_line(capsys):
                         "--exclude-below-excess", "3")
     assert code == 2
     assert out == "mc: excluding cores below excess 3 needs a complete catalog through excess 2\n"
+
+
+def test_mc_reaches_k_cores_of_r_uniform_hypergraphs(tmp_path, capsys):
+    # the automatic catalog stops at excess 2, the least one with a class
+    json_out = tmp_path / "census.json"
+    common = ("--n", "30", "--r", "3", "--k", "2", "--alpha", "2.0", "--trials", "20000",
+              "--seed", "1")
+    code, out = run_cli(capsys, "mc", "census", "--kind", "kcore", *common,
+                        "--json", str(json_out))
+    assert code == 0
+    report = json.loads(json_out.read_text())
+    classes = {e.iso_key.decode() for e in enumerate_k_dense(3, 2, 2).entries}
+    assert report["census"] and set(report["census"]) <= classes
+    assert set(report["predicted_census"]) == classes
+
+    # past the group-table cap: the rate says why it predicts nothing, the census refuses
+    refusal = "hypergraph cell (order 12, size 3): group table"
+    common = ("--n", "30", "--r", "8", "--k", "2", "--alpha", "2.0", "--trials", "10",
+              "--seed", "1")
+    code, out = run_cli(capsys, "mc", "rate", "--kind", "kcore", *common)
+    assert code == 0 and f"catalog_refused = {refusal}" in out
+    code, out = run_cli(capsys, "mc", "census", "--kind", "kcore", *common)
+    assert code == 30 and out.startswith(f"mc: budget exceeded ({refusal}")
+    assert len(out.strip().splitlines()) == 1
 
 
 def test_mc_refuses_options_a_mode_ignores(tmp_path, capsys):

@@ -12,6 +12,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from sparsecore import (
     wilson_interval,
 )
 from sparsecore import experiments
-from sparsecore.predictor import EVENTS
+from sparsecore.predictor import EVENTS, failure_expansion
 from sparsecore.reduction import _peel_keys
 from sparsecore.sampling import decode_rows
 from sparsecore.structures import sign_factor
@@ -200,8 +201,8 @@ def test_k_applies_only_to_hypergraph_kinds(run, kind):
 # the key order kept.  A refactor keeps every one; only a deliberate change
 # of a random stream or of a report's fields may move one.  Census cases
 # read the conftest catalogs: enumerate_full(3, 2) and enumerate_k_dense(2, 3, 2);
-# the noncolorable census builds its own.  The budget pins lower a solver
-# budget (monkeypatch targets) so that budget hits reach the report.
+# the noncolorable and r = 3 k-core censuses build their own.  The budget pins
+# lower a solver budget (monkeypatch targets) so that budget hits reach the report.
 REPORT_PINS = [
     (run_core_census, dict(kind="pl-fail", n=30, r=3, alpha=0.8, trials=2048, seed=3,
                            exclude_below_excess=2), {}, "9e08ebc48ba2a54d"),
@@ -223,20 +224,25 @@ REPORT_PINS = [
      {"sparsecore.solver.COLORING_BUDGET": 3 ** 8}, "cce8d61e3ebd020b"),
     (run_solver_validation, dict(kind="sat", n=15, r=3, alpha=3.0, trials=100, seed=8),
      {"sparsecore.solver.SAT_CORE_BUDGET": 13}, "8c357e72f13c6e47"),
+    (run_failure_probability, dict(kind="kcore", n=30, r=3, k=2, alpha=2.0, trials=20000, seed=5),
+     {}, "2797c29805443e5e"),
+    (run_core_census, dict(kind="kcore", n=30, r=3, k=2, alpha=2.0, trials=20000, seed=16),
+     {}, "78b03cba859b01bb"),
 ]
 
 
 @pytest.mark.parametrize("run, params, budgets, digest", REPORT_PINS, ids=[
     "census-pl-fail-excluded", "census-kcore", "rate-sparse-sampler", "rate-unsat",
     "rate-noncolorable", "validate-sat", "validate-coloring", "census-noncolorable",
-    "census-noncolorable-budget", "validate-sat-budget"])
+    "census-noncolorable-budget", "validate-sat-budget", "rate-kcore-r3", "census-kcore-r3"])
 def test_fixed_seed_reports_are_pinned(run, params, budgets, digest, full_catalog_r3,
                                        dense_catalog_k3, monkeypatch):
     for target, value in budgets.items():
         monkeypatch.setattr(target, value)
     catalog = None
-    if run is run_core_census:
-        catalog = {"pl-fail": full_catalog_r3, "kcore": dense_catalog_k3}.get(params["kind"])
+    if run is run_core_census:  # other runs use the automatic catalog
+        catalog = {("pl-fail", 3): full_catalog_r3,
+                   ("kcore", 2): dense_catalog_k3}.get((params["kind"], params["r"]))
     assert _pin_digest(run(ExperimentConfig(**params, catalog=catalog))) == digest
 
 
@@ -288,23 +294,74 @@ def test_allocator_setting_never_raises(libc, dense_catalog_k3, monkeypatch):
 
 @pytest.mark.parametrize("kind, r, k", [("pl-fail", 3, None), ("pl-fail", 4, None),
                                          ("kcore", 2, 3), ("kcore", 2, 4),
-                                         ("noncolorable", 2, 3)])
+                                         ("noncolorable", 2, 3), ("kcore", 3, 2)])
 def test_predicted_is_the_per_class_sum_to_the_last_bit(kind, r, k):
     """``predicted`` reads the leading term of ``failure_expansion``; as a
     float it equals, bit for bit, the sum over the least-excess classes
-    written out here.  Dividing the alpha sum by n^s0 instead, as
+    written out here, the weights of the classes of one size summed exactly
+    (r = 3, k = 2 has two classes of size 4; the other points have one
+    leading class).  Dividing the alpha sum by n^s0 instead, as
     ``ExpansionPolynomial.evaluate`` does, moves the last bit at some of
     these points for every model."""
     base = ExperimentConfig(kind=kind, n=5, r=r, k=k, alpha=1.0, trials=0, seed=0)
     catalog = experiments._auto_catalog(base)
     flagged = catalog.with_flag(EVENTS[kind].flag)
-    leading = [e for e in flagged if e.excess == min(f.excess for f in flagged)]
+    s0 = min(f.excess for f in flagged)
+    weights = Counter()  # size -> exact sum of its leading classes' weights
+    for e in flagged:
+        if e.excess == s0:
+            weights[e.size] += Fraction(sign_factor(e.kind, e.order), e.aut_count)
     for n in range(5, 398, 28):
         for alpha in (i / 20 for i in range(1, 80, 6)):
-            reference = sum(sign_factor(e.kind, e.order) / e.aut_count * alpha ** e.size
-                            * n ** (-e.excess) for e in leading)
+            reference = sum(float(w) * alpha ** size * n ** (-s0)
+                            for size, w in sorted(weights.items()))
             got, _, refused = experiments._prediction(replace(base, n=n, alpha=alpha), catalog)
             assert got == reference and refused is None, (n, alpha)
+
+
+def _closed_form_catalog(kind, r, k):
+    """The catalog through the leading excess, written out per model: r - 2
+    for full formulas (the complementary pair), (k - 2)(k + 1)/2 for the
+    k-dense graphs (K_{k+1})."""
+    if EVENTS[kind].model == "sat":
+        return enumerate_full(r, r - 2)
+    return enumerate_k_dense(2, k, (k - 2) * (k + 1) // 2)
+
+
+@pytest.mark.parametrize("kind, r, k, closed_form", [
+    *[("pl-fail", r, None, True) for r in (3, 4, 5, 6)], ("unsat", 3, None, True),
+    *[(kind, 2, k, True) for kind in ("kcore", "noncolorable") for k in (3, 4, 5)],
+    ("kcore", 3, 2, False), ("kcore", 3, 3, False), ("kcore", 4, 2, False)])
+def test_auto_catalog_stops_at_the_least_excess(kind, r, k, closed_form):
+    """The walk over excess 1, 2, ... stops at the first catalog with a
+    class; each class there is a minimal obstruction of the core event."""
+    catalog = experiments._auto_catalog(
+        ExperimentConfig(kind=kind, n=30, r=r, k=k, alpha=1.0, trials=0, seed=0))
+    if closed_form:
+        assert catalog == _closed_form_catalog(kind, r, k)
+    core_flag = EVENTS["pl-fail" if EVENTS[kind].model == "sat" else "kcore"].flag
+    assert catalog.complete and catalog.entries
+    assert catalog.with_flag(core_flag) == catalog.entries
+    assert {e.excess for e in catalog.entries} == {catalog.max_excess}
+
+
+@pytest.mark.parametrize("kind, r, k", [("pl-fail", 2, None), ("unsat", 2, None),
+                                         ("kcore", 2, 2), ("noncolorable", 2, 2),
+                                         ("kcore", 3, 1), ("noncolorable", 2, 1)])
+def test_auto_catalog_is_none_where_the_engine_has_no_catalog(kind, r, k):
+    config = ExperimentConfig(kind=kind, n=30, r=r, k=k, alpha=1.0, trials=0, seed=0)
+    assert experiments._auto_catalog(config) is None
+
+
+def test_r_uniform_k_core_rate_predicts_the_leading_term():
+    # ROADMAP item 6, gap 1: p_2 = 1/6 a^3 + 5/48 a^4 for 3-uniform 2-cores
+    expansion = failure_expansion(enumerate_k_dense(3, 2, 2), "kcore", 2)
+    for n, alpha in ((60, 0.7), (30, 2.0)):
+        report = run_failure_probability(
+            ExperimentConfig(kind="kcore", n=n, r=3, k=2, alpha=alpha, trials=2000, seed=2))
+        expected = float(expansion.evaluate(n, Fraction(alpha)))
+        assert report.predicted == pytest.approx(expected, rel=1e-12)
+        assert report.catalog_refused is None
 
 
 def test_incomplete_catalog_predicts_nothing_and_says_why():
@@ -508,6 +565,25 @@ def test_zero_trials_is_an_empty_report():
     report = run_solver_validation(
         ExperimentConfig(kind="sat", n=9, r=3, alpha=1.0, trials=0, seed=3))
     assert report.trials == 0 and report.agreement_rate is None
+
+
+@pytest.mark.parametrize("k, n, refused", [(3, 13, False), (3, 14, True), (4, 10, False),
+                                          (4, 11, True), (8, 6, False), (8, 7, True),
+                                          (8, 13, True), (2, 20, False), (2, 21, True),
+                                          (1, 20, False), (1, 21, True)])
+def test_coloring_oracle_cap_reads_k(k, n, refused, monkeypatch):
+    """The coloring oracle refuses max(k, 2)^n > 3^13 colorings before any
+    batch: at n = 12 its peak RSS rose by 1, 13 and 130 MB at k = 3, 5
+    and 7, so a cap on n alone let k = 8, n = 13 ask for about 1.2 GB."""
+    batches = []
+    monkeypatch.setattr(experiments, "_validate_batch", lambda *args: batches.append(args))
+    config = ExperimentConfig(kind="coloring", n=n, r=2, k=k, alpha=3.0, trials=0, seed=1)
+    if refused:
+        with pytest.raises(ValueError, match=r"coloring oracle capped at max\(k, 2\)\^n"):
+            run_solver_validation(config)
+    else:
+        assert run_solver_validation(config).trials == 0
+    assert not batches
 
 
 def test_validation_size_caps():

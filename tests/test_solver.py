@@ -22,6 +22,7 @@ from sparsecore import (
 from sparsecore import experiments, solver
 from sparsecore.experiments import ExperimentConfig
 from sparsecore.solver import (
+    check_budget,
     count_satisfied,
     least_coloring,
     least_satisfying,
@@ -149,6 +150,25 @@ def test_budget_exceeded_is_an_error(complete3):
     k4full = Hypergraph(4, [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
     with pytest.raises(BudgetExceededError):
         decide_colorable(k4full, 3, coloring_budget=10)
+
+
+def test_a_negative_budget_is_invalid_input(complete3):
+    # it used to refuse every core, even the empty one, as a budget hit
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        decide_sat(Formula(3), core_budget=-1)
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -5"):
+        decide_colorable(Hypergraph(3), 3, coloring_budget=-5)
+    for signed in (True, False):
+        with pytest.raises(ValueError):
+            check_budget(0, 3, signed, -1)
+    # budget 0 keeps its meaning: the empty core of order 0, and no coloring
+    # scan, since even the empty core's scan visits one coloring
+    assert decide_sat(Formula(3), core_budget=0).status == "SAT"
+    with pytest.raises(BudgetExceededError, match="core order 3 exceeds budget 0"):
+        decide_sat(complete3, core_budget=0)
+    with pytest.raises(BudgetExceededError, match=r"0\^0 colorings exceed budget 0"):
+        decide_colorable(Hypergraph(3), 3, coloring_budget=0)
+    assert decide_colorable(Hypergraph(3), 3, coloring_budget=1).colorable
 
 
 def test_every_entry_point_reads_the_budget_at_call_time(monkeypatch, complete3, k4):
