@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 from . import isomorph
 from .predictor import EVENTS
 from .sampling import _candidates
 from .solver import check_budget, least_coloring, least_satisfying
-from .structures import MODELS, Formula, Hypergraph
+from .structures import MODELS, Formula, Hypergraph, sign_factor
 
 CATALOG_FORMAT_VERSION = 1
 
@@ -86,9 +88,6 @@ class Catalog:
         attr = FLAG_ATTRS[flag]
         return tuple(e for e in self.entries if getattr(e, attr) is True)
 
-    def by_key(self) -> dict[bytes, CatalogEntry]:
-        return {e.iso_key: e for e in self.entries}
-
     def max_order(self) -> int:
         return max((e.order for e in self.entries), default=0)
 
@@ -135,7 +134,7 @@ class Catalog:
 
 def _entry(kind: str, vocabulary: tuple, r: int, rec: dict) -> CatalogEntry:
     """The entry of one JSON record, checked against its own items; its
-    ``aut_count`` and ``iso_key`` are taken as stored."""
+    ``aut_count`` and ``iso_key`` are taken as stored; a census checks them."""
     items, flags = vocabulary
     structure = MODELS[kind](rec["order"], [tuple(x) for x in rec[items]])
     rows, order, size, excess = structure.rows(), rec["order"], rec["size"], rec["excess"]
@@ -158,6 +157,24 @@ def save_catalog(catalog: Catalog, path) -> None:
 
 def load_catalog(path) -> Catalog:
     return Catalog.from_json_dict(json.loads(Path(path).read_text()))
+
+
+@lru_cache(maxsize=4)  # a census process meets one catalog
+def _class_rows(catalog: Catalog) -> dict:
+    """{(order, row): iso key} over each entry's anchored images, which hold any
+    copy's ``isomorph._anchored_row``; a stored key or |Aut| must be its items'."""
+    index = {}
+    for e in catalog.entries:
+        t, rows, _, signed = isomorph._parts(e.structure, "index")
+        isomorph._check_entries(isomorph._table_entries(t, signed),
+                                f"{catalog.kind} cell (order {t}, size {e.size}): group table")
+        encoding, aut = isomorph._least_image(images := isomorph._anchored_images(t, rows, signed))
+        key = isomorph._render(signed, t, 0, encoding).decode()
+        if (key, aut) != (e.iso_key.decode(), e.aut_count):
+            raise ValueError(f"catalog record (order {t}, size {e.size}) has iso_key "
+                             f"{e.iso_key.decode()} and aut_count {e.aut_count}, not {key}, {aut}")
+        index.update(dict.fromkeys(((t, row) for row in map(tuple, images.tolist())), e.iso_key))
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +325,9 @@ def _enumerate(event, r, k, max_excess, order_cap, flags) -> Catalog:
     degree = 2 if signed else k
     bound = r * max_excess // ((degree - 1) * (r - 1) - 1)
     t_max = bound if order_cap is None else min(order_cap, bound)
-    cells = [(t, e) for t in range(r, t_max + 1)
-             for e in range(-(-degree * t // r), (t + max_excess) // (r - 1) + 1)
+    cells = [(t, e) for t in range(r, t_max + 1)  # sizes up to the candidates, each once
+             for e in range(-(-degree * t // r), 1 + min((t + max_excess) // (r - 1),
+                                                         sign_factor(kind, r) * comb(t, r)))
              if (r - 1) * e > t]
     for t, e in cells:  # refuse up front, before any cell is searched
         isomorph._check_entries(isomorph._table_entries(t, signed),

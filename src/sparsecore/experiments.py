@@ -30,20 +30,20 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
 
 from .catalog import (
     Catalog,
-    _minimal_failing,
+    _class_rows,
     enumerate_full,
     enumerate_k_dense,
     is_min_non_k_colorable,
     is_muf,
 )
-from .isomorph import canonical_key
+from .isomorph import _anchored_row
 from .predictor import EVENTS, core_type_distribution, failure_expansion
 from .reduction import _peel_keys
 from .sampling import _rng, decode_rows, key_codes, params_from_alpha, sample_keys
@@ -211,36 +211,20 @@ def _per_owner(trial: np.ndarray, rows: np.ndarray, owners: np.ndarray) -> list[
 # ---------------------------------------------------------------------------
 # core classification for the census
 
-@lru_cache(maxsize=4096)  # far above the distinct small cores a census process meets
-def _memo_key(kind: str, order: int, items: tuple) -> bytes:
-    """Canonical key of a dense core, memoized for the life of the process."""
-    return canonical_key(MODELS[kind](order, items))
-
-
-def _classify_core(kind: str, core_items, order: int, max_order: int, shapes):
+def _classify_core(items, order: int, max_order: int, classes: dict, signed: bool):
     """Census bucket of a raw core on ``order`` points: "large" above
-    ``max_order``, None when no catalog class has its (order, size), else
-    its iso key."""
-    if order > max_order:
-        return "large"
-    if (order, len(core_items)) not in shapes:
-        return None
-    return _memo_key(kind, order, tuple(dense_relabel(core_items)[1]))
+    ``max_order``, else the iso key its anchored row finds, else "other"."""
+    return "large" if order > max_order else classes.get(_anchored_row(items, signed), "other")
 
 
-def _holds_low_obstruction(core_items, shapes, event, k) -> bool:
-    """Some item subset of the core with an (order, size) in ``shapes`` fails
-    the event's test and no single-item deletion of it does.  For the shapes
-    of a catalog's obstructions below an excess it is complete below, these
-    subsets are exactly the copies of those obstructions."""
-    support, items = dense_relabel(core_items)
-    test = lambda subset: event.fails(subset, len(support), k)
-    for size in sorted({e for _, e in shapes}):
-        for subset in itertools.combinations(items, size):
-            order = len({abs(v) for item in subset for v in item})
-            if (order, size) in shapes and _minimal_failing(list(subset), test):
-                return True
-    return False
+def _holds_low_obstruction(core_items, classes: dict, low: dict, signed: bool) -> bool:
+    """Some item subset of the core has the shape of a class in ``low`` (iso
+    key -> (order, size)) and an anchored row that finds the class's key."""
+    shapes = set(low.values())
+    return any((len({abs(v) for item in subset for v in item}), size) in shapes
+               and classes.get(_anchored_row(subset, signed)) in low
+               for size in sorted({e for _, e in shapes})
+               for subset in itertools.combinations(core_items, size))
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +236,16 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int,
     "sanity" checks run and each failing core's bucket: "excluded", "large",
     "other" or its catalog class's iso key (bytes)."""
     model_kind, flag, core_decides = event = EVENTS[config.kind]
-    tally: Counter = Counter()
+    signed, tally = MODELS[model_kind].signed, Counter()
     params, keys = _batch_keys(config, model_kind, batch_index, count)
     keys = keys[_peel_keys(keys, params, config.k or 1)]
     # only the rows of nonempty cores are decoded, and walked in trial order
     trial, items = decode_rows(keys, params)
     owners = trial[np.diff(trial, prepend=-1) != 0]  # np.unique raised peak RSS by 1 MB
     if census:  # a census always has a catalog
-        catalog, s = config.catalog, config.exclude_below_excess
-        known, max_order = catalog.by_key(), catalog.max_order()
-        shapes = {(e.order, e.size) for e in catalog.entries}
-        low_shapes = set() if s is None else {
-            (e.order, e.size) for e in catalog.with_flag(flag) if e.excess < s}
+        catalog, s = config.catalog, config.exclude_below_excess or 0  # 0: no excess is below
+        classes, max_order = _class_rows(catalog), catalog.max_order()
+        low = {e.iso_key: (e.order, e.size) for e in catalog.with_flag(flag) if e.excess < s}
         orders = _core_orders(keys, params, count)
     for owner, core_items in zip(owners.tolist(), _per_owner(trial, items, owners)):
         try:
@@ -278,15 +260,13 @@ def _rate_batch(config: ExperimentConfig, batch_index: int, count: int,
         if tally["failures"] % 100 == 1:  # 1% sanity sample: cores really are cores
             support, rows = dense_relabel(core_items)
             dense = MODELS[model_kind](len(support), rows)
-            ok = is_full(dense) if MODELS[model_kind].signed else is_k_dense(dense, config.k)
-            if not ok:
+            if not (is_full(dense) if signed else is_k_dense(dense, config.k)):
                 raise RuntimeError("reduction produced a non-core structure")
             tally["sanity"] += 1
-        if low_shapes and _holds_low_obstruction(core_items, low_shapes, event, config.k):
+        if low and _holds_low_obstruction(core_items, classes, low, signed):
             tally["excluded"] += 1
             continue
-        key = _classify_core(model_kind, core_items, orders[owner], max_order, shapes)
-        tally[key if key == "large" or key in known else "other"] += 1
+        tally[_classify_core(core_items, orders[owner], max_order, classes, signed)] += 1
     return tally
 
 
@@ -340,14 +320,15 @@ def _auto_catalog(config: ExperimentConfig) -> Catalog | None:
 def _prediction(config: ExperimentConfig, catalog: Catalog | None):
     """(rate, census weights, refusal) at (n, alpha): the leading term of
     ``failure_expansion`` at the least excess s0 of the event's obstructions,
-    its classes' weights, and why an incomplete catalog predicts nothing."""
+    its classes' weights, and why there is no prediction: no catalog, no
+    class of the event, or an incomplete catalog."""
     if catalog is None:
-        return None, None, None
+        return None, None, "no catalog for these parameters"
     if config.alpha <= 0:  # no item is drawn
         return 0.0, None, None
-    entries = catalog.with_flag(EVENTS[config.kind].flag)
+    entries = catalog.with_flag(flag := EVENTS[config.kind].flag)
     if not entries:
-        return None, None, None
+        return None, None, f"catalog through excess {catalog.max_excess} holds no {flag} class"
     s0 = min(e.excess for e in entries)
     try:
         lead = failure_expansion(catalog, config.kind, s0).terms[s0]
@@ -420,6 +401,7 @@ def run_core_census(config: ExperimentConfig) -> ExperimentReport:
     if s is not None and not (config.catalog.complete and config.catalog.max_excess >= s - 1):
         raise ValueError(f"excluding cores below excess {s} needs a complete catalog "
                          f"through excess {s - 1}")
+    _class_rows(config.catalog)  # checks the catalog's keys, once, before any batch
     t0 = time.perf_counter()
     return _rate_report(config, True, t0, *_prediction(config, config.catalog))
 

@@ -105,6 +105,17 @@ def _anchored_images(t: int, rows: list[tuple[int, ...]], signed: bool) -> np.nd
     return masks
 
 
+def _anchored_row(items, signed: bool):
+    """(order, sorted clause masks) of int-tuple ``items`` relabeled so that
+    the first item is item 0 (points 1..r, negative literals' variables
+    flipped; the rest ascending): one of the class's ``_anchored_images``."""
+    width = 2 if signed else 1
+    code = {abs(x): width * i + (x < 0) for i, x in enumerate(items[0])}
+    for v in sorted({abs(x) for item in items for x in item} - code.keys()):
+        code[v] = width * len(code)
+    return len(code), tuple(sorted(_pack_row(code[abs(x)] ^ (x < 0) for x in it) for it in items))
+
+
 def _least_image(images: np.ndarray):
     """(encoding of the least of the anchored ``images``, number of group
     elements mapping onto it): narrowed column by column, the survivors

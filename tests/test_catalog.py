@@ -33,7 +33,7 @@ from sparsecore import (
     save_catalog,
 )
 from sparsecore import catalog as catalog_module, isomorph
-from sparsecore.structures import dense_excess_bound, full_excess_bound
+from sparsecore.structures import dense_excess_bound, dense_relabel, full_excess_bound
 
 from oracle_utils import (
     apply_signed,
@@ -268,7 +268,7 @@ def test_classifiers_read_the_solver_budgets():
     assert classify_colorable(Hypergraph(21, [(1, 2)]), 2)
 
 
-@pytest.mark.parametrize("build, args, digest", [
+PINNED_CATALOGS = [
     (enumerate_full, (3, 2), "ebe619f3b41215dc"),
     (enumerate_full, (4, 2), "4359a370a2e6640a"),
     (enumerate_full, (5, 3), "57c8ea10ada1c053"),
@@ -277,13 +277,86 @@ def test_classifiers_read_the_solver_budgets():
     (enumerate_k_dense, (3, 2, 2), "df0a5132521656a6"),
     (enumerate_k_dense, (3, 2, 3), "0ec833256226304a"),
     (enumerate_k_dense, (2, 3, 4), "b2256838d6b63ff5"),
-], ids=["full-3-2", "full-4-2", "full-5-3", "full-3-3-cap6", "dense-2-3-3", "dense-3-2-2",
-        "dense-3-2-3", "dense-2-3-4"])
+]
+PINNED_IDS = ["full-3-2", "full-4-2", "full-5-3", "full-3-3-cap6", "dense-2-3-3", "dense-3-2-2",
+              "dense-3-2-3", "dense-2-3-4"]
+
+
+@pytest.mark.parametrize("build, args, digest", PINNED_CATALOGS, ids=PINNED_IDS)
 def test_catalog_json_hashes_are_pinned(build, args, digest):
     catalog = build(*args)
     data = json.dumps(catalog.to_json_dict()).encode()
     assert hashlib.sha256(data).hexdigest()[:16] == digest
     assert Catalog.from_json_dict(json.loads(data)) == catalog  # passes the record checks
+
+
+def _relabeled(rng, entry):
+    """The entry's items under a random map of its points into 1..3*order,
+    random sign flips for a formula, and a shuffled item order."""
+    labels = rng.sample(range(1, 3 * entry.order + 1), entry.order)
+    flips = [rng.choice((1, -1)) if entry.structure.signed else 1 for _ in labels]
+    items = [tuple(sorted((labels[abs(x) - 1] * flips[abs(x) - 1] * (1 if x > 0 else -1)
+                           for x in item), key=abs)) for item in entry.structure.rows()]
+    rng.shuffle(items)
+    return items
+
+
+@pytest.mark.parametrize("build, args, _digest", PINNED_CATALOGS, ids=PINNED_IDS)
+def test_relabeled_classes_find_their_entry(build, args, _digest):
+    """The census lookup: the anchored row of any copy of a class is one of
+    the class's rows in ``_class_rows``, and the key it finds is the copy's
+    canonical key."""
+    catalog = build(*args)
+    classes, rng = catalog_module._class_rows(catalog), random.Random(30)
+    for entry in catalog.entries:
+        for _ in range(20):
+            items = _relabeled(rng, entry)
+            assert classes[isomorph._anchored_row(items, entry.structure.signed)] == entry.iso_key
+            dense = type(entry.structure)(entry.order, dense_relabel(items)[1])
+            assert canonical_key(dense) == entry.iso_key
+
+
+def test_relabeled_non_minimal_classes_miss_the_minimal_catalog(full_catalog_r3):
+    classes = catalog_module._class_rows(filter_minimal_full(full_catalog_r3))
+    others = [e for e in full_catalog_r3.entries if not e.is_mff]
+    rng = random.Random(31)
+    assert others and len(classes) > 0
+    for entry in others:
+        for _ in range(20):
+            assert isomorph._anchored_row(_relabeled(rng, entry), True) not in classes
+
+
+def test_class_index_refuses_stored_keys_its_items_contradict(full_catalog_r3):
+    """A stored key that its items contradict would label that class's cores;
+    it used to move a census's tv_distance (keys swapped) or halve its
+    prediction (|Aut| doubled) without a word.  A record past the group
+    table can only come from a hand-made file."""
+    data = full_catalog_r3.to_json_dict()
+    pair, second, *rest = data["entries"]
+    assert pair["aut_count"] == 12
+    swapped = [{**pair, "iso_key": second["iso_key"]}, {**second, "iso_key": pair["iso_key"]}]
+    with pytest.raises(ValueError, match=re.escape(
+            f"catalog record (order 3, size 2) has iso_key {second['iso_key']} and "
+            f"aut_count 12, not {pair['iso_key']}, 12")):
+        catalog_module._class_rows(Catalog.from_json_dict({**data, "entries": swapped + rest}))
+    doubled = [{**pair, "aut_count": 24}, second, *rest]
+    with pytest.raises(ValueError, match=re.escape("aut_count 24, not")):
+        catalog_module._class_rows(Catalog.from_json_dict({**data, "entries": doubled}))
+    wide = {**pair, "order": 8, "size": 4, "excess": 0,
+            "clauses": [[1, 2, 3], [4, 5, 6], [6, 7, 8], [-1, -4, -7]]}
+    with pytest.raises(BudgetExceededError, match=re.escape("sat cell (order 8, size 4)")):
+        catalog_module._class_rows(Catalog.from_json_dict({**data, "entries": [wide]}))
+
+
+def test_cells_hold_at_most_every_candidate_once():
+    # no graph on 10 vertices is 10-dense, so excess 43 holds no cell at all
+    started = time.perf_counter()
+    catalog = enumerate_k_dense(2, 10, 43)
+    assert catalog.complete and catalog.entries == ()
+    assert time.perf_counter() - started < 1.0
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "hypergraph cell (order 11, size 55): group table")):
+        enumerate_k_dense(2, 10, 44)
 
 
 def test_catalog_json_round_trip(tmp_path, full_catalog_r3, dense_catalog_k3):

@@ -321,6 +321,29 @@ def test_mc_reaches_k_cores_of_r_uniform_hypergraphs(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_mc_census_refuses_a_catalog_whose_stored_keys_contradict_its_items(
+        tmp_path, capsys, full_catalog_r3):
+    data = full_catalog_r3.to_json_dict()
+    pair, second, *rest = data["entries"]
+    wide = {**pair, "order": 8, "size": 4, "excess": 0,
+            "clauses": [[1, 2, 3], [4, 5, 6], [6, 7, 8], [-1, -4, -7]]}
+    common = ("--n", "30", "--r", "3", "--alpha", "0.8", "--trials", "100", "--seed", "1")
+    for entries, census_code, message in (
+            ([{**pair, "aut_count": 24}, second, *rest], 2,
+             "mc: catalog record (order 3, size 2) has iso_key"),
+            ([wide], 30, "mc: budget exceeded (sat cell (order 8, size 4): group table")):
+        cat_file = tmp_path / "cat.json"
+        cat_file.write_text(json.dumps({**data, "entries": entries}))
+        code, out = run_cli(capsys, "mc", "census", "--kind", "pl-fail", *common,
+                            "--catalog", str(cat_file))
+        assert code == census_code and out.startswith(message)
+        assert len(out.strip().splitlines()) == 1
+        # a rate takes the stored values, as it does on load
+        code, _ = run_cli(capsys, "mc", "rate", "--kind", "pl-fail", *common,
+                          "--catalog", str(cat_file))
+        assert code == 0
+
+
 def test_mc_refuses_options_a_mode_ignores(tmp_path, capsys):
     cat_file = tmp_path / "cat.json"
     run_cli(capsys, "catalog", "--kind", "sat", "--r", "3", "--max-excess", "1",

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from sparsecore import (
+    BudgetExceededError,
     Clause,
     ExperimentConfig,
     Formula,
@@ -45,7 +47,6 @@ from sparsecore.structures import sign_factor
 from oracle_utils import (
     brute_colorable,
     brute_max_sat,
-    candidate_clauses,
     count_copies,
     random_formula,
     random_hypergraph,
@@ -211,7 +212,7 @@ REPORT_PINS = [
     (run_failure_probability, dict(kind="pl-fail", n=120, r=3, alpha=0.8, trials=2048, seed=5),
      {}, "b7039dcb299b2a26"),
     (run_failure_probability, dict(kind="unsat", n=12, r=3, alpha=3.0, trials=400, seed=5),
-     {}, "7ab0a6d8b91dc97c"),
+     {}, "f12fb29bc0694bf4"),
     (run_failure_probability, dict(kind="noncolorable", n=12, r=2, k=3, alpha=3.0, trials=400,
                                    seed=5), {}, "419dd3214d30971e"),
     (run_solver_validation, dict(kind="sat", n=15, r=3, alpha=3.0, trials=100, seed=8),
@@ -351,6 +352,34 @@ def test_auto_catalog_stops_at_the_least_excess(kind, r, k, closed_form):
 def test_auto_catalog_is_none_where_the_engine_has_no_catalog(kind, r, k):
     config = ExperimentConfig(kind=kind, n=30, r=r, k=k, alpha=1.0, trials=0, seed=0)
     assert experiments._auto_catalog(config) is None
+
+
+def test_auto_catalog_walk_reaches_the_first_cell_that_can_hold_a_core():
+    # no graph on 10 vertices is 10-dense: the walk used to refuse at (order 10)
+    config = ExperimentConfig(kind="kcore", n=30, r=2, k=10, alpha=1.0, trials=0, seed=0)
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "hypergraph cell (order 11, size 55): group table")):
+        experiments._auto_catalog(config)
+
+
+@pytest.mark.parametrize("kind, r, k, reason", [
+    ("noncolorable", 3, 2, "catalog through excess 2 holds no min_non_k_colorable class"),
+    ("unsat", 3, None, "catalog through excess 1 holds no muf class"),
+    ("kcore", 2, 2, "no catalog for these parameters")], ids=["noncolorable", "unsat", "none"])
+def test_a_rate_that_predicts_nothing_says_why(kind, r, k, reason):
+    report = run_failure_probability(
+        ExperimentConfig(kind=kind, n=20, r=r, k=k, alpha=2.0, trials=200, seed=1))
+    assert report.predicted is None and report.catalog_refused == reason
+
+
+def test_census_builds_the_class_index_once(full_catalog_r3):
+    experiments._class_rows.cache_clear()
+    report = run_core_census(ExperimentConfig(kind="pl-fail", n=30, r=3, alpha=0.8,
+                                              trials=3 * 512, seed=4, batch_size=512,
+                                              catalog=full_catalog_r3))
+    info = experiments._class_rows.cache_info()
+    assert report.census and (info.misses, info.hits) == (1, 3)
+    assert info.maxsize is not None and info.maxsize <= 8
 
 
 def test_r_uniform_k_core_rate_predicts_the_leading_term():
@@ -626,25 +655,15 @@ def test_report_serialization(full_catalog_r3, tmp_path):
                          sat_core_budget=5)
 
 
-def test_key_memo_is_bounded():
-    memo = experiments._memo_key
-    cap = memo.cache_info().maxsize
-    assert cap is not None and cap >= 1000  # room for every small core of a census process
-    memo.cache_clear()
-    for clauses in itertools.islice(itertools.combinations(candidate_clauses(4, 3), 3),
-                                    cap + 50):
-        memo("sat", 4, clauses)
-    assert memo.cache_info().currsize == cap
-
-
 def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> Counter:
     """Census tally of one batch with every failing core built densely and
     keyed, checking on the way, core by core, the order read from the batch
-    arrays and ``_classify_core``'s bucket."""
+    arrays and ``_classify_core``'s bucket, a lookup among the catalog's
+    anchored images."""
     model_kind, flag = EVENTS[config.kind][:2]
     catalog = config.catalog
-    known, max_order = catalog.by_key(), catalog.max_order()
-    shapes = {(e.order, e.size) for e in catalog.entries}
+    known, max_order = {e.iso_key for e in catalog.entries}, catalog.max_order()
+    classes, signed = experiments._class_rows(catalog), model_kind == "sat"
     low = [e.structure for e in catalog.with_flag(flag)
            if config.exclude_below_excess is not None and e.excess < config.exclude_below_excess]
     params, keys = experiments._batch_keys(config, model_kind, batch_index, count)
@@ -669,8 +688,8 @@ def _reference_tally(config: ExperimentConfig, batch_index: int, count: int) -> 
         else:
             key = canonical_key(dense)
             bucket = key if key in known else None
-        assert experiments._classify_core(model_kind, core_items, dense.order, max_order,
-                                          shapes) == bucket, core_items
+        assert experiments._classify_core(core_items, dense.order, max_order, classes,
+                                          signed) == (bucket or "other"), core_items
         tally["large" if bucket == "large" else "keyed" if bucket else "other"] += 1
         if bucket not in ("large", None):
             tally[bucket] += 1

@@ -331,3 +331,17 @@ def test_order_cap_raises():
         canonical_key(Formula(20))
     with pytest.raises(BudgetExceededError):
         automorphism_count(Formula(20))
+
+
+def test_anchored_row_makes_the_first_item_item_0():
+    # (2, -5, 7) takes labels 1, 2, 3 with variable 5 flipped: literal ids
+    # 0, 2, 4 (mask 21); the complement (-2, 5, -7) gets ids 1, 3, 5 (mask 42)
+    assert isomorph._anchored_row([(2, -5, 7), (-2, 5, -7)], True) == (3, (21, 42))
+    # 4 is flipped, so +4 gets id 1; the other points follow in ascending
+    # order: 9 -> label 4 (id 6), 11 -> label 5 (id 8)
+    assert isomorph._anchored_row([(-4, 6, 8), (4, 9, 11)], True) == (5, (21, 2 + 64 + 256))
+    # vertices of an edge take labels 1..r in the item's own order
+    assert isomorph._anchored_row([(5, 3), (3, 8)], False) == (3, (3, 6))
+    row = isomorph._anchored_row([(2, -5, 7), (-2, 5, -7)], True)[1]
+    images = isomorph._anchored_images(3, [(0, 2, 4), (1, 3, 5)], True)
+    assert row in set(map(tuple, images.tolist()))
